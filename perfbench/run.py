@@ -86,8 +86,18 @@ def host_facts() -> dict:
 # ----------------------------------------------------------------------
 # measurement
 # ----------------------------------------------------------------------
+def _time_is_up(start: float, seconds: float, last: float) -> bool:
+    """Whether one more pass of ``last`` seconds would overshoot ``seconds``.
+
+    A run stops when ending now is closer to ``seconds`` than ending after
+    another pass, so it measures ``seconds`` give or take half a pass.
+    """
+    elapsed = perf_counter() - start
+    return elapsed >= HARD_CAP_S or elapsed + last / 2 >= seconds
+
+
 def run_untraced(workload, seed: int, seconds: float, smoke: bool, min_rounds: int):
-    """Repeat episodes until ``seconds`` passed and ``min_rounds`` were timed.
+    """Repeat episodes for about ``seconds``, and until ``min_rounds`` were timed.
 
     Returns one :class:`RoundClock` per episode, and the episodes.
     """
@@ -96,83 +106,67 @@ def run_untraced(workload, seed: int, seconds: float, smoke: bool, min_rounds: i
     clocks, episodes = [], []
     start = perf_counter()
     while True:
+        began = perf_counter()
         clocks.append(RoundClock())
         episodes.append(
             workload.run(seed, clocks[-1], smoke=smoke, quality=not episodes)
         )
         gc.collect()
-        elapsed = perf_counter() - start
-        if elapsed >= HARD_CAP_S:
+        timed = sum(len(c.round_s) for c in clocks)
+        if perf_counter() - start >= HARD_CAP_S:
             break
-        if elapsed >= seconds and sum(len(c.round_s) for c in clocks) >= min_rounds:
+        if timed >= min_rounds and _time_is_up(start, seconds, perf_counter() - began):
             break
     return clocks, episodes
 
 
-def fastest_rounds(clocks, min_rounds: int) -> list[float]:
-    """Round samples of the fastest episodes, at least ``min_rounds`` of them.
-
-    Episodes repeat identical work, and interference from other tenants of
-    a shared host only ever adds time, in phases lasting seconds.  Ranking
-    whole episodes by their p90 round time (the statistic a slow phase
-    covering a tenth of an episode already moves) and keeping the fastest
-    ones that together hold ``min_rounds`` rounds measures the program
-    rather than its neighbours; every kept round counts in p50 and p90.
-    """
-    ranked = sorted(
-        (clock for clock in clocks if clock.round_s),
-        key=lambda clock: _percentile(clock.round_s, 90),
-    )
-    chosen: list[float] = []
-    for clock in ranked:
-        chosen += clock.round_s
-        if len(chosen) >= min_rounds:
-            break
-    return chosen
-
-
 def run_traced(workload, seed: int, seconds: float, smoke: bool):
-    """Interleave untraced, variant and traced episodes, then the alloc pass.
+    """Interleave untraced and traced episodes, then the alloc pass.
 
-    Variants alternate part by part (one scheme at a time on a multi-scheme
-    workload), so drift in the host's speed hits neighbouring episodes
-    alike.  Returns ``(recorder, {variant: (clocks, episodes)},
-    {part: episodes}, alloc peaks, alloc episode)``; the i-th clocks of all
-    variants timed the same part back to back.
+    On ``schemes-torus-faulty`` every pass runs one scheme at a time, with
+    an observability-off episode between the untraced and traced ones, so
+    drift in the host's speed hits neighbouring episodes alike.  Returns
+    ``(recorder, clocks, traced episodes, episode groups, alloc peaks)``:
+    ``clocks[name][i]`` of every name timed the same part back to back, and
+    each group holds episodes that ran identical inputs.
     """
     from perfbench.spans import Recorder, measure_sync_alloc
-    from perfbench.workloads import RoundClock
+    from perfbench.workloads import SCHEMES, RoundClock
 
     recorder = Recorder()
-    names = ["untraced", *(name for name, _ in workload.variants), "traced"]
-    kwargs = dict(workload.variants)
-    variants = {name: ([], []) for name in names}
-    by_part = {index: [] for index in range(len(workload.parts))}
+    if workload.name == "schemes-torus-faulty":
+        parts = [{"schemes": (scheme,)} for scheme in SCHEMES]
+        obs_off = ("obs-off", {"observability": False})
+        runs = [("untraced", {}), obs_off, ("traced", {})]
+    else:
+        parts = [{}]
+        runs = [("untraced", {}), ("traced", {})]
+    clocks = {name: [] for name, _ in runs}
+    groups = [[] for _ in parts]
+    traced_episodes = []
     start = perf_counter()
     while True:
-        for index, part in enumerate(workload.parts):
-            for name, (clocks, episodes) in variants.items():
+        began = perf_counter()
+        for part, group in zip(parts, groups):
+            for name, options in runs:
                 traced = name == "traced"
-                clocks.append(RoundClock(recorder if traced else None))
+                clock = RoundClock(recorder if traced else None)
                 with recorder if traced else nullcontext():
                     episode = workload.run(
-                        seed,
-                        clocks[-1],
-                        smoke=smoke,
-                        quality=False,
-                        **part,
-                        **kwargs.get(name, {}),
+                        seed, clock, smoke=smoke, quality=False, **part, **options
                     )
-                episodes.append(episode)
-                by_part[index].append(episode)
+                clocks[name].append(clock)
+                group.append(episode)
+                if traced:
+                    traced_episodes.append(episode)
                 gc.collect()
-        elapsed = perf_counter() - start
-        if elapsed >= seconds or elapsed >= HARD_CAP_S:
+        if _time_is_up(start, seconds, perf_counter() - began):
             break
     peaks: list[int] = []
     with measure_sync_alloc(peaks):
         alloc = workload.run(seed, RoundClock(), smoke=smoke, **workload.alloc)
-    return recorder, variants, by_part, peaks, alloc
+    groups.append([alloc])
+    return recorder, clocks, traced_episodes, groups, peaks, len(parts)
 
 
 def _median(values) -> float:
@@ -199,10 +193,10 @@ def _overhead_pct(slow, base) -> float:
     return (_median(ratios) - 1.0) * 100.0 if ratios else 0.0
 
 
-def end_to_end(clocks, episodes, min_rounds: int) -> dict[str, tuple[float, str]]:
+def end_to_end(clocks, episodes) -> dict[str, tuple[float, str]]:
     """``name -> (value, sample-count note)`` for every end-to-end metric."""
     first = episodes[0]
-    rounds = fastest_rounds(clocks, min_rounds)
+    rounds = [sample for clock in clocks for sample in clock.round_s]
     setups = [sample for clock in clocks for sample in clock.setup_s]
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     # A run without a quality figure failed its checks; it reads 0.
@@ -210,7 +204,7 @@ def end_to_end(clocks, episodes, min_rounds: int) -> dict[str, tuple[float, str]
         "sign_match_rate", first.quality.get("final_test_acc", 0.0)
     )
     p90 = _percentile(rounds, 90)
-    n = f"n={len(rounds)} rounds of the fastest episodes"
+    n = f"n={len(rounds)} rounds of {len(clocks)} episodes"
     return {
         "setup_s": (_median(setups), f"n={len(setups)} set-ups, median"),
         "rounds_per_s": (len(rounds) / sum(rounds), n),
@@ -229,13 +223,12 @@ def end_to_end(clocks, episodes, min_rounds: int) -> dict[str, tuple[float, str]
     }
 
 
-def per_layer(recorder, variants, parts: int, peaks) -> dict[str, float]:
+def per_layer(recorder, clocks, traced, parts: int, peaks) -> dict[str, float]:
     """Every per-layer metric from the traced episodes."""
     from perfbench.spans import layer_times
 
     totals, _, timed = layer_times(recorder)
     timed = max(timed, 1)
-    traced = variants["traced"][1]
     # A whole episode is one pass over every part.
     whole_episodes = max(len(traced) // parts, 1)
     rounds_run = max(sum(ep.rounds_run for ep in traced), 1)
@@ -260,8 +253,7 @@ def per_layer(recorder, variants, parts: int, peaks) -> dict[str, float]:
         ("compression", "sim.compression_ms_per_round"),
     ):
         metrics[name] = per_round(lambda ep: ep.phase_s.get(phase, 0.0)) * 1e3
-    untraced = variants["untraced"][0]
-    obs_off = variants["obs-off"][0] if "obs-off" in variants else []
+    untraced = clocks["untraced"]
     metrics.update(
         {
             "core.alloc_mb_per_round": _median(peaks) / 2**20,
@@ -273,10 +265,10 @@ def per_layer(recorder, variants, parts: int, peaks) -> dict[str, float]:
             "faults.flipped_bits_per_round": per_round(
                 lambda ep: ep.fault_counters.get("flipped_bits", 0)
             ),
-            "obs.metrics_overhead_pct": _overhead_pct(untraced, obs_off),
-            "bench.trace_overhead_pct": _overhead_pct(
-                variants["traced"][0], untraced
+            "obs.metrics_overhead_pct": _overhead_pct(
+                untraced, clocks.get("obs-off", [])
             ),
+            "bench.trace_overhead_pct": _overhead_pct(clocks["traced"], untraced),
         }
     )
     return metrics
@@ -331,13 +323,12 @@ def run_one(args) -> int:
     workload = WORKLOADS[args.workload]
     notes = []
     if args.trace:
-        recorder, variants, by_part, peaks, alloc = run_traced(
+        recorder, clocks, traced, groups, peaks, parts = run_traced(
             workload, args.seed, args.seconds, args.smoke
         )
-        groups = [*by_part.values(), [alloc]]
         episodes = [ep for group in groups for ep in group]
         attempted, failed, failures = outcome(groups)
-        values = per_layer(recorder, variants, len(workload.parts), peaks)
+        values = per_layer(recorder, clocks, traced, parts, peaks)
         metrics = [(m, values[m.name], "traced") for m in PER_LAYER]
         TRACE_DIR.mkdir(exist_ok=True)
         trace_path = TRACE_DIR / f"trace-{args.workload}-seed{args.seed}.json"
@@ -351,7 +342,7 @@ def run_one(args) -> int:
         attempted, failed, failures = outcome([episodes])
         metrics = []
         if any(clock.round_s for clock in clocks) and episodes[0].rounds_run:
-            values = end_to_end(clocks, episodes, min_rounds)
+            values = end_to_end(clocks, episodes)
             metrics = [(m, *values[m.name]) for m in END_TO_END]
             info = dict(episodes[0].quality, error_rate=failed / attempted)
             for m in INFO:

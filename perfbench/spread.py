@@ -7,7 +7,6 @@ Usage, from the repository root::
 Runs ``perfbench/run.py`` once per seed, one run at a time, and prints per
 metric the median, the quartile spread ``(q3 - q1) / median`` (quartiles as
 ``statistics.quantiles(values, n=4)`` gives them) and the metric's bound.
-Pass ``--jsonl FILE`` to read earlier results instead of running.
 """
 
 from __future__ import annotations
@@ -69,16 +68,11 @@ def main(argv=None) -> int:
     from perfbench.metrics import END_TO_END
 
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workload")
+    parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", default="1-10")
     parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--jsonl", help="read results from this file instead")
     args = parser.parse_args(argv)
-    if args.jsonl:
-        with open(args.jsonl) as handle:
-            results = [json.loads(line) for line in handle if line.strip()]
-    else:
-        results = collect(args.workload, parse_seeds(args.seeds), args.seconds)
+    results = collect(args.workload, parse_seeds(args.seeds), args.seconds)
     bounds = {metric.name: metric.bound for metric in END_TO_END}
     print(f"{'metric':24s} {'median':>14s} {'spread':>8s} {'bound':>6s}")
     for name, (median, spread) in spreads(results).items():

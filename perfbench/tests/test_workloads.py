@@ -27,6 +27,21 @@ def test_smoke_workload_passes_checks_and_repeats(name):
     assert len(first.digest) == 64
 
 
+def test_schemes_fold_into_one_setup_and_one_round_per_index():
+    clock = RoundClock()
+    WORKLOADS["schemes-torus-faulty"].run(3, clock, smoke=True, rounds=4)
+    # Five schemes, four rounds each: the first round of each is set-up.
+    assert len(clock.setup_s) == 1 and len(clock.round_s) == 3
+
+
+def test_sync_input_pool_is_read_only_and_shared():
+    from perfbench.workloads import _update_pool
+
+    pool = _update_pool(3, 100)
+    assert pool is _update_pool(3, 100)
+    assert all(not updates.flags.writeable for updates in pool)
+
+
 def test_seed_changes_outputs():
     clock = RoundClock()
     one = WORKLOADS["train-mlp-ring"].run(1, clock, smoke=True)

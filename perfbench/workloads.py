@@ -17,6 +17,7 @@ sample.  Output checks run inside rounds but are excluded from the clock.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import traceback
@@ -73,19 +74,24 @@ class RoundClock:
     def finish(self) -> None:
         self._close(perf_counter())
 
-    def combine_parts(self, start: int, parts: int) -> None:
-        """Fold the rounds since ``start`` of ``parts`` equal runs into columns.
+    def mark(self) -> tuple[int, int]:
+        """How many set-up and round samples the clock holds so far."""
+        return len(self.setup_s), len(self.round_s)
 
-        Round ``i`` of the result is the sum of round ``i`` of every part, so
-        a workload that trains several schemes in turn has one homogeneous
-        round per column instead of a mixture whose quantiles jump between
-        the schemes' clusters.
+    def combine_parts(self, mark: tuple[int, int], parts: int) -> None:
+        """Fold the samples since ``mark`` of ``parts`` equal runs into columns.
+
+        Round ``i`` of the result is the sum of round ``i`` of every part, and
+        the parts' set-ups become one set-up, so a workload that trains
+        several schemes in turn has homogeneous samples instead of a mixture
+        whose quantiles jump between the schemes' clusters.
         """
-        samples = self.round_s[start:]
-        if parts < 2 or not samples or len(samples) % parts:
-            return
-        width = len(samples) // parts
-        self.round_s[start:] = [sum(samples[i::width]) for i in range(width)]
+        for samples, start in zip((self.setup_s, self.round_s), mark):
+            tail = samples[start:]
+            if parts < 2 or not tail or len(tail) % parts:
+                continue
+            width = len(tail) // parts
+            samples[start:] = [sum(tail[i::width]) for i in range(width)]
 
     def _close(self, now: float) -> None:
         if self._round_start is None:
@@ -337,14 +343,14 @@ def schemes_torus_faulty(
     from repro.nn.zoo import mlp
     from repro.obs import Observability
 
-    rounds = kw.get("rounds") or (6 if smoke else 40)
+    rounds = kw.get("rounds") or (6 if smoke else 20)
     schemes = kw.get("schemes") or SCHEMES
     hidden = (32,) if smoke else (256, 256)
     eta_s = 8e-3
     episode = Episode()
     digest = hashlib.sha256()
     results = []
-    first_round = len(clock.round_s)
+    mark = clock.mark()
     for name in schemes:
 
         def build(callbacks, name=name):
@@ -399,8 +405,8 @@ def schemes_torus_faulty(
         result = _train(episode, clock, name, build, rounds, eta, digest)
         if result is not None:
             results.append(result)
-    # One workload round is one round of every scheme.
-    clock.combine_parts(first_round, len(schemes))
+    # One workload set-up (round) is one set-up (round) of every scheme.
+    clock.combine_parts(mark, len(schemes))
     episode.quality = _training_quality(results)
     episode.digest = digest.hexdigest()
     return episode
@@ -409,29 +415,14 @@ def schemes_torus_faulty(
 # ----------------------------------------------------------------------
 # the bare synchronizer at D = 1M
 # ----------------------------------------------------------------------
-def sync_1m_ring(
-    seed: int, clock: RoundClock, smoke: bool = False, quality: bool = True, **kw
-) -> Episode:
-    """``MarsitSynchronizer.synchronize`` called directly, M = 16 ring.
+@functools.lru_cache(maxsize=1)
+def _update_pool(seed: int, dimension: int) -> tuple[np.ndarray, ...]:
+    """Two seeded, read-only (M, D) update matrices, shared by a run's episodes.
 
-    Inputs cycle through a pool of seeded (M, D) update matrices: a shared
-    gradient plus twice as much per-worker noise, at the scale of a local
-    step.  Each input is handed over as one (M, D) array.
+    Each is a shared gradient plus twice as much per-worker noise, at the
+    scale of a local step.  Read-only, so a synchronizer that writes into
+    its input fails loudly instead of changing later episodes' inputs.
     """
-    from repro.comm import Cluster
-    from repro.comm.topology import ring_topology
-    from repro.core import MarsitConfig, MarsitSynchronizer
-
-    dimension = 50_000 if smoke else 1_000_000
-    rounds = kw.get("rounds") or (4 if smoke else 40)
-    eta_s = 1e-3
-    expected_bytes = ring_one_bit_bytes(NUM_WORKERS, dimension)
-    episode = Episode(attempted=rounds)
-    digest = hashlib.sha256()
-    matches = []
-    ok = 0
-
-    clock.begin_setup()
     rng = np.random.default_rng(seed)
     pool = []
     for _ in range(2):
@@ -440,7 +431,35 @@ def sync_1m_ring(
         updates *= 2.0
         updates += shared
         updates *= 1e-3
+        updates.flags.writeable = False
         pool.append(updates)
+    return tuple(pool)
+
+
+def sync_1m_ring(
+    seed: int, clock: RoundClock, smoke: bool = False, quality: bool = True, **kw
+) -> Episode:
+    """``MarsitSynchronizer.synchronize`` called directly, M = 16 ring.
+
+    Inputs cycle through :func:`_update_pool`, handed over as one (M, D)
+    array each.  The pool is the benchmark's input, not the library's work,
+    so it is built before the set-up clock starts.
+    """
+    from repro.comm import Cluster
+    from repro.comm.topology import ring_topology
+    from repro.core import MarsitConfig, MarsitSynchronizer
+
+    dimension = 50_000 if smoke else 1_000_000
+    rounds = kw.get("rounds") or (4 if smoke else 20)
+    eta_s = 1e-3
+    expected_bytes = ring_one_bit_bytes(NUM_WORKERS, dimension)
+    episode = Episode(attempted=rounds)
+    digest = hashlib.sha256()
+    matches = []
+    ok = 0
+
+    pool = _update_pool(seed, dimension)
+    clock.begin_setup()
     config = MarsitConfig(
         global_lr=eta_s,
         full_precision_every=None,
@@ -495,11 +514,6 @@ class Workload:
     name: str
     why: str
     run: object
-    #: Extra untraced variants compared in the traced run.
-    variants: tuple[tuple[str, dict], ...] = ()
-    #: Keyword overrides splitting an episode into parts, so the traced run
-    #: can interleave its variants part by part.
-    parts: tuple[dict, ...] = ({},)
     #: Keyword overrides for the short tracemalloc pass.
     alloc: dict = field(default_factory=dict)
 
@@ -527,8 +541,6 @@ WORKLOADS = {
         "data, train, allreduce, compression, fault hook and obs work moves "
         "rounds_per_s here; no change predicted for D=1M core work.",
         schemes_torus_faulty,
-        variants=(("obs-off", {"observability": False}),),
-        parts=tuple({"schemes": (scheme,)} for scheme in SCHEMES),
         alloc={"rounds": 26, "schemes": ("marsit-k",)},
     ),
 }
