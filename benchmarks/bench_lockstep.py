@@ -11,8 +11,8 @@ M in {8, 16, 32, 64} workers, D = 1M elements.  Both engines consume
 identical per-rank RNG streams, so before timing the bench asserts their
 global updates, total bytes and total messages are exactly equal.  Results
 go to ``benchmarks/results/lockstep.txt`` and machine-readable
-``BENCH_lockstep.json`` at the repo root (separate ``full`` / ``check``
-keys, like the packed-kernel bench).
+``BENCH_lockstep.json`` at the repo root; only full mode writes them, and
+check mode prints its table without touching any tracked file.
 
 Since the SyncPlan refactor both engines are plan interpreters: the round
 is compiled once to a :class:`~repro.sched.plan.SyncPlan` and executed by
@@ -24,7 +24,7 @@ interleaved with the plan executor in one process — the only comparison
 that survives noisy shared machines.  The guard also asserts the two
 produce bit-identical sign words and identical traffic/timeline charges.
 Full mode asserts the executor stays within ``PLAN_OVERHEAD_CEILING``
-(5%) of the hand-coded round; check mode records the ratio.
+(5%) of the hand-coded round; check mode prints the ratio.
 
 A measurement honesty note: earlier recordings timed each engine's rounds
 back to back and reported a >= 4x batched-over-scalar speedup at M = 32.
@@ -77,7 +77,7 @@ FULL_WORKERS = (8, 16, 32, 64)
 CHECK_DIMENSION = 20_000
 CHECK_WORKERS = (4, 8)
 #: Plan executor vs the frozen hand-coded round, interleaved in-process
-#: (full mode asserts; check-mode timings are noise and only recorded).
+#: (full mode asserts; check-mode timings are noise and only printed).
 PLAN_OVERHEAD_CEILING = 1.05
 GUARD_WORKERS = 32
 GUARD_REPEATS = 5
@@ -311,7 +311,7 @@ def _report(mode: str, dimension: int, workers: dict, guard: dict) -> str:
 
 
 def run_mode(mode: str) -> dict:
-    """Run ``'full'`` or ``'check'`` mode; persist JSON + text results."""
+    """Run ``'full'`` mode (persist JSON + text) or ``'check'`` (print only)."""
     if mode == "full":
         # Best-of-5: machine noise swings multi-second runs several-fold,
         # so both engines need enough samples to catch a quiet window.
@@ -322,14 +322,14 @@ def run_mode(mode: str) -> dict:
         guard_workers, repeats = max(CHECK_WORKERS), 2
     per_worker = run_rounds(dimension, workers, rounds)
     guard = run_plan_guard(dimension, guard_workers, repeats)
-    _write_json(
-        {
-            mode: {"dimension": dimension, "workers": per_worker},
-            f"{mode}_plan_guard": guard,
-        }
-    )
     report = _report(mode, dimension, per_worker, guard)
     if mode == "full":
+        _write_json(
+            {
+                "full": {"dimension": dimension, "workers": per_worker},
+                "full_plan_guard": guard,
+            }
+        )
         save_report("lockstep", report)
     else:
         print(report)

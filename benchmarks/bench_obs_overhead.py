@@ -15,7 +15,8 @@ variance against a recorded number.  Tracing-enabled rounds are also timed,
 informationally (spans and metrics are expected to cost real time).
 
 Results go to ``benchmarks/results/obs_overhead.txt`` and machine-readable
-``BENCH_obs_overhead.json`` at the repo root (``full`` / ``check`` keys).
+``BENCH_obs_overhead.json`` at the repo root, written by full mode only;
+check mode prints its table.
 
 Run the full benchmark (asserts < 3% overhead at every M)::
 
@@ -170,14 +171,14 @@ def run_rounds(
     return results
 
 
-def _write_json(mode: str, dimension: int, workers: dict) -> None:
+def _write_json(dimension: int, workers: dict) -> None:
     payload: dict = {}
     if _JSON_PATH.exists():
         try:
             payload = json.loads(_JSON_PATH.read_text())
         except (OSError, ValueError):
             payload = {}
-    payload[mode] = {"dimension": dimension, "workers": workers}
+    payload["full"] = {"dimension": dimension, "workers": workers}
     try:
         _JSON_PATH.write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -212,7 +213,7 @@ def _report(mode: str, dimension: int, workers: dict) -> str:
 
 
 def run_mode(mode: str) -> dict:
-    """Run ``'full'`` or ``'check'`` mode; persist JSON + text results."""
+    """Run ``'full'`` mode (persist JSON + text) or ``'check'`` (print only)."""
     if mode == "full":
         dimension, workers, rounds = FULL_DIMENSION, FULL_WORKERS, FULL_ROUNDS
     else:
@@ -220,8 +221,8 @@ def run_mode(mode: str) -> dict:
             CHECK_DIMENSION, CHECK_WORKERS, CHECK_ROUNDS,
         )
     results = run_rounds(dimension, workers, rounds)
-    _write_json(mode, dimension, results)
     if mode == "full":
+        _write_json(dimension, results)
         save_report("obs_overhead", _report(mode, dimension, results))
     else:
         print(_report(mode, dimension, results))

@@ -14,9 +14,9 @@ Measures the PR-over-seed speedups of the 64-elements-per-op fast path:
 
 Every kernel's packed output is checked bit-identical to the reference
 before timing.  Results go to ``benchmarks/results/packed_kernels.txt`` and
-machine-readable ``BENCH_packed_kernels.json`` at the repo root (separate
-``full`` / ``check`` keys so the tier-1 smoke run never overwrites the
-committed full-size numbers).
+machine-readable ``BENCH_packed_kernels.json`` at the repo root; only full
+mode writes them, so the tier-1 smoke run prints its table and leaves the
+committed full-size numbers alone.
 
 Run the full benchmark (1M elements, asserts the ISSUE speedup floors)::
 
@@ -183,14 +183,14 @@ def run_kernels(num_elems: int, reference_repeats: int = 1,
     return results
 
 
-def _write_json(mode: str, num_elems: int, kernels: dict) -> None:
+def _write_json(num_elems: int, kernels: dict) -> None:
     payload: dict = {}
     if _JSON_PATH.exists():
         try:
             payload = json.loads(_JSON_PATH.read_text())
         except (OSError, ValueError):
             payload = {}
-    payload[mode] = {"elements": num_elems, "kernels": kernels}
+    payload["full"] = {"elements": num_elems, "kernels": kernels}
     try:
         _JSON_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     except OSError:
@@ -215,13 +215,13 @@ def _report(mode: str, num_elems: int, kernels: dict) -> str:
 
 
 def run_mode(mode: str) -> dict:
-    """Run ``'full'`` or ``'check'`` mode; persist JSON + text results."""
+    """Run ``'full'`` mode (persist JSON + text) or ``'check'`` (print only)."""
     if mode == "full":
         kernels = run_kernels(FULL_ELEMS, reference_repeats=1, fast_repeats=3)
     else:
         kernels = run_kernels(CHECK_ELEMS, reference_repeats=1, fast_repeats=2)
-    _write_json(mode, FULL_ELEMS if mode == "full" else CHECK_ELEMS, kernels)
     if mode == "full":
+        _write_json(FULL_ELEMS, kernels)
         save_report("packed_kernels", _report(mode, FULL_ELEMS, kernels))
     else:
         print(_report(mode, CHECK_ELEMS, kernels))

@@ -4,16 +4,21 @@ Each round every worker holds an update ``g_t^(m)`` (the local-stepsize-scaled
 gradient, possibly momentum/Adam-transformed) and a compensation vector
 ``c_t^(m)``.  The synchronizer:
 
-1. forms the compensated update ``g <- g_t^(m) + c_t^(m)`` (line 1);
+1. forms the compensated update ``g <- g_t^(m) + c_t^(m)`` (line 1) by
+   adding the updates into the persistent ``(M, D)`` compensation buffer;
 2. on a **one-bit round** (``t mod K != 0``): compiles the cluster topology
    to a :class:`~repro.sched.plan.SyncPlan` (once, cached) and hands it to
    the configured executor, which runs the multi-hop reduce where every hop
    applies the ``⊙`` merge of :mod:`repro.core.sign_ops` to sign-bit
    segments (lines 4-8), gathers the consensus bit vector, and returns
    ``g_t = eta_s * signs`` (line 9); compensation becomes ``c <- g - g_t``
-   (line 10);
+   (line 10), subtracted from the same buffer;
 3. on a **full-precision round** (``t mod K == 0``): all-reduces ``g`` in
    FP32 and resets ``c <- 0`` (lines 12-13).
+
+Both compensation updates run in place, so a round allocates no ``(M, D)``
+matrix of its own; the one-bit global update is one read-only vector shared
+by every worker's report entry.
 
 The topology knowledge lives in the per-topology compilers registered in
 :mod:`repro.allreduce`; the hop semantics, RNG streams, metrics, and the
@@ -25,7 +30,7 @@ and the plan cache.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -118,9 +123,11 @@ class MarsitConfig:
 class MarsitState:
     """Per-worker compensation vectors ``c_t^(m)``, stacked ``(M, D)``.
 
-    One contiguous matrix instead of a list of per-worker vectors, so the
-    round update ``c <- g - g_t`` is a single broadcast expression.  Row
-    ``compensation[m]`` is still worker ``m``'s vector, so indexing callers
+    One contiguous matrix that lives as long as the synchronizer: every round
+    adds the updates into it (line 1) and subtracts the global update from it
+    (line 10) in place, so the array object never changes and its contents
+    change every round.  Take ``compensation.copy()`` to keep a snapshot.
+    Row ``compensation[m]`` is worker ``m``'s vector, so indexing callers
     (checkpointing, tests) are unchanged; a list of equal-length vectors is
     accepted and stacked.
     """
@@ -141,7 +148,13 @@ class MarsitState:
 
 @dataclass
 class SyncReport:
-    """What one :meth:`MarsitSynchronizer.synchronize` call did."""
+    """What one :meth:`MarsitSynchronizer.synchronize` call did.
+
+    ``global_updates[m]`` is the vector worker ``m`` subtracts from its
+    model.  On one-bit rounds every entry is the *same* read-only array
+    (``writeable=False``): consensus makes per-worker copies redundant, so
+    copy an entry before modifying it.
+    """
 
     round_idx: int
     full_precision: bool
@@ -199,7 +212,7 @@ class MarsitSynchronizer:
     def synchronize(
         self,
         cluster: Cluster,
-        updates: list[np.ndarray],
+        updates: np.ndarray | Sequence[np.ndarray],
         round_idx: int,
     ) -> SyncReport:
         """Run Algorithm 1 for one round.
@@ -207,14 +220,22 @@ class MarsitSynchronizer:
         Args:
             cluster: cluster with ``num_workers`` workers over a registered
                 topology.
-            updates: per-worker ``g_t^(m)`` (local LR already applied).
+            updates: per-worker ``g_t^(m)`` (local LR already applied),
+                either one ``(M, D)`` array or a sequence of ``M`` vectors.
+                The input is only read, never written.
             round_idx: the synchronization index ``t``.
 
         Returns:
             A :class:`SyncReport` whose ``global_updates[m]`` is the vector
             worker ``m`` subtracts from its model.  On one-bit rounds all
-            entries are identical (consensus); on full-precision rounds they
-            are identical up to FP32 wire rounding.
+            entries are one shared read-only array (consensus); on
+            full-precision rounds they are identical up to FP32 wire
+            rounding.
+
+        ``self.state.compensation`` is updated in place.  If the round raises
+        after validation (a terminal fault), the buffer keeps this round's
+        updates folded in, ``c + g``, as the compensated matrix it was
+        about to send.
         """
         faults = cluster.faults
         recovered = False
@@ -226,28 +247,22 @@ class MarsitSynchronizer:
                 recovered = True
         if cluster.num_workers != len(self._active):
             raise ValueError("cluster size does not match synchronizer")
-        if len(updates) != self.num_workers:
-            raise ValueError("one update vector per worker required")
-        stacked = [np.asarray(update, dtype=np.float64) for update in updates]
-        for vector in stacked:
-            if vector.shape != (self.dimension,):
-                raise ValueError(
-                    f"update dimension {vector.shape} != ({self.dimension},)"
-                )
-        # One (M, D) matrix expression forms every worker's compensated
-        # update at once (line 1 of Algorithm 1).  After a crash only the
+        # Line 1 of Algorithm 1, in place: the compensation buffer becomes
+        # every worker's compensated update.  After a crash only the
         # survivors' rows go on the wire; dead rows stay parked (their
         # updates are ignored and their compensation pinned to zero).
-        compensated = np.stack(stacked) + self.state.compensation
+        compensated = self._add_updates(updates)
         active = self._active
         degraded = len(active) != self.num_workers
         vectors = compensated[active] if degraded else compensated
 
         obs = cluster.obs
+        metrics = obs.metrics
         full_precision = (
             self.config.is_full_precision_round(round_idx) or self._forced_fp
         )
         self._forced_fp = False
+        sign_agreement = None
         with obs.tracer.span(
             "round",
             cat="marsit",
@@ -259,9 +274,9 @@ class MarsitSynchronizer:
                 outputs, plan_digest, num_plan_steps = (
                     self._full_precision_sync(cluster, vectors)
                 )
-                self.state.compensation = np.zeros(
-                    (self.num_workers, self.dimension)
-                )
+                # No topology's mean all-reduce returns views of its input
+                # rows, so zeroing the buffer leaves ``outputs`` intact.
+                compensated.fill(0.0)
                 if degraded:
                     # Dead ranks get the consensus update so trainer-side
                     # indexing (``updates[0]``) stays valid either way.
@@ -283,46 +298,70 @@ class MarsitSynchronizer:
                 consensus_signs, plan_digest, num_plan_steps = (
                     self._one_bit_sync(cluster, vectors)
                 )
-                eta_s = self.config.effective_global_lr(round_idx)
-                global_update = eta_s * consensus_signs
+                if metrics is not None:
+                    # Live Figure-1b statistic: how often the one-bit
+                    # consensus matches the sign of the exact full-precision
+                    # mean update.  Read before line 10 rewrites ``vectors``.
+                    mean_sign = np.where(vectors.mean(axis=0) >= 0, 1.0, -1.0)
+                    sign_agreement = float(np.mean(consensus_signs == mean_sign))
+                global_update = consensus_signs
+                global_update *= self.config.effective_global_lr(round_idx)
                 if self.config.use_compensation:
-                    compensation = compensated - global_update
+                    # Line 10 in place: c <- g - g_t.
+                    compensated -= global_update
                     if degraded:
-                        compensation[self._inactive] = 0.0
-                    self.state.compensation = compensation
+                        compensated[self._inactive] = 0.0
                 else:
-                    self.state.compensation = np.zeros(
-                        (self.num_workers, self.dimension)
-                    )
+                    compensated.fill(0.0)
+                global_update.flags.writeable = False
                 report = SyncReport(
                     round_idx=round_idx,
                     full_precision=False,
                     bits_per_element=1.0,
-                    global_updates=[
-                        global_update.copy() for _ in range(self.num_workers)
-                    ],
+                    global_updates=[global_update] * self.num_workers,
                     plan_digest=plan_digest,
                     num_plan_steps=num_plan_steps,
                     recovered=recovered,
                 )
-        metrics = obs.metrics
         if metrics is not None:
             metrics.gauge("marsit.bits_per_element").set(report.bits_per_element)
+            live = compensated[active] if degraded else compensated
             metrics.gauge("marsit.comp_norm").set(
-                float(
-                    np.mean(
-                        np.linalg.norm(self.state.compensation[active], axis=1)
-                    )
-                )
+                float(np.mean(np.linalg.norm(live, axis=1)))
             )
-            if not full_precision:
-                # Live Figure-1b statistic: how often the one-bit consensus
-                # matches the sign of the exact full-precision mean update.
-                mean_sign = np.where(vectors.mean(axis=0) >= 0, 1.0, -1.0)
-                metrics.gauge("marsit.sign_agreement").set(
-                    float(np.mean(consensus_signs == mean_sign))
-                )
+            if sign_agreement is not None:
+                metrics.gauge("marsit.sign_agreement").set(sign_agreement)
         return report
+
+    def _add_updates(
+        self, updates: np.ndarray | Sequence[np.ndarray]
+    ) -> np.ndarray:
+        """Validate ``updates``, then add them into the compensation buffer.
+
+        Every shape is checked before the buffer is touched, so a rejected
+        call leaves the state as it was.  An ``(M, D)`` array is added in
+        one expression, a sequence row by row; neither form allocates an
+        ``(M, D)`` temporary or writes to the input.
+        """
+        if len(updates) != self.num_workers:
+            raise ValueError("one update vector per worker required")
+        is_matrix = isinstance(updates, np.ndarray)
+        if is_matrix:
+            shapes = [updates.shape[1:]]
+        else:
+            shapes = [np.shape(update) for update in updates]
+        for shape in shapes:
+            if shape != (self.dimension,):
+                raise ValueError(
+                    f"update dimension {shape} != ({self.dimension},)"
+                )
+        compensation = self.state.compensation
+        if is_matrix:
+            compensation += updates
+        else:
+            for row, update in zip(compensation, updates):
+                row += np.asarray(update, dtype=np.float64)
+        return compensation
 
     # ------------------------------------------------------------------
     # crash recovery

@@ -60,6 +60,9 @@ __all__ = [
 class StepResult:
     """Per-round outcome: updates to subtract, and what went on the wire.
 
+    Schemes that end in exact consensus repeat one read-only array in
+    ``updates``; copy an entry before modifying it.
+
     ``plan_digest``/``num_plan_steps`` identify the compiled
     :class:`~repro.sched.plan.SyncPlan` for strategies that run one (Marsit);
     other schemes leave the defaults.
@@ -72,6 +75,12 @@ class StepResult:
     #: True when the round ran crash recovery (degraded topology + forced
     #: full-precision resync) — only Marsit sets it.
     recovered: bool = False
+
+
+def _shared_update(update: np.ndarray, num_workers: int) -> list[np.ndarray]:
+    """One consensus update, marked read-only and repeated for every worker."""
+    update.flags.writeable = False
+    return [update] * num_workers
 
 
 def _registry_entry(cluster: Cluster):
@@ -250,7 +259,7 @@ class PSGDStrategy(SyncStrategy):
             direction = mean
         update = self.lr * direction
         return StepResult(
-            updates=[update.copy() for _ in range(self.num_workers)],
+            updates=_shared_update(update, self.num_workers),
             bits_per_element=32.0,
         )
 
@@ -291,7 +300,7 @@ class SignSGDMajorityStrategy(SyncStrategy):
             totals = _signsum_allreduce(cluster, signs)[0]
         update = self.lr * np.where(totals >= 0, 1.0, -1.0)
         return StepResult(
-            updates=[update.copy() for _ in range(self.num_workers)],
+            updates=_shared_update(update, self.num_workers),
             bits_per_element=self._expanded_bits(),
         )
 
@@ -340,7 +349,7 @@ class EFSignSGDStrategy(SyncStrategy):
         decoded = [gathered[rank] * signs[rank] for rank in range(self.num_workers)]
         update = np.mean(decoded, axis=0)
         return StepResult(
-            updates=[update.copy() for _ in range(self.num_workers)],
+            updates=_shared_update(update, self.num_workers),
             bits_per_element=float(self.num_workers.bit_length() + 1),
         )
 
@@ -425,7 +434,7 @@ class SSDMStrategy(SyncStrategy):
         estimates = [gathered[rank] * signs[rank] for rank in range(self.num_workers)]
         update = self.lr * np.mean(estimates, axis=0)
         return StepResult(
-            updates=[update.copy() for _ in range(self.num_workers)],
+            updates=_shared_update(update, self.num_workers),
             bits_per_element=float(self.num_workers.bit_length() + 1),
         )
 
@@ -493,7 +502,7 @@ class CascadingSSDMStrategy(SyncStrategy):
                 mean = mean * (target / scale)
         update = self.lr * mean
         return StepResult(
-            updates=[update.copy() for _ in range(self.num_workers)],
+            updates=_shared_update(update, self.num_workers),
             bits_per_element=1.0,
         )
 
@@ -584,7 +593,7 @@ class PowerSGDStrategy(SyncStrategy):
         update = decoded_flat
         bits = 32.0 * rank * (rows + cols) / dimension
         return StepResult(
-            updates=[update.copy() for _ in range(self.num_workers)],
+            updates=_shared_update(update, self.num_workers),
             bits_per_element=bits,
         )
 

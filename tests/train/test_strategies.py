@@ -9,6 +9,7 @@ from repro.train.strategies import (
     CascadingSSDMStrategy,
     EFSignSGDStrategy,
     MarsitStrategy,
+    PowerSGDStrategy,
     PSGDStrategy,
     SSDMStrategy,
     SignSGDMajorityStrategy,
@@ -50,6 +51,16 @@ class TestConsensus:
         assert len(result.updates) == M
         for update in result.updates[1:]:
             assert np.array_equal(update, result.updates[0])
+
+    @pytest.mark.parametrize(
+        "factory",
+        ALL_STRATEGIES + [lambda: PowerSGDStrategy(lr=0.1, num_workers=M)],
+    )
+    def test_consensus_update_is_shared_and_read_only(self, factory, rng):
+        result = factory().step(ring(), grads(rng), round_idx=1)
+        first = result.updates[0]
+        assert all(update is first for update in result.updates)
+        assert not first.flags.writeable
 
     @pytest.mark.parametrize("factory", ALL_STRATEGIES)
     def test_stateful_across_rounds(self, factory, rng):
