@@ -271,14 +271,7 @@ def run_plan_guard(
     }
 
 
-def _write_json(payload_updates: dict) -> None:
-    payload: dict = {}
-    if _JSON_PATH.exists():
-        try:
-            payload = json.loads(_JSON_PATH.read_text())
-        except (OSError, ValueError):
-            payload = {}
-    payload.update(payload_updates)
+def _write_json(payload: dict) -> None:
     try:
         _JSON_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     except OSError:

@@ -172,13 +172,7 @@ def run_rounds(
 
 
 def _write_json(dimension: int, workers: dict) -> None:
-    payload: dict = {}
-    if _JSON_PATH.exists():
-        try:
-            payload = json.loads(_JSON_PATH.read_text())
-        except (OSError, ValueError):
-            payload = {}
-    payload["full"] = {"dimension": dimension, "workers": workers}
+    payload = {"full": {"dimension": dimension, "workers": workers}}
     try:
         _JSON_PATH.write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -184,13 +184,7 @@ def run_kernels(num_elems: int, reference_repeats: int = 1,
 
 
 def _write_json(num_elems: int, kernels: dict) -> None:
-    payload: dict = {}
-    if _JSON_PATH.exists():
-        try:
-            payload = json.loads(_JSON_PATH.read_text())
-        except (OSError, ValueError):
-            payload = {}
-    payload["full"] = {"elements": num_elems, "kernels": kernels}
+    payload = {"full": {"elements": num_elems, "kernels": kernels}}
     try:
         _JSON_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     except OSError:

@@ -232,10 +232,11 @@ class MarsitSynchronizer:
             full-precision rounds they are identical up to FP32 wire
             rounding.
 
-        ``self.state.compensation`` is updated in place.  If the round raises
-        after validation (a terminal fault), the buffer keeps this round's
-        updates folded in, ``c + g``, as the compensated matrix it was
-        about to send.
+        ``self.state.compensation`` is updated in place.  If the sync itself
+        raises (a terminal fault, after which the caller voids the round with
+        :meth:`~repro.comm.cluster.Cluster.abort_step`), this round's updates
+        are subtracted back out, so the buffer returns to ``c`` up to float64
+        rounding.
         """
         faults = cluster.faults
         recovered = False
@@ -270,10 +271,18 @@ class MarsitSynchronizer:
             engine=self.config.engine,
             full_precision=full_precision,
         ):
+            sync = (
+                self._full_precision_sync if full_precision else self._one_bit_sync
+            )
+            try:
+                result, plan_digest, num_plan_steps = sync(cluster, vectors)
+            except BaseException:
+                # A voided round must not leave its updates in the buffer.
+                for row, update in zip(compensated, updates):
+                    row -= np.asarray(update, dtype=np.float64)
+                raise
             if full_precision:
-                outputs, plan_digest, num_plan_steps = (
-                    self._full_precision_sync(cluster, vectors)
-                )
+                outputs = result
                 # No topology's mean all-reduce returns views of its input
                 # rows, so zeroing the buffer leaves ``outputs`` intact.
                 compensated.fill(0.0)
@@ -295,9 +304,7 @@ class MarsitSynchronizer:
                     recovered=recovered,
                 )
             else:
-                consensus_signs, plan_digest, num_plan_steps = (
-                    self._one_bit_sync(cluster, vectors)
-                )
+                consensus_signs = result
                 if metrics is not None:
                     # Live Figure-1b statistic: how often the one-bit
                     # consensus matches the sign of the exact full-precision
@@ -339,28 +346,20 @@ class MarsitSynchronizer:
         """Validate ``updates``, then add them into the compensation buffer.
 
         Every shape is checked before the buffer is touched, so a rejected
-        call leaves the state as it was.  An ``(M, D)`` array is added in
-        one expression, a sequence row by row; neither form allocates an
-        ``(M, D)`` temporary or writes to the input.
+        call leaves the state as it was.  Both input forms are added row by
+        row (an ``(M, D)`` array iterates as its rows), so neither allocates
+        an ``(M, D)`` temporary or writes to the input.
         """
         if len(updates) != self.num_workers:
             raise ValueError("one update vector per worker required")
-        is_matrix = isinstance(updates, np.ndarray)
-        if is_matrix:
-            shapes = [updates.shape[1:]]
-        else:
-            shapes = [np.shape(update) for update in updates]
-        for shape in shapes:
+        for shape in [np.shape(update) for update in updates]:
             if shape != (self.dimension,):
                 raise ValueError(
                     f"update dimension {shape} != ({self.dimension},)"
                 )
         compensation = self.state.compensation
-        if is_matrix:
-            compensation += updates
-        else:
-            for row, update in zip(compensation, updates):
-                row += np.asarray(update, dtype=np.float64)
+        for row, update in zip(compensation, updates):
+            row += np.asarray(update, dtype=np.float64)
         return compensation
 
     # ------------------------------------------------------------------

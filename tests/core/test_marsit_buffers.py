@@ -220,14 +220,19 @@ class TestBufferSemantics:
             sync.synchronize(cluster, rng.standard_normal((3, 21)), 2)
         assert sync.state.compensation.tobytes() == before.tobytes()
 
-    def test_terminal_fault_leaves_updates_folded_in(self):
-        # A timeout drop aborts the round inside the executor: the buffer
-        # then holds exactly c + g, the compensated matrix of that round.
+    def test_terminal_fault_takes_the_updates_back_out(self):
+        # A timeout drop in round 2 aborts the round inside the executor:
+        # the voided round's updates leave the buffer, which returns to the
+        # compensation c of round 1 up to float64 rounding.
         plan = FaultPlan(
             seed=4,
             events=(
                 MessageDrop(
-                    prob=1.0, links=((0, 1),), mode="timeout", last_round=1
+                    prob=1.0,
+                    links=((0, 1),),
+                    mode="timeout",
+                    first_round=2,
+                    last_round=2,
                 ),
             ),
         )
@@ -236,11 +241,16 @@ class TestBufferSemantics:
         sync = MarsitSynchronizer(
             MarsitConfig(global_lr=0.05, engine="scalar"), 4, 33
         )
-        updates = np.random.default_rng(8).standard_normal((4, 33))
+        rng = np.random.default_rng(8)
+        sync.synchronize(cluster, rng.standard_normal((4, 33)), 1)
         before = sync.state.compensation.copy()
+        assert before.any()
+        updates = rng.standard_normal((4, 33))
         with pytest.raises(LookupError):
-            sync.synchronize(cluster, updates, 1)
-        assert sync.state.compensation.tobytes() == (before + updates).tobytes()
+            sync.synchronize(cluster, updates, 2)
+        np.testing.assert_allclose(
+            sync.state.compensation, before, rtol=0, atol=1e-12
+        )
 
     def test_one_bit_round_allocates_less_than_half_a_matrix(self):
         num_workers, dimension = 8, 200_000
