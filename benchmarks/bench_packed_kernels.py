@@ -3,8 +3,9 @@
 Measures the PR-over-seed speedups of the 64-elements-per-op fast path:
 
 - ``hop_merge`` — one Marsit hop (transient draw + ``⊙`` merge).  Old: the
-  seed's unpack -> ``transient_vector`` -> ``merge_sign_bits`` -> repack
-  round-trip on uint8 element arrays.  New: ``transient_vector_packed`` +
+  seed's unpack -> float64 element-wise draw -> uint8 merge -> repack
+  round-trip, frozen inline (:func:`_seed_hop`) so later library speedups
+  cannot leak into the reference.  New: ``transient_vector_packed`` +
   ``merge_sign_bits_packed`` on ``uint64`` words, no unpacking.
 - ``pack_unpack`` — signs -> packed -> signs round-trip
   (:class:`BitVector` vs :class:`PackedBits`).
@@ -12,11 +13,14 @@ Measures the PR-over-seed speedups of the 64-elements-per-op fast path:
   integers: per-bit reference writers/readers vs the vectorized
   prefix-sum codecs.
 
-Every kernel's packed output is checked bit-identical to the reference
-before timing.  Results go to ``benchmarks/results/packed_kernels.txt`` and
-machine-readable ``BENCH_packed_kernels.json`` at the repo root; only full
-mode writes them, so the tier-1 smoke run prints its table and leaves the
-committed full-size numbers alone.
+Every kernel's packed output is checked bit-identical to the library's
+unpacked reference before timing (for ``hop_merge``: ``transient_vector`` +
+``merge_sign_bits`` under the same seed; the frozen seed hop draws another
+stream and is only timed).  Results go to
+``benchmarks/results/packed_kernels.txt`` and machine-readable
+``BENCH_packed_kernels.json`` at the repo root; only full mode writes them,
+so the tier-1 smoke run prints its table and leaves the committed full-size
+numbers alone.
 
 Run the full benchmark (1M elements, asserts the ISSUE speedup floors)::
 
@@ -86,6 +90,36 @@ def _measure(name, old_fn, new_fn, old_repeats, new_repeats, results):
     )
 
 
+def _seed_validate(bits: np.ndarray) -> np.ndarray:
+    """The seed's ``_validate_bits``: an ``np.isin`` scan and a uint8 copy."""
+    if not np.isin(bits, (0, 1)).all():
+        raise ValueError("bits must contain only 0/1 values")
+    return bits.astype(np.uint8)
+
+
+def _seed_hop(
+    received_wire: BitVector,
+    local_bits: np.ndarray,
+    received_weight: int,
+    local_weight: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """The seed's per-hop work, frozen: unpack the wire payload, draw one
+    float64 uniform per element, merge element-wise on uint8, repack."""
+    received = received_wire.to_bits()
+    local = _seed_validate(local_bits)
+    keep_local = local_weight / (received_weight + local_weight)
+    uniforms = rng.random(local.size)
+    probs = np.where(local == 1, keep_local, 1.0 - keep_local)
+    transient = (uniforms < probs).astype(np.uint8)
+    received, local, transient = (
+        _seed_validate(array) for array in (received, local, transient)
+    )
+    merged = (received & local) | ((received ^ local) & transient)
+    BitVector.from_bits(merged)
+    return merged
+
+
 def run_kernels(num_elems: int, reference_repeats: int = 1,
                 fast_repeats: int = 3) -> dict:
     """Time all four kernels at ``num_elems`` elements; verify bit-identity."""
@@ -97,24 +131,17 @@ def run_kernels(num_elems: int, reference_repeats: int = 1,
     local_packed = PackedBits.from_bits(local_bits)
 
     def old_hop() -> np.ndarray:
-        # The seed's per-hop work: unpack the wire payload, draw, merge
-        # element-wise on uint8, repack for the next send.  The seed's
-        # ``_validate_bits`` ran ``np.isin(a, (0, 1)).all()`` four times per
-        # hop (once in transient_vector, three in merge_sign_bits); this PR
-        # replaced that with cheap masks, so the seed cost is reproduced
-        # inline here to keep the old-vs-new comparison honest.
-        received = received_wire.to_bits()
-        for array in (local_bits,):
-            np.isin(array, (0, 1)).all()
+        return _seed_hop(
+            received_wire, local_bits, received_weight=3, local_weight=1,
+            rng=np.random.default_rng(11),
+        )
+
+    def reference_hop() -> np.ndarray:
         transient = transient_vector(
             local_bits, received_weight=3, local_weight=1,
             rng=np.random.default_rng(11),
         )
-        for array in (received, local_bits, transient):
-            np.isin(array, (0, 1)).all()
-        merged = merge_sign_bits(received, local_bits, transient)
-        BitVector.from_bits(merged)
-        return merged
+        return merge_sign_bits(received_wire.to_bits(), local_bits, transient)
 
     def new_hop() -> PackedBits:
         transient = transient_vector_packed(
@@ -123,7 +150,7 @@ def run_kernels(num_elems: int, reference_repeats: int = 1,
         )
         return merge_sign_bits_packed(received_packed, local_packed, transient)
 
-    if not np.array_equal(new_hop().to_bits(), old_hop()):
+    if not np.array_equal(new_hop().to_bits(), reference_hop()):
         raise AssertionError("packed hop merge diverged from reference")
 
     signs = np.where(rng.random(num_elems) < 0.5, 1.0, -1.0)

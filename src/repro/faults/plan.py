@@ -84,8 +84,20 @@ def _normalize_links(links):
     return tuple((int(src), int(dst)) for src, dst in links)
 
 
+class _Windowed:
+    """Shared by every event with a ``first_round``/``last_round`` window."""
+
+    first_round: int
+    last_round: int | None
+
+    def active(self, round_idx: int) -> bool:
+        return self.first_round <= round_idx and (
+            self.last_round is None or round_idx <= self.last_round
+        )
+
+
 @dataclass(frozen=True)
-class LinkJitter:
+class LinkJitter(_Windowed):
     """Lognormal transfer-time noise: multiply by ``exp(sigma * z)``."""
 
     sigma: float
@@ -100,14 +112,9 @@ class LinkJitter:
         object.__setattr__(self, "links", _normalize_links(self.links))
         _check_window(self.first_round, self.last_round)
 
-    def active(self, round_idx: int) -> bool:
-        return self.first_round <= round_idx and (
-            self.last_round is None or round_idx <= self.last_round
-        )
-
 
 @dataclass(frozen=True)
-class Straggler:
+class Straggler(_Windowed):
     """Deterministic slowdown ``factor`` on links touching ``worker``."""
 
     worker: int
@@ -122,14 +129,9 @@ class Straggler:
             raise ValueError("factor must be >= 1 (a time multiplier)")
         _check_window(self.first_round, self.last_round)
 
-    def active(self, round_idx: int) -> bool:
-        return self.first_round <= round_idx and (
-            self.last_round is None or round_idx <= self.last_round
-        )
-
 
 @dataclass(frozen=True)
-class MessageDrop:
+class MessageDrop(_Windowed):
     """Per-message loss with probability ``prob`` on matching links."""
 
     prob: float
@@ -147,14 +149,9 @@ class MessageDrop:
         object.__setattr__(self, "links", _normalize_links(self.links))
         _check_window(self.first_round, self.last_round)
 
-    def active(self, round_idx: int) -> bool:
-        return self.first_round <= round_idx and (
-            self.last_round is None or round_idx <= self.last_round
-        )
-
 
 @dataclass(frozen=True)
-class BitFlip:
+class BitFlip(_Windowed):
     """Per-bit wire corruption of reduce-hop sign payloads."""
 
     prob: float
@@ -168,11 +165,6 @@ class BitFlip:
         _check_links(self.links)
         object.__setattr__(self, "links", _normalize_links(self.links))
         _check_window(self.first_round, self.last_round)
-
-    def active(self, round_idx: int) -> bool:
-        return self.first_round <= round_idx and (
-            self.last_round is None or round_idx <= self.last_round
-        )
 
 
 @dataclass(frozen=True)
@@ -190,7 +182,7 @@ class WorkerCrash:
 
 
 @dataclass(frozen=True)
-class LinkPartition:
+class LinkPartition(_Windowed):
     """Directed link ``src -> dst`` delivers nothing while active."""
 
     src: int
@@ -202,11 +194,6 @@ class LinkPartition:
         if self.src < 0 or self.dst < 0 or self.src == self.dst:
             raise ValueError("partition needs two distinct non-negative ranks")
         _check_window(self.first_round, self.last_round)
-
-    def active(self, round_idx: int) -> bool:
-        return self.first_round <= round_idx and (
-            self.last_round is None or round_idx <= self.last_round
-        )
 
 
 _EVENT_TYPES = {

@@ -1,7 +1,7 @@
 """Packed sign-op kernels: bit-identity with the unpacked reference.
 
-``transient_vector_packed`` consumes the same single ``rng.random`` batch as
-``transient_vector``, so under a shared seed the packed pipeline must produce
+``transient_vector`` is the unpacked view of ``transient_vector_packed``'s
+raw-word draw, so under a shared seed the packed pipeline must produce
 *exactly* the bits of the unpacked one — not just the same distribution.
 """
 

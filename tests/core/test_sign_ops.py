@@ -36,6 +36,25 @@ class TestMergeTruthTable:
         with pytest.raises(ValueError):
             merge_sign_bits(np.array([2]), np.array([1]), np.array([0]))
 
+    def test_rejects_non_binary_uint8(self):
+        # uint8 is not binary by type: 2 and 3 must not slip through.
+        with pytest.raises(ValueError, match="received_bits"):
+            merge_sign_bits(
+                np.array([2, 3], dtype=np.uint8),
+                np.array([1, 0], dtype=np.uint8),
+                np.array([0, 1], dtype=np.uint8),
+            )
+        with pytest.raises(ValueError, match="local_bits"):
+            transient_vector(np.array([0, 5], dtype=np.uint8), 1, 1,
+                             np.random.default_rng(0))
+
+    def test_accepts_bool_bits(self):
+        merged = merge_sign_bits(
+            np.array([True, False]), np.array([True, True]),
+            np.array([False, True]),
+        )
+        assert np.array_equal(merged, [1, 1])
+
     @given(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1))
     def test_operator_formula(self, v, l, r):
         # merged = (v AND l) OR ((v XOR l) AND r)

@@ -1,10 +1,10 @@
 """Batched sign-op kernels must match the packed per-lane reference exactly.
 
-``transient_vector_batch`` draws each lane's uniforms from that lane's own
-generator with ``rng.random(out=...)``, which consumes the identical stream
-as the scalar ``rng.random(n)`` — so under cloned generators the batched and
-per-lane results must be bit-for-bit equal, including ragged lane lengths
-and per-lane weight vectors.
+``transient_vector_batch`` reads each lane's raw words from that lane's own
+generator as a function of the lane's length and weights only — never of
+the batch's shared width — so under cloned generators the batched and
+per-lane results must be bit-for-bit equal and leave every stream at the
+same position, including ragged lane lengths and per-lane weight vectors.
 """
 
 import copy
@@ -60,6 +60,36 @@ class TestTransientVectorBatch:
                 clones[lane],
             )
             assert batched.row(lane).equals(expected)
+        for rng, clone in zip(rngs, clones):
+            assert rng.random() == clone.random()
+
+    def test_unequal_lengths_keep_each_stream_in_step(self):
+        # Long lanes next to short ones, dyadic weights (no tie-break reads)
+        # next to non-dyadic ones (tie-break reads in the 200k lane): each
+        # lane must read what a one-lane call of its own length reads.
+        lengths = [200_000, 1, 64, 0, 70_001]
+        local = make_batch(len(lengths), lengths, 3)
+        received = np.array([2, 3, 14, 1, 4])
+        weights = np.array([1, 1, 1, 1, 9])
+        rngs = [np.random.default_rng(40 + lane) for lane in range(len(lengths))]
+        clones = [copy.deepcopy(rng) for rng in rngs]
+        batched = transient_vector_batch(local, received, weights, rngs)
+        for lane in range(len(lengths)):
+            expected = transient_vector_packed(
+                local.row(lane),
+                int(received[lane]),
+                int(weights[lane]),
+                clones[lane],
+            )
+            assert batched.row(lane).equals(expected)
+        for rng, clone in zip(rngs, clones):
+            assert rng.random() == clone.random()
+
+    def test_rejects_a_generator_shared_by_two_lanes(self):
+        local = make_batch(2, [10, 10], 2)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="share a generator"):
+            transient_vector_batch(local, 1, 1, [rng, rng])
 
     def test_rejects_invalid_weights_and_rng_count(self):
         local = make_batch(2, [10, 10], 2)
