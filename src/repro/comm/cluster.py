@@ -209,6 +209,10 @@ class Cluster:
         self._in_step = False
         self.obs = NULL_OBS
         self._obs_on = False
+        # wire-metric handles, resolved lazily against one registry
+        self._wire_registry = None
+        self._link_counters: dict[tuple[int, int], Any] = {}
+        self._step_handles: tuple | None = None
         self.faults = None
         if obs is not None:
             self.attach_observability(obs)
@@ -485,15 +489,36 @@ class Cluster:
         metrics = obs.metrics
         if metrics is None:
             return
-        for (src, dst), nbytes in step_bytes.items():
-            metrics.counter("wire.link_bytes", link=f"{src}->{dst}").inc(nbytes)
-        metrics.counter("wire.step_bytes").inc(total)
-        metrics.counter("wire.step_messages").inc(messages)
-        metrics.counter("wire.steps").inc()
-        metrics.histogram("wire.step_makespan_s").observe(elapsed)
-        metrics.gauge("cluster.mailbox_depth").set(
-            sum(worker.pending() for worker in self.workers)
-        )
+        if metrics is not self._wire_registry:
+            self._wire_registry = metrics
+            self._link_counters = {}
+            self._step_handles = None
+        # Handles are created on first use, links before the step totals,
+        # exactly when a per-step get-or-create would create them, so the
+        # registry's insertion order (and every snapshot) ignores the cache.
+        link_counters = self._link_counters
+        for key, nbytes in step_bytes.items():
+            counter = link_counters.get(key)
+            if counter is None:
+                counter = link_counters[key] = metrics.counter(
+                    "wire.link_bytes", link=f"{key[0]}->{key[1]}"
+                )
+            counter.inc(nbytes)
+        handles = self._step_handles
+        if handles is None:
+            handles = self._step_handles = (
+                metrics.counter("wire.step_bytes"),
+                metrics.counter("wire.step_messages"),
+                metrics.counter("wire.steps"),
+                metrics.histogram("wire.step_makespan_s"),
+                metrics.gauge("cluster.mailbox_depth"),
+            )
+        step_bytes_total, step_messages, steps, makespan, mailbox = handles
+        step_bytes_total.inc(total)
+        step_messages.inc(messages)
+        steps.inc()
+        makespan.observe(elapsed)
+        mailbox.set(sum(worker.pending() for worker in self.workers))
 
     def _link_transfer_time(self, link: tuple[int, int], nbytes: int) -> float:
         factor = self.link_speed_factors.get(link, 1.0)

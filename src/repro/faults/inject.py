@@ -2,15 +2,19 @@
 
 Determinism contract
 --------------------
-Every random fault decision is drawn from a generator *keyed by the
+Every random fault decision is drawn from a Philox stream *keyed by the
 decision's logical coordinates* — ``(plan seed, round, kind, step tag,
-original link, occurrence index)`` hashed through BLAKE2b into a Philox
-key — never from a shared stream.  The scalar engine moves payloads one
-message at a time while the lane-stacked engine batches merges before its
-bulk exchange, so the two interleave fault queries differently; content
-keying makes the answer a pure function of *which* message is asked about,
-so both engines see byte-identical faults, timelines, and ``faults.*``
-metrics under the same seed (the chaos suite's cross-engine invariant).
+original link, occurrence index)`` hashed through BLAKE2b into a 128-bit
+Philox key — never from a shared stream.  Each injector owns one Philox bit
+generator and re-keys it per decision (counter zero, empty output buffer),
+which yields exactly the stream a freshly constructed ``Philox(key=...)``
+would, for a fraction of the construction cost.  The scalar engine moves
+payloads one message at a time while the lane-stacked engine batches merges
+before its bulk exchange, so the two interleave fault queries differently;
+content keying makes the answer a pure function of *which* message is asked
+about, so both engines see byte-identical faults, timelines, and
+``faults.*`` metrics under the same seed (the chaos suite's cross-engine
+invariant).
 
 Crash remapping: after a recovery the cluster shrinks and re-ranks, but all
 fault coordinates stay keyed by the *original* ranks via the injector's
@@ -48,6 +52,10 @@ from repro.faults.plan import (
 
 __all__ = ["FaultInjector", "WorkerCrashedError"]
 
+_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
+#: Philox's output buffer holds four words; a full position means "empty".
+_PHILOX_BUFFER_WORDS = 4
+
 
 class WorkerCrashedError(RuntimeError):
     """Raised when traffic touches a crashed (un-recovered) worker."""
@@ -80,6 +88,12 @@ class FaultInjector:
         self._jitter: dict[tuple[int, int], float] = {}
         self._slow: dict[tuple[int, int], float] = {}
         self._partitioned: frozenset[tuple[int, int]] = frozenset()
+        # one bit generator re-keyed per decision (see _keyed_rng)
+        self._bitgen = np.random.Philox(0)
+        self._rng = np.random.Generator(self._bitgen)
+        # faults.* counter handles, resolved lazily against one registry
+        self._handles_registry = None
+        self._handles: dict[str, object] = {}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -231,7 +245,11 @@ class FaultInjector:
         origin = (self._physical[src], self._physical[dst])
         occ = self._next_occurrence(("flip", tag, origin))
         rng = self._keyed_rng("flip", tag, origin, occ)
-        bits = rng.random(length) < prob
+        # Exactly ``rng.random(length) < prob``: random() is the top 53 bits
+        # of one raw word times 2**-53, and for an integer u, u < p * 2**53
+        # iff u < ceil(p * 2**53) (the scaling by 2**53 is exact).
+        threshold = np.uint64(math.ceil(prob * 2.0**53))
+        bits = (rng.bit_generator.random_raw(length) >> np.uint64(11)) < threshold
         flipped = int(bits.sum())
         if not flipped:
             return None
@@ -273,11 +291,28 @@ class FaultInjector:
     # internals
     # ------------------------------------------------------------------
     def _keyed_rng(self, kind: str, tag: str, origin, occ: int):
-        """Philox generator keyed by the decision's logical coordinates."""
+        """The injector's generator, re-keyed by a decision's coordinates.
+
+        The BLAKE2b digest of the coordinates is the Philox key; the counter
+        restarts at zero with an empty output buffer and no cached 32-bit
+        half, so the stream is exactly that of a fresh ``Philox(key=key)``.
+        The returned generator is shared: it is valid only until the next
+        decision re-keys it, so callers draw from it at once.
+        """
         token = repr((self.plan.seed, self._round, kind, tag, origin, occ))
         digest = hashlib.blake2b(token.encode("ascii"), digest_size=16).digest()
-        key = np.frombuffer(digest, dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        self._bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": _ZERO_WORDS,
+                "key": np.frombuffer(digest, dtype=np.uint64),
+            },
+            "buffer": _ZERO_WORDS,
+            "buffer_pos": _PHILOX_BUFFER_WORDS,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._rng
 
     def _next_occurrence(self, key: tuple) -> int:
         occ = self._occurrences.get(key, 0)
@@ -288,8 +323,15 @@ class FaultInjector:
         self.counters[name] = self.counters.get(name, 0) + value
         if metric and self._cluster is not None and self._cluster._obs_on:
             registry = self._cluster.obs.metrics
-            if registry is not None:
-                registry.counter(f"faults.{name}").inc(value)
+            if registry is None:
+                return
+            if registry is not self._handles_registry:
+                self._handles_registry = registry
+                self._handles = {}
+            counter = self._handles.get(name)
+            if counter is None:
+                counter = self._handles[name] = registry.counter(f"faults.{name}")
+            counter.inc(value)
 
     def _refresh_dead_current(self) -> None:
         inverse = {orig: cur for cur, orig in enumerate(self._physical)}

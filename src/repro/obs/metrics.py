@@ -164,6 +164,12 @@ class MetricsRegistry:
             raise TypeError(
                 f"metric {name!r} already registered as {metric.kind}"
             )
+        bounds = kwargs.get("bounds")
+        if bounds is not None and tuple(bounds) != metric.bounds:
+            raise ValueError(
+                f"histogram {name!r} already registered with bounds "
+                f"{metric.bounds}, not {tuple(bounds)}"
+            )
         return metric
 
     def counter(self, name: str, **labels: Any) -> Counter:
@@ -175,16 +181,8 @@ class MetricsRegistry:
     def histogram(
         self, name: str, bounds: Sequence[float] | None = None, **labels: Any
     ) -> Histogram:
-        key = (name, _label_key(labels))
-        metric = self._metrics.get(key)
-        if metric is None:
-            metric = Histogram(name, key[1], bounds=bounds)
-            self._metrics[key] = metric
-        elif not isinstance(metric, Histogram):
-            raise TypeError(
-                f"metric {name!r} already registered as {metric.kind}"
-            )
-        return metric
+        """Get or create; ``bounds=None`` accepts whatever is registered."""
+        return self._get(Histogram, name, labels, bounds=bounds)
 
     def __iter__(self) -> Iterable[Any]:
         return iter(self._metrics.values())

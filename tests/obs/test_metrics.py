@@ -61,6 +61,16 @@ class TestHistogram:
         with pytest.raises(ValueError, match="sorted"):
             MetricsRegistry().histogram("bad", bounds=(10.0, 1.0))
 
+    def test_conflicting_bounds_raise_instead_of_being_ignored(self):
+        registry = MetricsRegistry()
+        first = registry.histogram("h", bounds=(1.0,))
+        with pytest.raises(ValueError, match="bounds"):
+            registry.histogram("h", bounds=(2.0,))
+        # Matching or omitted bounds return the registered histogram.
+        assert registry.histogram("h", bounds=[1.0]) is first
+        assert registry.histogram("h") is first
+        assert first.bounds == (1.0,)
+
     def test_default_bounds_cover_link_latency(self):
         histogram = MetricsRegistry().histogram("wire.step_makespan_s")
         histogram.observe(25e-6)
