@@ -1,14 +1,17 @@
 """All-reduce algorithms over the simulated cluster, plus the topology registry.
 
-The generic ring schedule (:func:`ring_reduce_scatter` /
-:func:`ring_all_gather`) takes a pluggable per-hop ``combine`` so the same
-code path drives
+Each topology family has one sum schedule, parameterized by a wire codec
+(:mod:`repro.allreduce.codec`) that turns a partial sum over ``n`` workers
+into a wire payload: FP32 arrays for the full-precision baseline (PSGD), or
+integer sign sums whose width grows as ``ceil(log2(n + 1)) + 1`` bits for
+the MAR-extended sign baselines (Section 3.1's bit-length expansion).  The
+ring and torus share one cycle kernel (:func:`repro.allreduce.ring.cycle_allreduce`):
+a ring is the one-row torus.  The FP mean is the sum times ``1 / M``.
 
-- full-precision float all-reduce (PSGD baseline),
-- integer sign-sum all-reduce with bit-length expansion (the SSDM-under-MAR
-  baseline of Section 3.1),
-- Marsit's one-bit merge (plugged in from :mod:`repro.core`), and
-- cascading compression (the Section 3.2 anti-pattern).
+Marsit's one-bit merge and cascading compression plug a per-hop
+``combine`` into the same ring primitives
+(:func:`parallel_ring_reduce_scatter` / :func:`parallel_ring_all_gather`),
+and the one-bit rounds compile to :class:`~repro.sched.plan.SyncPlan` s.
 
 Higher-level collectives: 2D-torus all-reduce, parameter-server emulation,
 tree all-reduce, segmented ring, recursive halving-doubling, and gossip
@@ -16,9 +19,9 @@ averaging.
 
 The :class:`TopologyEntry` registry is the single place a topology plugs in
 its graph builder, its one-bit :class:`~repro.sched.plan.SyncPlan` compiler,
-and its full-precision collectives.  Everything downstream — Marsit's
-synchronizer, the training strategies, the trainer's cluster factory — looks
-topologies up here instead of switching on names.
+and its mean, sign-sum and scalar all-gather collectives.  Everything
+downstream — Marsit's synchronizer, the training strategies, the trainer's
+cluster factory — looks topologies up here instead of switching on names.
 """
 
 from __future__ import annotations
@@ -32,9 +35,11 @@ from repro.allreduce.halving_doubling import (
     compile_halving_doubling,
     halving_doubling_allreduce_mean,
     halving_doubling_allreduce_sum,
+    signsum_halving_doubling_allreduce,
 )
 from repro.allreduce.ps import (
     ps_allreduce,
+    signsum_star_allreduce,
     star_allgather_scalars,
     star_allreduce_mean,
 )
@@ -67,6 +72,7 @@ from repro.allreduce.torus import (
 )
 from repro.allreduce.tree import (
     compile_tree,
+    signsum_tree_allreduce,
     tree_allreduce,
     tree_allreduce_mean,
 )
@@ -107,7 +113,11 @@ __all__ = [
     "ring_allreduce_sum",
     "ring_reduce_scatter",
     "segmented_ring_allreduce",
+    "signsum_halving_doubling_allreduce",
     "signsum_ring_allreduce",
+    "signsum_star_allreduce",
+    "signsum_torus_allreduce",
+    "signsum_tree_allreduce",
     "split_segments",
     "star_allgather_scalars",
     "star_allreduce_mean",
@@ -120,20 +130,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TopologyEntry:
     """Everything one topology family plugs into the framework.
 
     Attributes:
         name: registry key; also the :class:`Topology` family name.
         build: ``build(num_workers, **kwargs) -> Topology`` graph factory.
+        mean_allreduce: full-precision ``(cluster, vectors) -> vectors`` mean.
+        signsum_allreduce: ``(cluster, sign_vectors) -> vectors`` integer
+            sign sum with bit-length expansion.
         compile_one_bit: SyncPlan compiler for the Marsit one-bit round, or
             ``None`` if the topology has no one-bit schedule (e.g. star).
-        mean_allreduce: full-precision ``(cluster, vectors) -> vectors`` mean.
-        signsum_allreduce: integer sign-sum collective with bit expansion,
-            or ``None`` to fall back to the ring schedule.
         allgather_scalars: ``(cluster, values) -> np.ndarray`` one-float
-            all-gather, or ``None`` to fall back to the ring walk.
+            all-gather, or ``None`` if the topology has none; the schemes
+            that need one (EF-signSGD, norm-scaled SSDM) then raise.
         degrade: ``(num_survivors, meta) -> Topology | None`` crash-recovery
             rebuild at a smaller size.  Returning ``None`` (or omitting the
             hook) means the family cannot shrink to that size and recovery
@@ -142,9 +153,9 @@ class TopologyEntry:
 
     name: str
     build: Callable[..., Topology]
+    mean_allreduce: Callable
+    signsum_allreduce: Callable
     compile_one_bit: Callable | None = None
-    mean_allreduce: Callable | None = None
-    signsum_allreduce: Callable | None = None
     allgather_scalars: Callable | None = None
     degrade: Callable[[int, dict], Topology | None] | None = None
 
@@ -234,6 +245,7 @@ register_topology(
         name="star",
         build=star_topology,
         mean_allreduce=star_allreduce_mean,
+        signsum_allreduce=signsum_star_allreduce,
         allgather_scalars=star_allgather_scalars,
     )
 )
@@ -243,6 +255,7 @@ register_topology(
         build=tree_topology,
         compile_one_bit=compile_tree,
         mean_allreduce=tree_allreduce_mean,
+        signsum_allreduce=signsum_tree_allreduce,
         degrade=_degrade_tree,
     )
 )
@@ -252,6 +265,7 @@ register_topology(
         build=halving_doubling_topology,
         compile_one_bit=compile_halving_doubling,
         mean_allreduce=halving_doubling_allreduce_mean,
+        signsum_allreduce=signsum_halving_doubling_allreduce,
         degrade=_degrade_halving_doubling,
     )
 )

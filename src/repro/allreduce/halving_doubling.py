@@ -20,6 +20,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.allreduce.codec import (
+    SIGN_SUM,
+    FloatCodec,
+    WireCodec,
+    checked_signs,
+    mean_of,
+)
 from repro.allreduce.ring import split_segments
 from repro.comm.cluster import Cluster
 from repro.sched.plan import (
@@ -42,6 +49,7 @@ __all__ = [
     "compile_halving_doubling",
     "halving_doubling_allreduce_mean",
     "halving_doubling_allreduce_sum",
+    "signsum_halving_doubling_allreduce",
 ]
 
 
@@ -148,6 +156,37 @@ def halving_doubling_allreduce_sum(
     wire_dtype: np.dtype = np.dtype(np.float32),
 ) -> list[np.ndarray]:
     """Full-precision halving-doubling all-reduce; returns per-worker sums."""
+    return _halving_doubling(cluster, vectors, FloatCodec(wire_dtype))
+
+
+def halving_doubling_allreduce_mean(
+    cluster: Cluster,
+    vectors: list[np.ndarray],
+    wire_dtype: np.dtype = np.dtype(np.float32),
+) -> list[np.ndarray]:
+    """Halving-doubling all-reduce returning per-worker means."""
+    return mean_of(halving_doubling_allreduce_sum(cluster, vectors, wire_dtype))
+
+
+def signsum_halving_doubling_allreduce(
+    cluster: Cluster,
+    sign_vectors: list[np.ndarray],
+    charge_compression: bool = True,
+) -> list[np.ndarray]:
+    """Integer sign-sum butterfly all-reduce, with bit-length expansion.
+
+    Halving step ``s`` carries partial sums over ``2^s`` workers at their
+    signed width; the doubling phase carries full sums.
+    """
+    return _halving_doubling(
+        cluster, checked_signs(cluster, sign_vectors, charge_compression), SIGN_SUM
+    )
+
+
+def _halving_doubling(
+    cluster: Cluster, vectors: list[np.ndarray], codec: WireCodec
+) -> list[np.ndarray]:
+    """The butterfly sum schedule of :func:`compile_halving_doubling`."""
     meta = cluster.topology.meta
     if cluster.topology.name != "halving_doubling":
         raise ValueError(
@@ -157,12 +196,12 @@ def halving_doubling_allreduce_sum(
     if len(vectors) != num:
         raise ValueError(f"expected {num} vectors, got {len(vectors)}")
     if num == 1:
-        return [np.asarray(vectors[0], dtype=np.float64).copy()]
+        return [codec.single(vectors[0])]
     order = _order_of(meta, num)
 
     segs = [
         [
-            np.asarray(part, dtype=wire_dtype)
+            codec.encode(part, 1)
             for part in split_segments(np.asarray(vector), num, copy=False)
         ]
         for vector in vectors
@@ -184,9 +223,8 @@ def halving_doubling_allreduce_sum(
         for rank in range(num):
             payload = cluster.recv(rank, rank ^ bit, tag=tag)
             for seg, part in zip(kept[rank], payload):
-                segs[rank][seg] = (
-                    np.asarray(part, dtype=segs[rank][seg].dtype)
-                    + segs[rank][seg]
+                segs[rank][seg] = codec.combine(
+                    part, segs[rank][seg], 2 << step_idx
                 )
         cluster.end_step(tag=tag)
         blocks = kept
@@ -204,23 +242,7 @@ def halving_doubling_allreduce_sum(
             partner = rank ^ bit
             payload = cluster.recv(rank, partner, tag=tag)
             for seg, part in zip(owned[partner], payload):
-                segs[rank][seg] = np.asarray(part, dtype=wire_dtype)
+                segs[rank][seg] = part
         cluster.end_step(tag=tag)
         owned = [sorted(owned[rank] + owned[rank ^ bit]) for rank in range(num)]
-    return [
-        np.concatenate([np.asarray(part, dtype=np.float64) for part in row])
-        for row in segs
-    ]
-
-
-def halving_doubling_allreduce_mean(
-    cluster: Cluster,
-    vectors: list[np.ndarray],
-    wire_dtype: np.dtype = np.dtype(np.float32),
-) -> list[np.ndarray]:
-    """Halving-doubling all-reduce returning per-worker means."""
-    sums = halving_doubling_allreduce_sum(
-        cluster, vectors, wire_dtype=wire_dtype
-    )
-    scale = 1.0 / len(sums)
-    return [total * scale for total in sums]
+    return [codec.finish(row) for row in segs]

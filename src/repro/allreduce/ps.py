@@ -14,9 +14,15 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from repro.allreduce.codec import SIGN_SUM, checked_signs
 from repro.comm.cluster import Cluster
 
-__all__ = ["ps_allreduce", "star_allgather_scalars", "star_allreduce_mean"]
+__all__ = [
+    "ps_allreduce",
+    "signsum_star_allreduce",
+    "star_allgather_scalars",
+    "star_allreduce_mean",
+]
 
 Aggregate = Callable[[Sequence[Any]], Any]
 """Combine the per-worker payloads (server's own first) into one result."""
@@ -104,6 +110,28 @@ def star_allreduce_mean(
         aggregate=lambda xs: np.mean(xs, axis=0),
     )
     return [np.asarray(m, dtype=np.float64) for m in mean]
+
+
+def signsum_star_allreduce(
+    cluster: Cluster,
+    sign_vectors: list[np.ndarray],
+    charge_compression: bool = True,
+) -> list[np.ndarray]:
+    """Integer sign sum through the server: one-bit uploads, full-sum download.
+
+    The server adds the decoded uploads; the broadcast is charged at the
+    signed width of a sum over all ``M`` workers.
+    """
+    codec = SIGN_SUM
+    num = cluster.num_workers
+    signs = checked_signs(cluster, sign_vectors, charge_compression)
+    results = ps_allreduce(
+        cluster,
+        [codec.encode(vector, 1) for vector in signs],
+        aggregate=lambda values: codec.encode(np.sum(values, axis=0), num),
+        decode=codec.value,
+    )
+    return [codec.finish([result]) for result in results]
 
 
 def star_allgather_scalars(

@@ -8,29 +8,31 @@ then circulate the owned segments until everyone holds the full result.
 Total traffic per worker: ``2 (M - 1) D / M`` elements — the
 ``2 (M - 1) x D`` weights of Section 3.1 summed over the ring.
 
-``combine`` is pluggable, which is how Marsit's one-bit merge, the
-sign-sum integer reduce (with bit-length expansion), and plain float addition
-all share this schedule.
+The sums run through one kernel, :func:`cycle_allreduce`, shared with the
+2D torus: a ring is the one-row torus, and a wire codec
+(:mod:`repro.allreduce.codec`) decides whether the hops carry FP32 floats
+or expanding integer sign sums.  The reduce-scatter itself takes a
+pluggable per-hop ``combine``, which is how cascading compression rides the
+same schedule; Marsit's one-bit rounds compile the same walk into a
+:class:`~repro.sched.plan.SyncPlan` (:func:`compile_ring`).
 """
 
 from __future__ import annotations
 
-import inspect
-import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.comm.bits import (
-    PackedBits,
-    PackedBitsBatch,
-    elias_gamma_encode,
-    signed_int_bit_width,
-    zigzag_encode,
+from repro.allreduce.codec import (
+    FloatCodec,
+    SignSumCodec,
+    WireCodec,
+    checked_signs,
+    mean_of,
 )
+from repro.comm.bits import PackedBits, PackedBitsBatch
 from repro.comm.cluster import Cluster, SizedPayload
-from repro.comm.timing import Phase
 from repro.sched.plan import (
     Barrier,
     CompileContext,
@@ -51,6 +53,8 @@ __all__ = [
     "PackedLaneGrid",
     "SizedPayload",
     "compile_ring",
+    "cycle_allgather_scalars",
+    "cycle_allreduce",
     "cycle_gather_steps",
     "cycle_reduce_steps",
     "lockstep_ring_all_gather",
@@ -69,52 +73,13 @@ __all__ = [
 _WORD_DTYPE = np.dtype("<u8")
 _WORD_BITS = 64
 
-Combine = Callable[[Any, Any, int], Any]
-"""(received_payload, local_segment, step_index) -> new local segment.
+Combine = Callable[[Any, Any, int, int], Any]
+"""(received_payload, local_segment, step_index, receiving_rank) -> new segment.
 
-A combine may instead accept four positional arguments
-``(received, local, step, rank)``; the schedulers detect this via its
-signature and pass the receiving worker's rank, which lets stateful
-combiners (per-worker RNG streams, per-rank compensation) drop ad-hoc
-call counters.
+The step index says how many contributions the received payload carries
+(``step + 1``); the rank lets stateful combiners (per-worker RNG streams,
+per-rank compensation) keep per-worker state without call counters.
 """
-
-
-#: ``inspect.signature`` costs microseconds per call, which adds up when a
-#: schedule probes the same combine every all-reduce; the verdict is a pure
-#: function of the callable, so memoize it without pinning the callable alive.
-_ACCEPTS_RANK_CACHE: "weakref.WeakKeyDictionary[Any, bool]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _accepts_rank(combine: Combine) -> bool:
-    """True when ``combine`` takes a fourth positional ``rank`` argument."""
-    try:
-        cached = _ACCEPTS_RANK_CACHE.get(combine)
-    except TypeError:  # unhashable / non-weakrefable callables: probe fresh
-        cached = None
-    if cached is not None:
-        return cached
-    try:
-        parameters = inspect.signature(combine).parameters.values()
-    except (TypeError, ValueError):
-        return False
-    positional = [
-        p
-        for p in parameters
-        if p.kind
-        in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD, p.VAR_POSITIONAL)
-    ]
-    verdict = (
-        any(p.kind == p.VAR_POSITIONAL for p in positional)
-        or len(positional) >= 4
-    )
-    try:
-        _ACCEPTS_RANK_CACHE[combine] = verdict
-    except TypeError:
-        pass
-    return verdict
 
 
 def split_segments(
@@ -164,10 +129,8 @@ def parallel_ring_reduce_scatter(
         cycles: ordered rank cycles; must be pairwise disjoint.
         segments: ``segments[c][p][i]`` — segment ``i`` held by the worker at
             position ``p`` of cycle ``c``; mutated in place.
-        combine: folds a received payload into the local segment; the step
-            index says how many contributions the payload carries (step+1).
-            A four-argument combine additionally receives the receiving
-            worker's rank.
+        combine: folds a received payload into the local segment, called
+            as ``combine(received, local, step, rank)`` (see :data:`Combine`).
         on_step_end: called after each synchronous step with
             ``(step, transfer_seconds)`` — the makespan the cluster charged
             for that step's transfers.  Marsit uses it to charge only the
@@ -185,7 +148,6 @@ def parallel_ring_reduce_scatter(
     for cycle, cycle_segments in zip(cycles, segments):
         if any(len(worker_segments) != size for worker_segments in cycle_segments):
             raise ValueError("each worker must hold exactly cycle-length segments")
-    with_rank = _accepts_rank(combine)
     for step in range(size - 1):
         cluster.begin_step()
         for cycle_idx, cycle in enumerate(cycles):
@@ -203,12 +165,9 @@ def parallel_ring_reduce_scatter(
                 payload = cluster.recv(
                     cycle[pos], cycle[(pos - 1) % size], tag=f"{tag}:{step}"
                 )
-                local = segments[cycle_idx][pos][recv_idx]
-                if with_rank:
-                    merged = combine(payload, local, step, cycle[pos])
-                else:
-                    merged = combine(payload, local, step)
-                segments[cycle_idx][pos][recv_idx] = merged
+                segments[cycle_idx][pos][recv_idx] = combine(
+                    payload, segments[cycle_idx][pos][recv_idx], step, cycle[pos]
+                )
         elapsed = cluster.end_step(tag=f"{tag}:{step}")
         if on_step_end is not None:
             on_step_end(step, elapsed)
@@ -605,30 +564,6 @@ def compile_ring(context: CompileContext) -> SyncPlan:
     )
 
 
-def ring_allgather_scalars(cluster: Cluster, values: list[float]) -> np.ndarray:
-    """All-gather one scalar per worker around the ring (``M - 1`` steps)."""
-    num = cluster.num_workers
-    if len(values) != num:
-        raise ValueError(f"expected {num} scalars, got {len(values)}")
-    if num == 1:
-        return np.array(values, dtype=np.float64)
-    known = [{rank: np.float64(values[rank])} for rank in range(num)]
-    for step in range(num - 1):
-        cluster.begin_step()
-        for rank in range(num):
-            origin = (rank - step) % num
-            cluster.send(
-                rank, (rank + 1) % num, float(known[rank][origin]), tag="scal"
-            )
-        for rank in range(num):
-            origin = (rank - 1 - step) % num
-            known[rank][origin] = cluster.recv(
-                rank, (rank - 1) % num, tag="scal"
-            )
-        cluster.end_step()
-    return np.array([known[0][rank] for rank in range(num)])
-
-
 def ring_reduce_scatter(
     cluster: Cluster,
     segments: list[list[Any]],
@@ -642,9 +577,8 @@ def ring_reduce_scatter(
         cluster: the simulated cluster (sends must follow topology edges).
         segments: ``segments[p][i]`` is the ``i``-th segment held by the
             worker at ring position ``p``; mutated in place.
-        combine: folds a received payload into the local segment.  The step
-            index tells stateful combiners how many contributions the
-            received segment already carries (``step + 1``).
+        combine: folds a received payload into the local segment (see
+            :data:`Combine`).
         ranks: the ordered ring cycle; defaults to all workers ``0..M-1``.
 
     Returns:
@@ -671,8 +605,154 @@ def ring_all_gather(
     parallel_ring_all_gather(cluster, [cycle], [segments], tag=tag)
 
 
-def _add_combine(received: Any, local: np.ndarray, step: int) -> np.ndarray:
-    return np.asarray(received, dtype=local.dtype) + local
+def cycle_allreduce(
+    cluster: Cluster,
+    vectors: Sequence[np.ndarray],
+    codec: WireCodec,
+    rows: Sequence[Sequence[int]],
+    cols: Sequence[Sequence[int]] = (),
+    tags: tuple[str, str] = ("", ""),
+) -> list[np.ndarray]:
+    """The one sum schedule over disjoint rank cycles (ring and torus).
+
+    Three phases, every cycle of a phase advancing in lockstep:
+
+    1. reduce-scatter along every row cycle (segments of ``D / len(row)``),
+    2. all-reduce of each worker's owned row segment along every column
+       cycle, when ``cols`` has cycles longer than one,
+    3. all-gather along every row cycle.
+
+    A ring is one row cycle and no columns; a ``rows x cols`` torus is its
+    row rings then its column rings.  ``codec`` sizes every hop from the
+    number of workers the partial sum covers (see
+    :mod:`repro.allreduce.codec`).
+
+    Args:
+        vectors: ``vectors[i]`` belongs to the ``i``-th rank of the
+            row-major flattening of ``rows``.
+        rows: equal-length, disjoint row cycles covering the participants.
+        cols: column cycles over the same ranks; each column rank
+            contributes its owned row segment (a sum over a whole row).
+        tags: message-tag prefixes of the row and column phases; the
+            phases send ``{prefix}rs:{step}`` and ``{prefix}ag:{step}``.
+
+    Returns:
+        Per-participant results, in the order of ``vectors``.
+    """
+    ranks = [rank for row in rows for rank in row]
+    if len(vectors) != len(ranks):
+        raise ValueError(f"expected {len(ranks)} vectors, got {len(vectors)}")
+    dimension = int(np.asarray(vectors[0]).size)
+    if any(int(np.asarray(vector).size) != dimension for vector in vectors):
+        raise ValueError("all vectors must share one dimension")
+    if len(ranks) == 1:
+        return [codec.single(vectors[0])]
+    row_tag, col_tag = tags
+    size = len(rows[0])
+    lane = {rank: index for index, rank in enumerate(ranks)}
+    segments = [
+        [
+            [
+                codec.encode(part, 1)
+                for part in split_segments(vectors[lane[rank]], size, copy=False)
+            ]
+            for rank in row
+        ]
+        for row in rows
+    ]
+    owned = [[0] * size for _ in rows]
+    if size > 1:
+        owned = parallel_ring_reduce_scatter(
+            cluster,
+            rows,
+            segments,
+            lambda received, local, step, rank: codec.combine(
+                received, local, step + 2
+            ),
+            tag=f"{row_tag}rs",
+        )
+    held = {
+        rank: (segments[c][p], owned[c][p])
+        for c, row in enumerate(rows)
+        for p, rank in enumerate(row)
+    }
+    if cols and len(cols[0]) > 1:
+        col_segments = [
+            [
+                [
+                    codec.encode(part, size)
+                    for part in split_segments(
+                        codec.value(held[rank][0][held[rank][1]]),
+                        len(col),
+                        copy=False,
+                    )
+                ]
+                for rank in col
+            ]
+            for col in cols
+        ]
+        parallel_ring_reduce_scatter(
+            cluster,
+            cols,
+            col_segments,
+            lambda received, local, step, rank: codec.combine(
+                received, local, (step + 2) * size
+            ),
+            tag=f"{col_tag}rs",
+        )
+        parallel_ring_all_gather(cluster, cols, col_segments, tag=f"{col_tag}ag")
+        for c, col in enumerate(cols):
+            for p, rank in enumerate(col):
+                row_segments, own = held[rank]
+                row_segments[own] = codec.encode(
+                    np.concatenate(
+                        [codec.value(part) for part in col_segments[c][p]]
+                    ),
+                    len(ranks),
+                )
+    if size > 1:
+        parallel_ring_all_gather(cluster, rows, segments, tag=f"{row_tag}ag")
+    return [codec.finish(held[rank][0]) for rank in ranks]
+
+
+def cycle_allgather_scalars(
+    cluster: Cluster,
+    values: Sequence[float],
+    phases: Sequence[Sequence[Sequence[int]]],
+) -> np.ndarray:
+    """All-gather one float per worker by circulating along rank cycles.
+
+    Each phase is a set of disjoint, equal-length cycles walked in lockstep
+    (``len - 1`` steps); a worker forwards, per step, everything one cycle
+    peer held when the phase began.  A ring is the single phase
+    ``[[0, ..., M - 1]]``; a torus circulates scalars along its rows, then
+    each worker's whole row along its columns.
+    """
+    num = cluster.num_workers
+    if len(values) != num:
+        raise ValueError(f"expected {num} scalars, got {len(values)}")
+    known = [{rank: float(values[rank])} for rank in range(num)]
+    for cycles in phases:
+        held = [tuple(entries) for entries in known]
+        size = len(cycles[0])
+        for step in range(size - 1):
+            cluster.begin_step()
+            for cycle in cycles:
+                for pos, rank in enumerate(cycle):
+                    origin = cycle[(pos - step) % size]
+                    cluster.send(
+                        rank,
+                        cycle[(pos + 1) % size],
+                        {key: known[rank][key] for key in held[origin]},
+                        tag="scal",
+                    )
+            for cycle in cycles:
+                for pos, rank in enumerate(cycle):
+                    known[rank].update(
+                        cluster.recv(rank, cycle[(pos - 1) % size], tag="scal")
+                    )
+            cluster.end_step()
+    return np.array([known[0][rank] for rank in range(num)])
 
 
 def ring_allreduce_sum(
@@ -683,29 +763,13 @@ def ring_allreduce_sum(
 ) -> list[np.ndarray]:
     """Full-precision ring all-reduce; returns the per-worker sums.
 
-    Floats travel as ``wire_dtype`` (FP32 by default, matching the paper's
-    non-compressed baseline) but accumulate in float64 locally.
+    Floats travel and accumulate as ``wire_dtype`` (FP32 by default,
+    matching the paper's non-compressed baseline); the sums are returned
+    as float64.  ``ranks`` selects a sub-ring (default: all workers).
     """
-    cycle = _ring_ranks(cluster, ranks)
-    size = len(cycle)
-    if len(vectors) != size:
-        raise ValueError("one vector per ring position required")
-    if size == 1:
-        return [np.asarray(vectors[0], dtype=np.float64).copy()]
-
-    def to_wire(segment: np.ndarray) -> np.ndarray:
-        return np.asarray(segment, dtype=wire_dtype)
-
-    segments = [
-        [to_wire(seg) for seg in split_segments(vector, size, copy=False)]
-        for vector in vectors
-    ]
-    ring_reduce_scatter(cluster, segments, _add_combine, ranks=cycle)
-    ring_all_gather(cluster, segments, ranks=cycle)
-    return [
-        np.concatenate([np.asarray(seg, dtype=np.float64) for seg in worker])
-        for worker in segments
-    ]
+    return cycle_allreduce(
+        cluster, vectors, FloatCodec(wire_dtype), [_ring_ranks(cluster, ranks)]
+    )
 
 
 def ring_allreduce_mean(
@@ -715,9 +779,14 @@ def ring_allreduce_mean(
     wire_dtype: np.dtype = np.dtype(np.float32),
 ) -> list[np.ndarray]:
     """Ring all-reduce returning per-worker means."""
-    sums = ring_allreduce_sum(cluster, vectors, ranks=ranks, wire_dtype=wire_dtype)
-    scale = 1.0 / len(sums)
-    return [total * scale for total in sums]
+    return mean_of(ring_allreduce_sum(cluster, vectors, ranks, wire_dtype))
+
+
+def ring_allgather_scalars(cluster: Cluster, values: list[float]) -> np.ndarray:
+    """All-gather one scalar per worker around the ring (``M - 1`` steps)."""
+    return cycle_allgather_scalars(
+        cluster, values, [[list(range(cluster.num_workers))]]
+    )
 
 
 def signsum_ring_allreduce(
@@ -729,72 +798,25 @@ def signsum_ring_allreduce(
 ) -> list[np.ndarray]:
     """Ring all-reduce of integer sign sums with bit-length expansion.
 
-    This is the linear SSDM-under-MAR baseline of Section 3.1: workers
+    The linear SSDM-under-MAR baseline of Section 3.1 on a ring: workers
     all-reduce the coordinate-wise *sum of signs*.  A partial sum over ``m``
     workers lies in ``[-m, +m]`` and is charged
     ``ceil(log2(m + 1)) + 1`` bits per element on the wire
-    (:func:`signed_int_bit_width`), so the message grows every hop up to
-    ``~log2(M)`` bits — never back down to one bit.
+    (:class:`~repro.allreduce.codec.SignSumCodec`), so the message grows
+    every hop up to ``~log2(M)`` bits — never back down to one bit.
 
     Args:
         sign_vectors: per-worker ``{-1, +1}`` vectors.
         charge_compression: charge sign-extraction time to the timeline.
-        elias_coded: charge each hop at the exact Elias-gamma entropy code
-            of the zigzagged partial sums (the Section 5 "Elias coding to
-            compact the transmission message" baseline) instead of the fixed
-            expanded width.  Shorter on average (small sums dominate) but
-            still strictly more than one bit per element.
+        elias_coded: charge each hop at the exact Elias-gamma size instead
+            of the fixed expanded width.
 
     Returns:
         Per-worker integer sum vectors (all equal).
     """
-    cycle = _ring_ranks(cluster, ranks)
-    size = len(cycle)
-    if len(sign_vectors) != size:
-        raise ValueError("one sign vector per ring position required")
-    for vector in sign_vectors:
-        array = np.asarray(vector)
-        if array.size and not ((array == -1) | (array == 1)).all():
-            raise ValueError("sign vectors must be over {-1, +1}")
-    if charge_compression:
-        total_elements = sum(int(np.asarray(v).size) for v in sign_vectors)
-        cluster.charge(
-            Phase.COMPRESSION, cluster.cost_model.compress_time(total_elements)
-        )
-    if size == 1:
-        return [np.asarray(sign_vectors[0], dtype=np.int64).copy()]
-
-    def wrap(segment: np.ndarray, contributors: int) -> SizedPayload:
-        segment = np.asarray(segment, dtype=np.int64)
-        if elias_coded and segment.size:
-            # A sum of m iid signs lives on {-m, -m+2, ..., m} with a
-            # binomial peak at 0; re-index by half-steps from the mode so
-            # the common values get the short gamma codes.
-            half_steps = (segment + contributors) // 2 - contributors // 2
-            _, coded_bits = elias_gamma_encode(zigzag_encode(half_steps))
-            nbytes = (coded_bits + 7) // 8
-        else:
-            bits = signed_int_bit_width(contributors)
-            nbytes = (bits * int(segment.size) + 7) // 8
-        return SizedPayload(value=segment, nbytes=nbytes)
-
-    segments: list[list[Any]] = [
-        [
-            wrap(seg, 1)
-            for seg in split_segments(
-                np.asarray(vec, dtype=np.int64), size, copy=False
-            )
-        ]
-        for vec in sign_vectors
-    ]
-
-    def combine(received: SizedPayload, local: SizedPayload, step: int) -> SizedPayload:
-        merged = received.value + local.value
-        return wrap(merged, step + 2)
-
-    ring_reduce_scatter(cluster, segments, combine, ranks=cycle)
-    ring_all_gather(cluster, segments, ranks=cycle)
-    return [
-        np.concatenate([seg.value for seg in worker_segments])
-        for worker_segments in segments
-    ]
+    return cycle_allreduce(
+        cluster,
+        checked_signs(cluster, sign_vectors, charge_compression),
+        SignSumCodec(elias_coded),
+        [_ring_ranks(cluster, ranks)],
+    )

@@ -14,22 +14,24 @@ elements — the *same volume* as the flat ring — but only
 ``2 (rows + cols - 2)`` sequential steps instead of ``2 (M - 1)``, and the
 column-phase messages are ``cols`` times smaller.  That step/latency saving
 is why every baseline communicates faster under TAR in Figure 5.
+
+The FP and sign-sum collectives are :func:`repro.allreduce.ring.cycle_allreduce`
+over the row and column cycles under a wire codec — the same kernel the
+flat ring runs with one row and no columns.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.comm.bits import signed_int_bit_width
-from repro.comm.cluster import Cluster, SizedPayload
-from repro.comm.timing import Phase
+from repro.allreduce.codec import SIGN_SUM, FloatCodec, checked_signs, mean_of
 from repro.allreduce.ring import (
+    cycle_allgather_scalars,
+    cycle_allreduce,
     cycle_gather_steps,
     cycle_reduce_steps,
-    parallel_ring_all_gather,
-    parallel_ring_reduce_scatter,
-    split_segments,
 )
+from repro.comm.cluster import Cluster
 from repro.sched.plan import (
     CompileContext,
     GridSpec,
@@ -50,6 +52,7 @@ __all__ = [
     "torus_allgather_scalars",
     "torus_allreduce_mean",
     "torus_allreduce_sum",
+    "torus_cycles",
     "torus_rows_cols",
 ]
 
@@ -150,8 +153,10 @@ def col_cycles(rows: int, cols: int) -> list[list[int]]:
     return [[r * cols + c for r in range(rows)] for c in range(cols)]
 
 
-def _add(received: np.ndarray, local: np.ndarray, step: int) -> np.ndarray:
-    return np.asarray(received, dtype=local.dtype) + local
+def torus_cycles(cluster: Cluster) -> tuple[list[list[int]], list[list[int]]]:
+    """Row and column cycles of a torus cluster, validating topology."""
+    rows, cols = torus_rows_cols(cluster)
+    return row_cycles(rows, cols), col_cycles(rows, cols)
 
 
 def torus_allreduce_sum(
@@ -160,92 +165,13 @@ def torus_allreduce_sum(
     wire_dtype: np.dtype = np.dtype(np.float32),
 ) -> list[np.ndarray]:
     """Hierarchical 2D-torus all-reduce; returns per-worker sums."""
-    rows, cols = torus_rows_cols(cluster)
-    num = rows * cols
-    if len(vectors) != num:
-        raise ValueError(f"expected {num} vectors, got {len(vectors)}")
-    if num == 1:
-        return [np.asarray(vectors[0], dtype=np.float64).copy()]
-
-    dimension = int(np.asarray(vectors[0]).size)
-    for vector in vectors:
-        if int(np.asarray(vector).size) != dimension:
-            raise ValueError("all vectors must share one dimension")
-
-    rows_list = row_cycles(rows, cols)
-    cols_list = col_cycles(rows, cols)
-
-    # Phase 1: reduce-scatter within every row ring, in lockstep.
-    row_segments: dict[int, list[np.ndarray]] = {}
-    owned_index: dict[int, int] = {}
-    if cols > 1:
-        all_segments = [
-            [
-                [
-                    np.asarray(seg, dtype=wire_dtype)
-                    for seg in split_segments(vectors[rank], cols, copy=False)
-                ]
-                for rank in cycle
-            ]
-            for cycle in rows_list
-        ]
-        owned = parallel_ring_reduce_scatter(
-            cluster, rows_list, all_segments, _add, tag="tar-row-rs"
-        )
-        for cycle_idx, cycle in enumerate(rows_list):
-            for pos, rank in enumerate(cycle):
-                row_segments[rank] = all_segments[cycle_idx][pos]
-                owned_index[rank] = owned[cycle_idx][pos]
-    else:
-        for rank in range(num):
-            row_segments[rank] = [np.asarray(vectors[rank], dtype=wire_dtype)]
-            owned_index[rank] = 0
-
-    # Phase 2: all-reduce the owned chunk within every column ring.
-    if rows > 1:
-        col_segments = [
-            [
-                [
-                    np.asarray(seg, dtype=wire_dtype)
-                    for seg in split_segments(
-                        np.asarray(
-                            row_segments[rank][owned_index[rank]], dtype=np.float64
-                        ),
-                        rows,
-                        copy=False,
-                    )
-                ]
-                for rank in cycle
-            ]
-            for cycle in cols_list
-        ]
-        parallel_ring_reduce_scatter(
-            cluster, cols_list, col_segments, _add, tag="tar-col-rs"
-        )
-        parallel_ring_all_gather(cluster, cols_list, col_segments, tag="tar-col-ag")
-        for cycle_idx, cycle in enumerate(cols_list):
-            for pos, rank in enumerate(cycle):
-                merged = np.concatenate(
-                    [
-                        np.asarray(seg, dtype=np.float64)
-                        for seg in col_segments[cycle_idx][pos]
-                    ]
-                )
-                row_segments[rank][owned_index[rank]] = np.asarray(
-                    merged, dtype=wire_dtype
-                )
-
-    # Phase 3: all-gather within every row ring, in lockstep.
-    if cols > 1:
-        all_segments = [[row_segments[rank] for rank in cycle] for cycle in rows_list]
-        parallel_ring_all_gather(cluster, rows_list, all_segments, tag="tar-row-ag")
-
-    return [
-        np.concatenate(
-            [np.asarray(seg, dtype=np.float64) for seg in row_segments[rank]]
-        )
-        for rank in range(num)
-    ]
+    return cycle_allreduce(
+        cluster,
+        vectors,
+        FloatCodec(wire_dtype),
+        *torus_cycles(cluster),
+        tags=("tar-row-", "tar-col-"),
+    )
 
 
 def torus_allreduce_mean(
@@ -254,9 +180,7 @@ def torus_allreduce_mean(
     wire_dtype: np.dtype = np.dtype(np.float32),
 ) -> list[np.ndarray]:
     """2D-torus all-reduce returning per-worker means."""
-    sums = torus_allreduce_sum(cluster, vectors, wire_dtype=wire_dtype)
-    scale = 1.0 / len(sums)
-    return [total * scale for total in sums]
+    return mean_of(torus_allreduce_sum(cluster, vectors, wire_dtype))
 
 
 def signsum_torus_allreduce(
@@ -266,107 +190,18 @@ def signsum_torus_allreduce(
 ) -> list[np.ndarray]:
     """Integer sign-sum all-reduce on a torus, with bit-length expansion.
 
-    The hierarchical analogue of
-    :func:`repro.allreduce.ring.signsum_ring_allreduce`: row rings carry
-    partial sums over ``1..cols`` workers, column rings over multiples of
-    ``cols``, each hop charged at the fixed signed width of its partial-sum
-    range — Section 3.1's expansion, under TAR.
+    The TAR schedule of :func:`torus_allreduce_sum` under the sign-sum codec:
+    row rings carry partial sums over ``1..cols`` workers, column rings over
+    multiples of ``cols``, each hop charged at the fixed signed width of its
+    partial-sum range — Section 3.1's expansion, under TAR.
     """
-    rows, cols = torus_rows_cols(cluster)
-    num = rows * cols
-    if len(sign_vectors) != num:
-        raise ValueError(f"expected {num} sign vectors, got {len(sign_vectors)}")
-    for vector in sign_vectors:
-        array = np.asarray(vector)
-        if array.size and not ((array == -1) | (array == 1)).all():
-            raise ValueError("sign vectors must be over {-1, +1}")
-    if charge_compression:
-        total = sum(int(np.asarray(v).size) for v in sign_vectors)
-        cluster.charge(Phase.COMPRESSION, cluster.cost_model.compress_time(total))
-    if num == 1:
-        return [np.asarray(sign_vectors[0], dtype=np.int64).copy()]
-
-    def wrap(segment: np.ndarray, contributors: int) -> SizedPayload:
-        segment = np.asarray(segment, dtype=np.int64)
-        bits = signed_int_bit_width(contributors)
-        return SizedPayload(
-            value=segment, nbytes=(bits * int(segment.size) + 7) // 8
-        )
-
-    rows_list = row_cycles(rows, cols)
-    cols_list = col_cycles(rows, cols)
-
-    # Row phase: reduce-scatter integer sums within each row.
-    row_segments: dict[int, list[SizedPayload]] = {}
-    owned_index: dict[int, int] = {}
-    if cols > 1:
-        all_segments = [
-            [
-                [wrap(seg, 1) for seg in split_segments(
-                    np.asarray(sign_vectors[rank], dtype=np.int64),
-                    cols, copy=False)]
-                for rank in cycle
-            ]
-            for cycle in rows_list
-        ]
-
-        def row_combine(received, local, step):
-            return wrap(received.value + local.value, step + 2)
-
-        parallel_ring_reduce_scatter(
-            cluster, rows_list, all_segments, row_combine, tag="ss-row-rs"
-        )
-        for cycle_idx, cycle in enumerate(rows_list):
-            for pos, rank in enumerate(cycle):
-                row_segments[rank] = all_segments[cycle_idx][pos]
-                owned_index[rank] = (pos + 1) % cols
-    else:
-        for rank in range(num):
-            row_segments[rank] = [
-                wrap(np.asarray(sign_vectors[rank], dtype=np.int64), 1)
-            ]
-            owned_index[rank] = 0
-
-    # Column phase: all-reduce the owned chunk (each already sums `cols`).
-    if rows > 1:
-        col_segments = [
-            [
-                [wrap(seg, cols) for seg in split_segments(
-                    row_segments[rank][owned_index[rank]].value,
-                    rows, copy=False)]
-                for rank in cycle
-            ]
-            for cycle in cols_list
-        ]
-
-        def col_combine(received, local, step):
-            return wrap(received.value + local.value, (step + 2) * cols)
-
-        parallel_ring_reduce_scatter(
-            cluster, cols_list, col_segments, col_combine, tag="ss-col-rs"
-        )
-        parallel_ring_all_gather(cluster, cols_list, col_segments, tag="ss-col-ag")
-        for cycle_idx, cycle in enumerate(cols_list):
-            for pos, rank in enumerate(cycle):
-                merged = np.concatenate(
-                    [seg.value for seg in col_segments[cycle_idx][pos]]
-                )
-                row_segments[rank][owned_index[rank]] = wrap(merged, num)
-    else:
-        for rank in range(num):
-            row_segments[rank][owned_index[rank]] = wrap(
-                row_segments[rank][owned_index[rank]].value, num
-            )
-
-    # Row gather of the fully reduced segments.
-    if cols > 1:
-        all_segments = [[row_segments[rank] for rank in cycle] for cycle in rows_list]
-        parallel_ring_all_gather(cluster, rows_list, all_segments, tag="ss-row-ag")
-
-    return [
-        np.concatenate([seg.value for seg in row_segments[rank]])
-        for rank in range(num)
-    ]
+    return cycle_allreduce(
+        cluster,
+        checked_signs(cluster, sign_vectors, charge_compression),
+        SIGN_SUM,
+        *torus_cycles(cluster),
+        tags=("ss-row-", "ss-col-"),
+    )
 
 
 def torus_allgather_scalars(cluster: Cluster, values: list[float]) -> np.ndarray:
@@ -375,47 +210,4 @@ def torus_allgather_scalars(cluster: Cluster, values: list[float]) -> np.ndarray
     Row rings circulate scalars (cols - 1 steps), then column rings
     circulate each worker's row collection (rows - 1 steps).
     """
-    rows, cols = torus_rows_cols(cluster)
-    num = rows * cols
-    if len(values) != num:
-        raise ValueError(f"expected {num} scalars, got {len(values)}")
-    known: list[dict[int, float]] = [
-        {rank: float(values[rank])} for rank in range(num)
-    ]
-
-    def circulate(cycles, payload_of):
-        size = len(cycles[0])
-        for step in range(size - 1):
-            cluster.begin_step()
-            for cycle in cycles:
-                for pos, rank in enumerate(cycle):
-                    origin = cycle[(pos - step) % size]
-                    cluster.send(
-                        rank, cycle[(pos + 1) % size], payload_of(rank, origin),
-                        tag="scal",
-                    )
-            for cycle in cycles:
-                for pos, rank in enumerate(cycle):
-                    origin = cycle[(pos - 1 - step) % size]
-                    received = cluster.recv(
-                        rank, cycle[(pos - 1) % size], tag="scal"
-                    )
-                    known[rank].update(received)
-            cluster.end_step()
-
-    if cols > 1:
-        circulate(
-            row_cycles(rows, cols),
-            lambda rank, origin: {origin: known[rank][origin]},
-        )
-    if rows > 1:
-        # Each worker now holds its whole row; circulate row collections.
-        row_of = {rank: rank // cols for rank in range(num)}
-        circulate(
-            col_cycles(rows, cols),
-            lambda rank, origin: {
-                k: v for k, v in known[rank].items()
-                if k // cols == row_of[origin]
-            },
-        )
-    return np.array([known[0][rank] for rank in range(num)])
+    return cycle_allgather_scalars(cluster, values, torus_cycles(cluster))

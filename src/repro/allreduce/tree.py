@@ -7,10 +7,11 @@ level overlap in a single timing step.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
+from repro.allreduce.codec import SIGN_SUM, FloatCodec, WireCodec, checked_signs
 from repro.comm.cluster import Cluster
 from repro.sched.plan import (
     Barrier,
@@ -27,7 +28,14 @@ from repro.sched.plan import (
     Transfer,
 )
 
-__all__ = ["compile_tree", "tree_allreduce", "tree_allreduce_mean"]
+__all__ = [
+    "compile_tree",
+    "signsum_tree_allreduce",
+    "tree_allreduce",
+    "tree_allreduce_mean",
+]
+
+_FP64 = FloatCodec(np.dtype(np.float64))
 
 
 def _levels(num_workers: int, arity: int) -> list[list[int]]:
@@ -48,7 +56,7 @@ def tree_allreduce(
     reduce_pair: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
     finalize: Callable[[np.ndarray], Any] | None = None,
 ) -> list[np.ndarray]:
-    """All-reduce over a tree topology.
+    """All-reduce over a tree topology, float64 on the wire.
 
     Args:
         cluster: must use ``tree_topology``.
@@ -59,6 +67,37 @@ def tree_allreduce(
     Returns:
         Per-worker results (all equal to the finalized root value).
     """
+    return _tree_allreduce(cluster, vectors, _FP64, reduce_pair, finalize)
+
+
+def signsum_tree_allreduce(
+    cluster: Cluster,
+    sign_vectors: list[np.ndarray],
+    charge_compression: bool = True,
+) -> list[np.ndarray]:
+    """Integer sign-sum all-reduce on a tree, with bit-length expansion.
+
+    Each upward hop carries the sum over the sender's subtree, charged at
+    that subtree's signed width; the broadcast carries the full sum.
+    """
+    return _tree_allreduce(
+        cluster, checked_signs(cluster, sign_vectors, charge_compression), SIGN_SUM
+    )
+
+
+def _tree_allreduce(
+    cluster: Cluster,
+    vectors: list[np.ndarray],
+    codec: WireCodec,
+    reduce_pair: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    finalize: Callable[[np.ndarray], Any] | None = None,
+) -> list[np.ndarray]:
+    """The tree sum schedule: reduce up level by level, broadcast down.
+
+    Depth-synchronous: every level is one step.  ``codec`` sizes each
+    upward hop by the sender's subtree size — the running weights
+    :func:`compile_tree` merges with.
+    """
     meta = cluster.topology.meta
     if cluster.topology.name != "tree" or "arity" not in meta:
         raise ValueError("tree_allreduce requires a tree topology")
@@ -66,10 +105,9 @@ def tree_allreduce(
     num = cluster.num_workers
     if len(vectors) != num:
         raise ValueError(f"expected {num} vectors, got {len(vectors)}")
-    if reduce_pair is None:
-        reduce_pair = lambda a, b: a + b  # noqa: E731 - trivial default fold
 
-    partial = [np.asarray(vector, dtype=np.float64).copy() for vector in vectors]
+    partial = [codec.encode(vector, 1) for vector in vectors]
+    weight = [1] * num
     levels = _levels(num, arity)
 
     # Reduce: deepest level first, each level one synchronous step.
@@ -80,12 +118,21 @@ def tree_allreduce(
         for rank in level:
             parent = (rank - 1) // arity
             received = cluster.recv(parent, rank, tag="reduce")
-            partial[parent] = reduce_pair(partial[parent], received)
+            weight[parent] += weight[rank]
+            if reduce_pair is None:
+                partial[parent] = codec.combine(
+                    received, partial[parent], weight[parent]
+                )
+            else:
+                partial[parent] = codec.encode(
+                    reduce_pair(codec.value(partial[parent]), codec.value(received)),
+                    weight[parent],
+                )
         cluster.end_step()
 
-    result = partial[root] if finalize is None else finalize(partial[root])
-    final = [None] * num
-    final[root] = result
+    final = [partial[root]] * num
+    if finalize is not None:
+        final[root] = codec.encode(finalize(codec.value(partial[root])), num)
 
     # Broadcast: shallowest level first.
     for level in levels[1:]:
@@ -96,7 +143,7 @@ def tree_allreduce(
         for rank in level:
             final[rank] = cluster.recv(rank, (rank - 1) // arity, tag="bcast")
         cluster.end_step()
-    return [np.asarray(value, dtype=np.float64) for value in final]
+    return [codec.finish([payload]) for payload in final]
 
 
 def tree_allreduce_mean(

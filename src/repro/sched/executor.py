@@ -116,13 +116,9 @@ class _PlanExecutor:
             elif isinstance(step, FpAllReduce):
                 from repro.allreduce import get_topology
 
-                entry = get_topology(step.topology)
-                if entry.mean_allreduce is None:
-                    raise ValueError(
-                        f"topology {step.topology!r} has no registered "
-                        "full-precision mean all-reduce"
-                    )
-                outputs = entry.mean_allreduce(cluster, vectors)
+                outputs = get_topology(step.topology).mean_allreduce(
+                    cluster, vectors
+                )
             else:
                 raise TypeError(
                     f"unexpected step {type(step).__name__} in a "

@@ -12,13 +12,16 @@ agnostic.
 
 Wire accounting notes for the MAR-extended sign baselines (signSGD-MV,
 EF-signSGD, SSDM): following Section 5 ("we extend them to MAR by
-dynamically changing the bit length"), the sign vectors travel the ring as
-integer sign-sums whose width grows as ``ceil(log2(m + 1)) + 1`` bits per
-element after ``m`` hops (:func:`repro.allreduce.signsum_ring_allreduce`);
-per-worker scales (l2 norms / l1 means) are all-gathered as ``M`` scalars, a
-negligible O(M) extra.  The aggregate is then formed from the decoded signs
-and scales exactly, so the *learning* behaviour matches the PS version while
-the *traffic* exhibits the MAR bit-length expansion the paper measures.
+dynamically changing the bit length"), the sign vectors travel the cluster
+topology's sum schedule as integer sign sums whose width grows as
+``ceil(log2(m + 1)) + 1`` bits per element over ``m`` contributors (the
+registered ``signsum_allreduce``: the topology's schedule under
+:class:`~repro.allreduce.codec.SignSumCodec`).  Per-worker scales (l2 norms
+/ l1 means) are all-gathered as ``M`` scalars, a negligible O(M) extra, on
+topologies that register a scalar all-gather.  The aggregate is then formed
+from the decoded signs and scales exactly, so the *learning* behaviour
+matches the PS version while the *traffic* exhibits the MAR bit-length
+expansion the paper measures.
 """
 
 from __future__ import annotations
@@ -28,13 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.allreduce import get_topology, topology_names
+from repro.allreduce import get_topology
 from repro.allreduce.cascading import cascading_ring_allreduce
-from repro.allreduce.ring import (
-    ring_allgather_scalars,
-    ring_allreduce_mean,
-    signsum_ring_allreduce,
-)
+from repro.allreduce.ring import ring_allreduce_mean
 from repro.comm.bits import signed_int_bit_width
 from repro.comm.cluster import Cluster
 from repro.compression.ef import EFSignCompressor
@@ -83,40 +82,36 @@ def _shared_update(update: np.ndarray, num_workers: int) -> list[np.ndarray]:
     return [update] * num_workers
 
 
-def _registry_entry(cluster: Cluster):
-    """The cluster topology's registry entry, or None if unregistered."""
-    name = cluster.topology.name
-    return get_topology(name) if name in topology_names() else None
-
-
 def _mean_allreduce(cluster: Cluster, vectors: list[np.ndarray]) -> list[np.ndarray]:
     """Registry-driven full-precision mean all-reduce."""
     if cluster.num_workers == 1:
         return [np.asarray(vectors[0], dtype=np.float64).copy()]
-    entry = _registry_entry(cluster)
-    if entry is not None and entry.mean_allreduce is not None:
-        return entry.mean_allreduce(cluster, vectors)
-    return ring_allreduce_mean(cluster, vectors)
+    return get_topology(cluster.topology.name).mean_allreduce(cluster, vectors)
 
 
 def _signsum_allreduce(
     cluster: Cluster, signs: list[np.ndarray]
 ) -> list[np.ndarray]:
     """Registry-driven integer sign-sum all-reduce (with expansion)."""
-    entry = _registry_entry(cluster)
-    if entry is not None and entry.signsum_allreduce is not None:
-        return entry.signsum_allreduce(cluster, signs)
-    return signsum_ring_allreduce(cluster, signs)
+    return get_topology(cluster.topology.name).signsum_allreduce(cluster, signs)
 
 
 def _allgather_scalars(cluster: Cluster, values: list[float]) -> np.ndarray:
-    """All-gather one float per worker along topology links."""
+    """All-gather one float per worker along topology links.
+
+    Raises ``ValueError`` on a topology that registers no scalar
+    all-gather (tree, halving-doubling).
+    """
     if cluster.num_workers == 1:
         return np.array(values, dtype=np.float64)
-    entry = _registry_entry(cluster)
-    if entry is not None and entry.allgather_scalars is not None:
-        return entry.allgather_scalars(cluster, values)
-    return ring_allgather_scalars(cluster, values)
+    name = cluster.topology.name
+    allgather = get_topology(name).allgather_scalars
+    if allgather is None:
+        raise ValueError(
+            f"topology {name!r} registers no allgather_scalars collective; "
+            "EF-signSGD and norm-scaled SSDM need it for per-worker scales"
+        )
+    return allgather(cluster, values)
 
 
 class SyncStrategy(abc.ABC):

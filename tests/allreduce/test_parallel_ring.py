@@ -13,7 +13,7 @@ from repro.comm.timing import Phase
 from repro.comm.topology import torus_topology
 
 
-def _add(received, local, step):
+def _add(received, local, step, rank):
     return np.asarray(received) + local
 
 
