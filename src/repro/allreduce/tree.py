@@ -11,7 +11,14 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.allreduce.codec import SIGN_SUM, FloatCodec, WireCodec, checked_signs
+from repro.allreduce.codec import (
+    FP32,
+    SIGN_SUM,
+    FloatCodec,
+    WireCodec,
+    checked_signs,
+    mean_of,
+)
 from repro.comm.cluster import Cluster
 from repro.sched.plan import (
     Barrier,
@@ -149,10 +156,8 @@ def _tree_allreduce(
 def tree_allreduce_mean(
     cluster: Cluster, vectors: list[np.ndarray]
 ) -> list[np.ndarray]:
-    """Tree all-reduce of the FP32-wire mean (root divides, then broadcasts)."""
-    num = cluster.num_workers
-    wire = [np.asarray(vector, dtype=np.float32) for vector in vectors]
-    return tree_allreduce(cluster, wire, finalize=lambda x: x / num)
+    """Tree all-reduce of the FP32 sum, then the mean (``2 (M - 1)`` hops)."""
+    return mean_of(_tree_allreduce(cluster, vectors, FP32))
 
 
 def compile_tree(context: CompileContext) -> SyncPlan:

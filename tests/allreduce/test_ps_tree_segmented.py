@@ -109,6 +109,22 @@ class TestTreeAllreduce:
         results = tree_allreduce(cluster, vectors)
         assert np.allclose(results[0], np.sum(vectors, axis=0))
 
+    def test_mean_puts_fp32_on_the_wire(self, rng):
+        from repro.allreduce.tree import tree_allreduce_mean
+
+        m, d = 7, 10
+        vectors = [rng.standard_normal(d) for _ in range(m)]
+        cluster = Cluster(tree_topology(m, arity=2))
+        results = tree_allreduce_mean(cluster, vectors)
+        assert cluster.total_bytes == 2 * (m - 1) * 4 * d
+        expected = np.sum(
+            [v.astype(np.float32) for v in vectors], axis=0, dtype=np.float64
+        ) / m
+        for result in results:
+            assert result.dtype == np.float64
+            assert np.allclose(result, expected, atol=1e-6)
+        cluster.assert_drained()
+
     def test_requires_tree(self, rng):
         with pytest.raises(ValueError):
             tree_allreduce(Cluster(ring_topology(3)), [rng.standard_normal(2)] * 3)
