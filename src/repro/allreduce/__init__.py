@@ -1,21 +1,14 @@
 """All-reduce algorithms over the simulated cluster, plus the topology registry.
 
 Each topology family has one sum schedule, parameterized by a wire codec
-(:mod:`repro.allreduce.codec`) that turns a partial sum over ``n`` workers
-into a wire payload: FP32 arrays for the full-precision baseline (PSGD), or
-integer sign sums whose width grows as ``ceil(log2(n + 1)) + 1`` bits for
-the MAR-extended sign baselines (Section 3.1's bit-length expansion).  The
-ring and torus share one cycle kernel (:func:`repro.allreduce.ring.cycle_allreduce`):
-a ring is the one-row torus.  The FP mean is the sum times ``1 / M``.
-
-Marsit's one-bit merge and cascading compression plug a per-hop
-``combine`` into the same ring primitives
-(:func:`parallel_ring_reduce_scatter` / :func:`parallel_ring_all_gather`),
-and the one-bit rounds compile to :class:`~repro.sched.plan.SyncPlan` s.
+(:mod:`repro.allreduce.codec`): FP32 arrays for the full-precision baseline,
+or integer sign sums whose width grows with the number of contributors for
+the MAR-extended sign baselines.  Ring and torus share one cycle kernel
+(:func:`repro.allreduce.ring.cycle_allreduce`): a ring is the one-row torus.
 
 Higher-level collectives: 2D-torus all-reduce, parameter-server emulation,
-tree all-reduce, segmented ring, recursive halving-doubling, and gossip
-averaging.
+tree all-reduce, segmented ring, recursive halving-doubling, cascading
+compression, and gossip averaging.
 
 The :class:`TopologyEntry` registry is the single place a topology plugs in
 its graph builder, its one-bit :class:`~repro.sched.plan.SyncPlan` compiler,
@@ -51,11 +44,9 @@ from repro.allreduce.ring import (
     lockstep_ring_reduce_scatter,
     parallel_ring_all_gather,
     parallel_ring_reduce_scatter,
-    ring_all_gather,
     ring_allgather_scalars,
     ring_allreduce_mean,
     ring_allreduce_sum,
-    ring_reduce_scatter,
     signsum_ring_allreduce,
     split_segments,
 )
@@ -107,11 +98,9 @@ __all__ = [
     "parallel_ring_reduce_scatter",
     "ps_allreduce",
     "register_topology",
-    "ring_all_gather",
     "ring_allgather_scalars",
     "ring_allreduce_mean",
     "ring_allreduce_sum",
-    "ring_reduce_scatter",
     "segmented_ring_allreduce",
     "signsum_halving_doubling_allreduce",
     "signsum_ring_allreduce",
@@ -137,11 +126,11 @@ class TopologyEntry:
     Attributes:
         name: registry key; also the :class:`Topology` family name.
         build: ``build(num_workers, **kwargs) -> Topology`` graph factory.
+        compile_one_bit: SyncPlan compiler for the Marsit one-bit round, or
+            ``None`` if the topology has no one-bit schedule (e.g. star).
         mean_allreduce: full-precision ``(cluster, vectors) -> vectors`` mean.
         signsum_allreduce: ``(cluster, sign_vectors) -> vectors`` integer
             sign sum with bit-length expansion.
-        compile_one_bit: SyncPlan compiler for the Marsit one-bit round, or
-            ``None`` if the topology has no one-bit schedule (e.g. star).
         allgather_scalars: ``(cluster, values) -> np.ndarray`` one-float
             all-gather, or ``None`` if the topology has none; the schemes
             that need one (EF-signSGD, norm-scaled SSDM) then raise.
@@ -153,9 +142,9 @@ class TopologyEntry:
 
     name: str
     build: Callable[..., Topology]
+    compile_one_bit: Callable | None = None
     mean_allreduce: Callable
     signsum_allreduce: Callable
-    compile_one_bit: Callable | None = None
     allgather_scalars: Callable | None = None
     degrade: Callable[[int, dict], Topology | None] | None = None
 

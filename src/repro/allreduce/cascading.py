@@ -23,7 +23,11 @@ import numpy as np
 from repro.comm.cluster import Cluster
 from repro.comm.timing import Phase
 from repro.compression.base import Compressor, Payload
-from repro.allreduce.ring import ring_all_gather, ring_reduce_scatter, split_segments
+from repro.allreduce.ring import (
+    parallel_ring_all_gather,
+    parallel_ring_reduce_scatter,
+    split_segments,
+)
 
 __all__ = ["cascading_ring_allreduce"]
 
@@ -80,14 +84,15 @@ def cascading_ring_allreduce(
         recovered = received.decode()
         return compressor.compress(recovered + local, rng=rngs[rank])
 
-    ring_reduce_scatter(cluster, segments, combine, tag="casc-rs")
+    ring = [list(range(num))]
+    parallel_ring_reduce_scatter(cluster, ring, [segments], combine, tag="casc-rs")
     if charge_time:
         per_hop = cluster.cost_model.decompress_time(
             segment_elems
         ) + cluster.cost_model.compress_time(segment_elems)
         cluster.charge(Phase.COMPRESSION, (num - 1) * per_hop)
 
-    ring_all_gather(cluster, segments, tag="casc-ag")
+    parallel_ring_all_gather(cluster, ring, [segments], tag="casc-ag")
     if charge_time:
         cluster.charge(
             Phase.COMPRESSION,

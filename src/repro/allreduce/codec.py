@@ -1,18 +1,13 @@
-"""Wire codecs: what one all-reduce schedule puts on the wire per hop.
+"""Wire codecs: what a sum schedule puts on the wire per hop.
 
-Every sum schedule (ring/torus cycles, tree, halving-doubling, star) is
-written once and parameterized by a codec that turns a partial sum over
-``contributors`` workers into a wire payload:
-
-- :class:`FloatCodec` — the full-precision baseline (PSGD): segments travel
-  as ``wire_dtype`` arrays (FP32 by default) and accumulate in that dtype.
-- :class:`SignSumCodec` — the MAR-extended sign baselines (signSGD, EF,
-  SSDM): ``int64`` partial sign sums charged at
-  ``ceil(log2(m + 1)) + 1`` bits per element after ``m`` contributions
-  (Section 3.1's bit-length expansion), or at the exact Elias-gamma size.
-
-The FP mean is formed in one place, :func:`mean_of`: the sum schedule's
-per-worker sums times ``1 / M``.
+Each topology has one sum schedule, parameterized by a codec that turns a
+partial sum over ``contributors`` workers into a wire payload.
+:class:`FloatCodec` is the full-precision baseline (PSGD): ``wire_dtype``
+arrays, accumulated in that dtype.  :class:`SignSumCodec` is the
+MAR-extended sign baselines (signSGD, EF, SSDM): ``int64`` sign sums charged
+``ceil(log2(m + 1)) + 1`` bits per element over ``m`` contributors (Section
+3.1's bit-length expansion), or the exact Elias-gamma size.  The FP mean is
+formed in one place, :func:`mean_of`.
 """
 
 from __future__ import annotations
@@ -28,53 +23,60 @@ from repro.comm.timing import Phase
 
 __all__ = [
     "FP32",
-    "FloatCodec",
     "SIGN_SUM",
+    "FloatCodec",
     "SignSumCodec",
-    "WireCodec",
     "checked_signs",
     "mean_of",
+    "signsum_collective",
 ]
 
 
+class _Codec:
+    """Shared codec steps; subclasses define ``encode``, ``value``, ``dtype``."""
+
+    dtype: np.dtype
+
+    def combine(self, received: Any, local: Any, contributors: int) -> Any:
+        """Add a received partial sum into a local one, re-encoded."""
+        return self.encode(self.value(received) + self.value(local), contributors)
+
+    def finish(self, payloads: Sequence[Any]) -> np.ndarray:
+        """One worker's reduced segments, concatenated in the result dtype."""
+        return np.concatenate(
+            [np.asarray(self.value(p), dtype=self.dtype) for p in payloads]
+        )
+
+    def single(self, vector: Any) -> np.ndarray:
+        """The one-worker result: nothing goes on the wire."""
+        return np.asarray(vector, dtype=self.dtype).copy()
+
+
 @dataclass(frozen=True)
-class FloatCodec:
+class FloatCodec(_Codec):
     """Floats on the wire as ``wire_dtype``, accumulated in that dtype."""
 
     wire_dtype: np.dtype = np.dtype(np.float32)
+    dtype = np.dtype(np.float64)
 
     def encode(self, values: Any, contributors: int) -> np.ndarray:
         return np.asarray(values, dtype=self.wire_dtype)
 
-    def combine(
-        self, received: np.ndarray, local: np.ndarray, contributors: int
-    ) -> np.ndarray:
-        return np.asarray(received, dtype=local.dtype) + local
-
     def value(self, payload: np.ndarray) -> np.ndarray:
         return payload
 
-    def finish(self, payloads: Sequence[np.ndarray]) -> np.ndarray:
-        """Concatenate one worker's reduced segments as float64."""
-        return np.concatenate([np.asarray(p, dtype=np.float64) for p in payloads])
-
-    def single(self, vector: Any) -> np.ndarray:
-        """The one-worker result: the input itself, never on the wire."""
-        return np.asarray(vector, dtype=np.float64).copy()
-
 
 @dataclass(frozen=True)
-class SignSumCodec:
+class SignSumCodec(_Codec):
     """Integer partial sign sums with bit-length expansion.
 
-    ``elias_coded`` charges each hop at the exact Elias-gamma code of the
-    zigzagged partial sums (the Section 5 "Elias coding to compact the
-    transmission message" baseline) instead of the fixed expanded width:
-    shorter on average (small sums dominate), still more than one bit per
-    element.
+    ``elias_coded`` charges each hop the exact Elias-gamma code of its
+    zigzagged partial sums (the Section 5 "Elias coding" baseline) instead
+    of the fixed width: shorter on average, still above one bit per element.
     """
 
     elias_coded: bool = False
+    dtype = np.dtype(np.int64)
 
     def encode(self, values: Any, contributors: int) -> SizedPayload:
         values = np.asarray(values, dtype=np.int64)
@@ -90,24 +92,11 @@ class SignSumCodec:
             nbytes = (bits * int(values.size) + 7) // 8
         return SizedPayload(value=values, nbytes=nbytes)
 
-    def combine(
-        self, received: SizedPayload, local: SizedPayload, contributors: int
-    ) -> SizedPayload:
-        return self.encode(received.value + local.value, contributors)
-
     def value(self, payload: SizedPayload) -> np.ndarray:
         return payload.value
 
-    def finish(self, payloads: Sequence[SizedPayload]) -> np.ndarray:
-        """Concatenate one worker's reduced segments as int64."""
-        return np.concatenate([p.value for p in payloads])
-
-    def single(self, vector: Any) -> np.ndarray:
-        return np.asarray(vector, dtype=np.int64).copy()
-
 
 WireCodec = Union[FloatCodec, SignSumCodec]
-
 FP32 = FloatCodec()
 SIGN_SUM = SignSumCodec()
 
@@ -121,11 +110,7 @@ def mean_of(sums: list[np.ndarray]) -> list[np.ndarray]:
 def checked_signs(
     cluster: Cluster, sign_vectors: list[np.ndarray], charge_compression: bool
 ) -> list[np.ndarray]:
-    """Validate ``{-1, +1}`` inputs and charge their sign extraction.
-
-    The common prologue of every sign-sum collective; returns the vectors
-    unchanged for the sum schedule.
-    """
+    """Every sign-sum collective's prologue: check ``{-1, +1}``, charge time."""
     for vector in sign_vectors:
         array = np.asarray(vector)
         if array.size and not ((array == -1) | (array == 1)).all():
@@ -134,3 +119,14 @@ def checked_signs(
         total = sum(int(np.asarray(v).size) for v in sign_vectors)
         cluster.charge(Phase.COMPRESSION, cluster.cost_model.compress_time(total))
     return sign_vectors
+
+
+def signsum_collective(schedule):
+    """``signsum(cluster, sign_vectors, charge_compression=True)`` over a
+    sum ``schedule(cluster, vectors, codec=...)``."""
+
+    def signsum(cluster, sign_vectors, charge_compression=True):
+        signs = checked_signs(cluster, sign_vectors, charge_compression)
+        return schedule(cluster, signs, codec=SIGN_SUM)
+
+    return signsum

@@ -21,11 +21,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.allreduce.codec import (
-    SIGN_SUM,
     FloatCodec,
     WireCodec,
-    checked_signs,
     mean_of,
+    signsum_collective,
 )
 from repro.allreduce.ring import split_segments
 from repro.comm.cluster import Cluster
@@ -168,21 +167,6 @@ def halving_doubling_allreduce_mean(
     return mean_of(halving_doubling_allreduce_sum(cluster, vectors, wire_dtype))
 
 
-def signsum_halving_doubling_allreduce(
-    cluster: Cluster,
-    sign_vectors: list[np.ndarray],
-    charge_compression: bool = True,
-) -> list[np.ndarray]:
-    """Integer sign-sum butterfly all-reduce, with bit-length expansion.
-
-    Halving step ``s`` carries partial sums over ``2^s`` workers at their
-    signed width; the doubling phase carries full sums.
-    """
-    return _halving_doubling(
-        cluster, checked_signs(cluster, sign_vectors, charge_compression), SIGN_SUM
-    )
-
-
 def _halving_doubling(
     cluster: Cluster, vectors: list[np.ndarray], codec: WireCodec
 ) -> list[np.ndarray]:
@@ -246,3 +230,7 @@ def _halving_doubling(
         cluster.end_step(tag=tag)
         owned = [sorted(owned[rank] + owned[rank ^ bit]) for rank in range(num)]
     return [codec.finish(row) for row in segs]
+
+
+signsum_halving_doubling_allreduce = signsum_collective(_halving_doubling)
+"""Integer sign sums: halving step ``s`` carries sums over ``2^(s+1)`` workers."""

@@ -14,7 +14,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.allreduce.codec import SIGN_SUM, checked_signs
+from repro.allreduce.codec import WireCodec, signsum_collective
 from repro.comm.cluster import Cluster
 
 __all__ = [
@@ -112,26 +112,20 @@ def star_allreduce_mean(
     return [np.asarray(m, dtype=np.float64) for m in mean]
 
 
-def signsum_star_allreduce(
-    cluster: Cluster,
-    sign_vectors: list[np.ndarray],
-    charge_compression: bool = True,
-) -> list[np.ndarray]:
-    """Integer sign sum through the server: one-bit uploads, full-sum download.
-
-    The server adds the decoded uploads; the broadcast is charged at the
-    signed width of a sum over all ``M`` workers.
-    """
-    codec = SIGN_SUM
+def _star_sum(cluster: Cluster, vectors: list, codec: WireCodec) -> list:
+    """Sum through the server; the broadcast covers all ``M`` workers."""
     num = cluster.num_workers
-    signs = checked_signs(cluster, sign_vectors, charge_compression)
-    results = ps_allreduce(
+    totals = ps_allreduce(
         cluster,
-        [codec.encode(vector, 1) for vector in signs],
+        [codec.encode(vector, 1) for vector in vectors],
         aggregate=lambda values: codec.encode(np.sum(values, axis=0), num),
         decode=codec.value,
     )
-    return [codec.finish([result]) for result in results]
+    return [codec.finish([total]) for total in totals]
+
+
+signsum_star_allreduce = signsum_collective(_star_sum)
+"""Integer sign sums through the server: one-bit uploads, full-width download."""
 
 
 def star_allgather_scalars(

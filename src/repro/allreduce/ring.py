@@ -8,12 +8,10 @@ then circulate the owned segments until everyone holds the full result.
 Total traffic per worker: ``2 (M - 1) D / M`` elements — the
 ``2 (M - 1) x D`` weights of Section 3.1 summed over the ring.
 
-The sums run through one kernel, :func:`cycle_allreduce`, shared with the
-2D torus: a ring is the one-row torus, and a wire codec
-(:mod:`repro.allreduce.codec`) decides whether the hops carry FP32 floats
-or expanding integer sign sums.  The reduce-scatter itself takes a
-pluggable per-hop ``combine``, which is how cascading compression rides the
-same schedule; Marsit's one-bit rounds compile the same walk into a
+Sums run through :func:`cycle_allreduce`, the kernel shared with the 2D
+torus (a ring is the one-row torus) under a wire codec
+(:mod:`repro.allreduce.codec`).  Cascading compression plugs a per-hop
+``combine`` into the same walk; Marsit's one-bit round compiles it into a
 :class:`~repro.sched.plan.SyncPlan` (:func:`compile_ring`).
 """
 
@@ -61,11 +59,9 @@ __all__ = [
     "lockstep_ring_reduce_scatter",
     "parallel_ring_all_gather",
     "parallel_ring_reduce_scatter",
-    "ring_all_gather",
     "ring_allgather_scalars",
     "ring_allreduce_mean",
     "ring_allreduce_sum",
-    "ring_reduce_scatter",
     "signsum_ring_allreduce",
     "split_segments",
 ]
@@ -74,11 +70,10 @@ _WORD_DTYPE = np.dtype("<u8")
 _WORD_BITS = 64
 
 Combine = Callable[[Any, Any, int, int], Any]
-"""(received_payload, local_segment, step_index, receiving_rank) -> new segment.
+"""(received, local_segment, step, receiving_rank) -> new local segment.
 
-The step index says how many contributions the received payload carries
-(``step + 1``); the rank lets stateful combiners (per-worker RNG streams,
-per-rank compensation) keep per-worker state without call counters.
+The received payload carries ``step + 1`` contributions; the rank keys
+per-worker state (RNG streams) of stateful combiners.
 """
 
 
@@ -564,47 +559,6 @@ def compile_ring(context: CompileContext) -> SyncPlan:
     )
 
 
-def ring_reduce_scatter(
-    cluster: Cluster,
-    segments: list[list[Any]],
-    combine: Combine,
-    ranks: Sequence[int] | None = None,
-    tag: str = "rs",
-) -> list[int]:
-    """Run the reduce phase over one ring of ``ranks``.
-
-    Args:
-        cluster: the simulated cluster (sends must follow topology edges).
-        segments: ``segments[p][i]`` is the ``i``-th segment held by the
-            worker at ring position ``p``; mutated in place.
-        combine: folds a received payload into the local segment (see
-            :data:`Combine`).
-        ranks: the ordered ring cycle; defaults to all workers ``0..M-1``.
-
-    Returns:
-        ``owned[p]``: the segment index fully reduced at ring position ``p``.
-    """
-    cycle = _ring_ranks(cluster, ranks)
-    return parallel_ring_reduce_scatter(
-        cluster, [cycle], [segments], combine, tag=tag
-    )[0]
-
-
-def ring_all_gather(
-    cluster: Cluster,
-    segments: list[list[Any]],
-    ranks: Sequence[int] | None = None,
-    tag: str = "ag",
-) -> None:
-    """Run the gather phase: circulate owned segments until all are shared.
-
-    Assumes the ownership layout produced by :func:`ring_reduce_scatter`
-    (position ``p`` owns segment ``(p + 1) % size``); mutates ``segments``.
-    """
-    cycle = _ring_ranks(cluster, ranks)
-    parallel_ring_all_gather(cluster, [cycle], [segments], tag=tag)
-
-
 def cycle_allreduce(
     cluster: Cluster,
     vectors: Sequence[np.ndarray],
@@ -613,105 +567,62 @@ def cycle_allreduce(
     cols: Sequence[Sequence[int]] = (),
     tags: tuple[str, str] = ("", ""),
 ) -> list[np.ndarray]:
-    """The one sum schedule over disjoint rank cycles (ring and torus).
+    """The one sum schedule over disjoint rank cycles: ring and torus.
 
-    Three phases, every cycle of a phase advancing in lockstep:
-
-    1. reduce-scatter along every row cycle (segments of ``D / len(row)``),
-    2. all-reduce of each worker's owned row segment along every column
-       cycle, when ``cols`` has cycles longer than one,
-    3. all-gather along every row cycle.
-
-    A ring is one row cycle and no columns; a ``rows x cols`` torus is its
-    row rings then its column rings.  ``codec`` sizes every hop from the
-    number of workers the partial sum covers (see
-    :mod:`repro.allreduce.codec`).
-
-    Args:
-        vectors: ``vectors[i]`` belongs to the ``i``-th rank of the
-            row-major flattening of ``rows``.
-        rows: equal-length, disjoint row cycles covering the participants.
-        cols: column cycles over the same ranks; each column rank
-            contributes its owned row segment (a sum over a whole row).
-        tags: message-tag prefixes of the row and column phases; the
-            phases send ``{prefix}rs:{step}`` and ``{prefix}ag:{step}``.
-
-    Returns:
-        Per-participant results, in the order of ``vectors``.
+    Row cycles reduce-scatter; column cycles (if longer than one) all-reduce
+    each rank's owned row segment, a sum over its row; row cycles then
+    all-gather.  A phase's cycles advance in lockstep; a ring is one row and
+    no columns.  ``vectors[i]`` (and result ``i``) belongs to rank ``i`` of
+    ``rows`` flattened; ``codec`` sizes each hop by the workers its partial
+    sum covers; ``tags`` prefix the row and column phases' message tags.
     """
     ranks = [rank for row in rows for rank in row]
     if len(vectors) != len(ranks):
         raise ValueError(f"expected {len(ranks)} vectors, got {len(vectors)}")
-    dimension = int(np.asarray(vectors[0]).size)
-    if any(int(np.asarray(vector).size) != dimension for vector in vectors):
+    if len({int(np.asarray(vector).size) for vector in vectors}) > 1:
         raise ValueError("all vectors must share one dimension")
     if len(ranks) == 1:
         return [codec.single(vectors[0])]
-    row_tag, col_tag = tags
     size = len(rows[0])
-    lane = {rank: index for index, rank in enumerate(ranks)}
-    segments = [
-        [
-            [
-                codec.encode(part, 1)
-                for part in split_segments(vectors[lane[rank]], size, copy=False)
-            ]
-            for rank in row
+
+    def split(vector, parts, contributors):
+        return [
+            codec.encode(part, contributors)
+            for part in split_segments(vector, parts, copy=False)
         ]
-        for row in rows
-    ]
-    owned = [[0] * size for _ in rows]
-    if size > 1:
-        owned = parallel_ring_reduce_scatter(
-            cluster,
-            rows,
-            segments,
-            lambda received, local, step, rank: codec.combine(
-                received, local, step + 2
-            ),
-            tag=f"{row_tag}rs",
+
+    def reduce_scatter(cycles, segments, base, tag):
+        def combine(received, local, step, rank):
+            return codec.combine(received, local, (step + 2) * base)
+
+        return parallel_ring_reduce_scatter(
+            cluster, cycles, segments, combine, tag=f"{tag}rs"
         )
+
+    segments = [
+        [split(vectors[c * size + p], size, 1) for p in range(size)]
+        for c in range(len(rows))
+    ]
+    owned = reduce_scatter(rows, segments, 1, tags[0]) if size > 1 else None
     held = {
-        rank: (segments[c][p], owned[c][p])
+        rank: (segments[c][p], owned[c][p] if owned else 0)
         for c, row in enumerate(rows)
         for p, rank in enumerate(row)
     }
     if cols and len(cols[0]) > 1:
         col_segments = [
-            [
-                [
-                    codec.encode(part, size)
-                    for part in split_segments(
-                        codec.value(held[rank][0][held[rank][1]]),
-                        len(col),
-                        copy=False,
-                    )
-                ]
-                for rank in col
-            ]
+            [split(codec.value(held[r][0][held[r][1]]), len(col), size) for r in col]
             for col in cols
         ]
-        parallel_ring_reduce_scatter(
-            cluster,
-            cols,
-            col_segments,
-            lambda received, local, step, rank: codec.combine(
-                received, local, (step + 2) * size
-            ),
-            tag=f"{col_tag}rs",
-        )
-        parallel_ring_all_gather(cluster, cols, col_segments, tag=f"{col_tag}ag")
-        for c, col in enumerate(cols):
-            for p, rank in enumerate(col):
+        reduce_scatter(cols, col_segments, size, tags[1])
+        parallel_ring_all_gather(cluster, cols, col_segments, tag=f"{tags[1]}ag")
+        for col, col_segs in zip(cols, col_segments):
+            for rank, parts in zip(col, col_segs):
                 row_segments, own = held[rank]
-                row_segments[own] = codec.encode(
-                    np.concatenate(
-                        [codec.value(part) for part in col_segments[c][p]]
-                    ),
-                    len(ranks),
-                )
+                merged = np.concatenate([codec.value(part) for part in parts])
+                row_segments[own] = codec.encode(merged, len(ranks))
     if size > 1:
-        parallel_ring_all_gather(cluster, rows, segments, tag=f"{row_tag}ag")
+        parallel_ring_all_gather(cluster, rows, segments, tag=f"{tags[0]}ag")
     return [codec.finish(held[rank][0]) for rank in ranks]
 
 
@@ -722,11 +633,9 @@ def cycle_allgather_scalars(
 ) -> np.ndarray:
     """All-gather one float per worker by circulating along rank cycles.
 
-    Each phase is a set of disjoint, equal-length cycles walked in lockstep
-    (``len - 1`` steps); a worker forwards, per step, everything one cycle
-    peer held when the phase began.  A ring is the single phase
-    ``[[0, ..., M - 1]]``; a torus circulates scalars along its rows, then
-    each worker's whole row along its columns.
+    Each phase walks disjoint, equal-length cycles in lockstep; per step a
+    worker forwards what one cycle peer held when the phase began.  A ring
+    is one phase, a torus its rows then its columns.
     """
     num = cluster.num_workers
     if len(values) != num:
@@ -763,9 +672,8 @@ def ring_allreduce_sum(
 ) -> list[np.ndarray]:
     """Full-precision ring all-reduce; returns the per-worker sums.
 
-    Floats travel and accumulate as ``wire_dtype`` (FP32 by default,
-    matching the paper's non-compressed baseline); the sums are returned
-    as float64.  ``ranks`` selects a sub-ring (default: all workers).
+    Floats travel and accumulate as ``wire_dtype`` (FP32 by default, the
+    paper's non-compressed baseline).  ``ranks`` selects a sub-ring.
     """
     return cycle_allreduce(
         cluster, vectors, FloatCodec(wire_dtype), [_ring_ranks(cluster, ranks)]
@@ -796,23 +704,15 @@ def signsum_ring_allreduce(
     charge_compression: bool = True,
     elias_coded: bool = False,
 ) -> list[np.ndarray]:
-    """Ring all-reduce of integer sign sums with bit-length expansion.
+    """Ring all-reduce of ``{-1, +1}`` sign sums with bit-length expansion.
 
-    The linear SSDM-under-MAR baseline of Section 3.1 on a ring: workers
-    all-reduce the coordinate-wise *sum of signs*.  A partial sum over ``m``
-    workers lies in ``[-m, +m]`` and is charged
-    ``ceil(log2(m + 1)) + 1`` bits per element on the wire
-    (:class:`~repro.allreduce.codec.SignSumCodec`), so the message grows
-    every hop up to ``~log2(M)`` bits — never back down to one bit.
-
-    Args:
-        sign_vectors: per-worker ``{-1, +1}`` vectors.
-        charge_compression: charge sign-extraction time to the timeline.
-        elias_coded: charge each hop at the exact Elias-gamma size instead
-            of the fixed expanded width.
-
-    Returns:
-        Per-worker integer sum vectors (all equal).
+    The SSDM-under-MAR baseline of Section 3.1: a partial sum over ``m``
+    workers is charged ``ceil(log2(m + 1)) + 1`` bits per element, so hops
+    grow to ``~log2(M)`` bits and never shrink back to one.
+    ``charge_compression`` charges sign extraction to the timeline;
+    ``elias_coded`` charges the exact Elias-gamma size instead of the fixed
+    width (:class:`~repro.allreduce.codec.SignSumCodec`).  Returns the
+    per-worker integer sums (all equal).
     """
     return cycle_allreduce(
         cluster,

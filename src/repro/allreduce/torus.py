@@ -53,7 +53,6 @@ __all__ = [
     "torus_allreduce_mean",
     "torus_allreduce_sum",
     "torus_cycles",
-    "torus_rows_cols",
 ]
 
 
@@ -135,14 +134,6 @@ def compile_torus(context: CompileContext) -> SyncPlan:
     )
 
 
-def torus_rows_cols(cluster: Cluster) -> tuple[int, int]:
-    """Extract the grid shape from a torus cluster, validating topology."""
-    meta = cluster.topology.meta
-    if cluster.topology.name != "torus" or "rows" not in meta:
-        raise ValueError("torus_allreduce requires a torus topology")
-    return meta["rows"], meta["cols"]
-
-
 def row_cycles(rows: int, cols: int) -> list[list[int]]:
     """Rank cycles of every row ring, row-major layout."""
     return [[r * cols + c for c in range(cols)] for r in range(rows)]
@@ -155,7 +146,10 @@ def col_cycles(rows: int, cols: int) -> list[list[int]]:
 
 def torus_cycles(cluster: Cluster) -> tuple[list[list[int]], list[list[int]]]:
     """Row and column cycles of a torus cluster, validating topology."""
-    rows, cols = torus_rows_cols(cluster)
+    meta = cluster.topology.meta
+    if cluster.topology.name != "torus" or "rows" not in meta:
+        raise ValueError("torus_allreduce requires a torus topology")
+    rows, cols = meta["rows"], meta["cols"]
     return row_cycles(rows, cols), col_cycles(rows, cols)
 
 

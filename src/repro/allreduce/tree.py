@@ -13,11 +13,10 @@ import numpy as np
 
 from repro.allreduce.codec import (
     FP32,
-    SIGN_SUM,
     FloatCodec,
     WireCodec,
-    checked_signs,
     mean_of,
+    signsum_collective,
 )
 from repro.comm.cluster import Cluster
 from repro.sched.plan import (
@@ -42,8 +41,6 @@ __all__ = [
     "tree_allreduce_mean",
 ]
 
-_FP64 = FloatCodec(np.dtype(np.float64))
-
 
 def _levels(num_workers: int, arity: int) -> list[list[int]]:
     """Group ranks by depth in the implicit arity-ary heap layout."""
@@ -60,50 +57,18 @@ def _levels(num_workers: int, arity: int) -> list[list[int]]:
 def tree_allreduce(
     cluster: Cluster,
     vectors: list[np.ndarray],
-    reduce_pair: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-    finalize: Callable[[np.ndarray], Any] | None = None,
+    reduce_pair: Callable[[Any, Any], Any] | None = None,
+    finalize: Callable[[Any], Any] | None = None,
+    codec: WireCodec = FloatCodec(np.dtype(np.float64)),
 ) -> list[np.ndarray]:
-    """All-reduce over a tree topology, float64 on the wire.
+    """All-reduce over a tree topology: reduce up, broadcast down.
 
-    Args:
-        cluster: must use ``tree_topology``.
-        vectors: per-worker vectors.
-        reduce_pair: pairwise fold; defaults to addition.
-        finalize: applied at the root before broadcast (e.g. divide by M).
-
-    Returns:
-        Per-worker results (all equal to the finalized root value).
-    """
-    return _tree_allreduce(cluster, vectors, _FP64, reduce_pair, finalize)
-
-
-def signsum_tree_allreduce(
-    cluster: Cluster,
-    sign_vectors: list[np.ndarray],
-    charge_compression: bool = True,
-) -> list[np.ndarray]:
-    """Integer sign-sum all-reduce on a tree, with bit-length expansion.
-
-    Each upward hop carries the sum over the sender's subtree, charged at
-    that subtree's signed width; the broadcast carries the full sum.
-    """
-    return _tree_allreduce(
-        cluster, checked_signs(cluster, sign_vectors, charge_compression), SIGN_SUM
-    )
-
-
-def _tree_allreduce(
-    cluster: Cluster,
-    vectors: list[np.ndarray],
-    codec: WireCodec,
-    reduce_pair: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-    finalize: Callable[[np.ndarray], Any] | None = None,
-) -> list[np.ndarray]:
-    """The tree sum schedule: reduce up level by level, broadcast down.
-
-    Depth-synchronous: every level is one step.  ``codec`` sizes each
-    upward hop by the sender's subtree size — the running weights
-    :func:`compile_tree` merges with.
+    Depth-synchronous: every tree level is one step.  ``codec`` sizes each
+    upward hop by the sender's subtree size (the running weights
+    :func:`compile_tree` merges with); the default puts float64 on the wire.
+    ``reduce_pair`` folds two wire payloads (default: the codec's sum);
+    ``finalize`` maps the root's total before the broadcast.  Returns the
+    per-worker results, all equal.
     """
     meta = cluster.topology.meta
     if cluster.topology.name != "tree" or "arity" not in meta:
@@ -131,15 +96,12 @@ def _tree_allreduce(
                     received, partial[parent], weight[parent]
                 )
             else:
-                partial[parent] = codec.encode(
-                    reduce_pair(codec.value(partial[parent]), codec.value(received)),
-                    weight[parent],
-                )
+                partial[parent] = reduce_pair(partial[parent], received)
         cluster.end_step()
 
     final = [partial[root]] * num
     if finalize is not None:
-        final[root] = codec.encode(finalize(codec.value(partial[root])), num)
+        final[root] = finalize(partial[root])
 
     # Broadcast: shallowest level first.
     for level in levels[1:]:
@@ -153,11 +115,15 @@ def _tree_allreduce(
     return [codec.finish([payload]) for payload in final]
 
 
+signsum_tree_allreduce = signsum_collective(tree_allreduce)
+"""Integer sign sums up the tree, each hop at its subtree's signed width."""
+
+
 def tree_allreduce_mean(
     cluster: Cluster, vectors: list[np.ndarray]
 ) -> list[np.ndarray]:
     """Tree all-reduce of the FP32 sum, then the mean (``2 (M - 1)`` hops)."""
-    return mean_of(_tree_allreduce(cluster, vectors, FP32))
+    return mean_of(tree_allreduce(cluster, vectors, codec=FP32))
 
 
 def compile_tree(context: CompileContext) -> SyncPlan:

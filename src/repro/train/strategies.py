@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.allreduce import get_topology
 from repro.allreduce.cascading import cascading_ring_allreduce
-from repro.allreduce.ring import ring_allreduce_mean
 from repro.comm.bits import signed_int_bit_width
 from repro.comm.cluster import Cluster
 from repro.compression.ef import EFSignCompressor
@@ -97,11 +96,7 @@ def _signsum_allreduce(
 
 
 def _allgather_scalars(cluster: Cluster, values: list[float]) -> np.ndarray:
-    """All-gather one float per worker along topology links.
-
-    Raises ``ValueError`` on a topology that registers no scalar
-    all-gather (tree, halving-doubling).
-    """
+    """All-gather one float per worker; raises if the topology has none."""
     if cluster.num_workers == 1:
         return np.array(values, dtype=np.float64)
     name = cluster.topology.name
@@ -263,7 +258,7 @@ class SignSGDMajorityStrategy(SyncStrategy):
     """signSGD with majority vote (Bernstein et al.), extended to MAR.
 
     Workers take the sign of their (momentum-smoothed) gradient; signs are
-    summed over the ring with growing bit width; the update is
+    summed over the topology with growing bit width; the update is
     ``lr * sign(sum)`` — majority vote, ties to +1.
     """
 
@@ -308,7 +303,7 @@ class EFSignSGDStrategy(SyncStrategy):
 
     Each worker compresses its momentum-smoothed gradient to a scaled sign
     with local error feedback; the mean of the decoded worker messages is the
-    update.  Signs ride the expanding sign-sum ring; scales are all-gathered.
+    update.  Signs ride the expanding sign sum; scales are all-gathered.
     """
 
     name = "ef-signsgd"
@@ -358,7 +353,7 @@ class SSDMStrategy(SyncStrategy):
     as the method's name says: magnitude information enters only through the
     flip probabilities, so the step size is controlled by ``lr`` like
     signSGD, not by the (huge) l2 norm.  The sign sums ride the expanding
-    integer ring (Section 3.1's bit-length growth).
+    integer sum schedule (Section 3.1's bit-length growth).
 
     ``norm_scaled=True`` switches to the raw unbiased estimator
     ``lr * mean_m(norm_m * sign~_m)`` (Appendix A's ``s_2``) — much higher
@@ -507,8 +502,8 @@ class PowerSGDStrategy(SyncStrategy):
 
     The gradient matrix is approximated as ``P Q^T`` by one warm-started
     subspace iteration with error feedback.  Distributed form: all workers
-    all-reduce ``P = G Q`` (first ring pass), orthonormalize identically,
-    then all-reduce ``Q = G^T P_hat`` (second ring pass) — the two passes
+    all-reduce ``P = G Q`` (first all-reduce pass), orthonormalize identically,
+    then all-reduce ``Q = G^T P_hat`` (second pass) — the two passes
     are *sequential* because the second depends on the first, which is
     exactly the paper's Section 2 criticism: "requires to transmit multiple
     sequential vectors at a synchronization, which undermines the training
@@ -568,18 +563,12 @@ class PowerSGDStrategy(SyncStrategy):
 
         # First sequential pass: all-reduce P = G Q.
         p_locals = [(g @ self._q).reshape(-1) for g in matrices]
-        if cluster.num_workers > 1:
-            p_mean = ring_allreduce_mean(cluster, p_locals)[0]
-        else:
-            p_mean = p_locals[0]
+        p_mean = _mean_allreduce(cluster, p_locals)[0]
         p_hat, _ = np.linalg.qr(p_mean.reshape(rows, rank))
 
         # Second sequential pass: all-reduce Q = G^T P_hat.
         q_locals = [(g.T @ p_hat).reshape(-1) for g in matrices]
-        if cluster.num_workers > 1:
-            q_mean = ring_allreduce_mean(cluster, q_locals)[0]
-        else:
-            q_mean = q_locals[0]
+        q_mean = _mean_allreduce(cluster, q_locals)[0]
         self._q = q_mean.reshape(cols, rank)
 
         decoded_flat = (p_hat @ self._q.T).reshape(-1)[:dimension]
