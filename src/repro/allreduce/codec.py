@@ -33,7 +33,12 @@ __all__ = [
 
 
 class _Codec:
-    """Shared codec steps; subclasses define ``encode``, ``value``, ``dtype``."""
+    """Shared codec steps.
+
+    Subclasses define ``cast`` (values in the wire's value dtype),
+    ``encode`` (values to a sized payload), ``value`` (payload to values)
+    and ``dtype`` (the result dtype).
+    """
 
     dtype: np.dtype
 
@@ -59,8 +64,11 @@ class FloatCodec(_Codec):
     wire_dtype: np.dtype = np.dtype(np.float32)
     dtype = np.dtype(np.float64)
 
-    def encode(self, values: Any, contributors: int) -> np.ndarray:
+    def cast(self, values: Any) -> np.ndarray:
         return np.asarray(values, dtype=self.wire_dtype)
+
+    def encode(self, values: Any, contributors: int) -> np.ndarray:
+        return self.cast(values)
 
     def value(self, payload: np.ndarray) -> np.ndarray:
         return payload
@@ -78,8 +86,11 @@ class SignSumCodec(_Codec):
     elias_coded: bool = False
     dtype = np.dtype(np.int64)
 
+    def cast(self, values: Any) -> np.ndarray:
+        return np.asarray(values, dtype=np.int64)
+
     def encode(self, values: Any, contributors: int) -> SizedPayload:
-        values = np.asarray(values, dtype=np.int64)
+        values = self.cast(values)
         if self.elias_coded and values.size:
             # A sum of m iid signs lives on {-m, -m+2, ..., m} with a
             # binomial peak at 0; re-index by half-steps from the mode so

@@ -186,7 +186,7 @@ def _halving_doubling(
     segs = [
         [
             codec.encode(part, 1)
-            for part in split_segments(np.asarray(vector), num, copy=False)
+            for part in split_segments(codec.cast(vector), num, copy=False)
         ]
         for vector in vectors
     ]

@@ -600,7 +600,7 @@ def cycle_allreduce(
         )
 
     segments = [
-        [split(vectors[c * size + p], size, 1) for p in range(size)]
+        [split(codec.cast(vectors[c * size + p]), size, 1) for p in range(size)]
         for c in range(len(rows))
     ]
     owned = reduce_scatter(rows, segments, 1, tags[0]) if size > 1 else None
