@@ -22,7 +22,6 @@ from repro.comm.cluster import Cluster, SizedPayload
 from repro.comm.timing import Phase
 
 __all__ = [
-    "FP32",
     "SIGN_SUM",
     "FloatCodec",
     "SignSumCodec",
@@ -33,14 +32,20 @@ __all__ = [
 
 
 class _Codec:
-    """Shared codec steps.
+    """Shared codec steps.  A payload is the values cast to ``wire_dtype``
+    unless the codec sizes it in ``encode``; ``dtype`` is the result dtype."""
 
-    Subclasses define ``cast`` (values in the wire's value dtype),
-    ``encode`` (values to a sized payload), ``value`` (payload to values)
-    and ``dtype`` (the result dtype).
-    """
-
+    wire_dtype: np.dtype
     dtype: np.dtype
+
+    def cast(self, values: Any) -> np.ndarray:
+        return np.asarray(values, dtype=self.wire_dtype)
+
+    def encode(self, values: Any, contributors: int) -> Any:
+        return self.cast(values)
+
+    def value(self, payload: Any) -> np.ndarray:
+        return payload
 
     def combine(self, received: Any, local: Any, contributors: int) -> Any:
         """Add a received partial sum into a local one, re-encoded."""
@@ -64,15 +69,6 @@ class FloatCodec(_Codec):
     wire_dtype: np.dtype = np.dtype(np.float32)
     dtype = np.dtype(np.float64)
 
-    def cast(self, values: Any) -> np.ndarray:
-        return np.asarray(values, dtype=self.wire_dtype)
-
-    def encode(self, values: Any, contributors: int) -> np.ndarray:
-        return self.cast(values)
-
-    def value(self, payload: np.ndarray) -> np.ndarray:
-        return payload
-
 
 @dataclass(frozen=True)
 class SignSumCodec(_Codec):
@@ -84,10 +80,7 @@ class SignSumCodec(_Codec):
     """
 
     elias_coded: bool = False
-    dtype = np.dtype(np.int64)
-
-    def cast(self, values: Any) -> np.ndarray:
-        return np.asarray(values, dtype=np.int64)
+    wire_dtype = dtype = np.dtype(np.int64)
 
     def encode(self, values: Any, contributors: int) -> SizedPayload:
         values = self.cast(values)
@@ -108,7 +101,6 @@ class SignSumCodec(_Codec):
 
 
 WireCodec = Union[FloatCodec, SignSumCodec]
-FP32 = FloatCodec()
 SIGN_SUM = SignSumCodec()
 
 

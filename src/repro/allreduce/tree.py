@@ -12,7 +12,6 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.allreduce.codec import (
-    FP32,
     FloatCodec,
     WireCodec,
     mean_of,
@@ -123,7 +122,7 @@ def tree_allreduce_mean(
     cluster: Cluster, vectors: list[np.ndarray]
 ) -> list[np.ndarray]:
     """Tree all-reduce of the FP32 sum, then the mean (``2 (M - 1)`` hops)."""
-    return mean_of(tree_allreduce(cluster, vectors, codec=FP32))
+    return mean_of(tree_allreduce(cluster, vectors, codec=FloatCodec()))
 
 
 def compile_tree(context: CompileContext) -> SyncPlan:

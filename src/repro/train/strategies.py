@@ -12,16 +12,14 @@ agnostic.
 
 Wire accounting notes for the MAR-extended sign baselines (signSGD-MV,
 EF-signSGD, SSDM): following Section 5 ("we extend them to MAR by
-dynamically changing the bit length"), the sign vectors travel the cluster
-topology's sum schedule as integer sign sums whose width grows as
-``ceil(log2(m + 1)) + 1`` bits per element over ``m`` contributors (the
-registered ``signsum_allreduce``: the topology's schedule under
-:class:`~repro.allreduce.codec.SignSumCodec`).  Per-worker scales (l2 norms
-/ l1 means) are all-gathered as ``M`` scalars, a negligible O(M) extra, on
-topologies that register a scalar all-gather.  The aggregate is then formed
-from the decoded signs and scales exactly, so the *learning* behaviour
-matches the PS version while the *traffic* exhibits the MAR bit-length
-expansion the paper measures.
+dynamically changing the bit length"), the sign vectors travel the
+topology's sum schedule as integer sign sums of ``ceil(log2(m + 1)) + 1``
+bits per element over ``m`` contributors (its registered
+``signsum_allreduce``); per-worker scales (l2 norms / l1 means) are
+all-gathered as ``M`` scalars, a negligible O(M) extra.  The aggregate is
+then formed from the decoded signs and scales exactly, so the *learning*
+behaviour matches the PS version while the *traffic* exhibits the MAR
+bit-length expansion the paper measures.
 """
 
 from __future__ import annotations
