@@ -244,37 +244,67 @@ class PackedLaneGrid:
     def width(self) -> int:
         return self.words.shape[2]
 
+    @staticmethod
+    def segment_spans(dimension: int, num_segments: int) -> list[tuple[int, int]]:
+        """``(column offset, length)`` of each segment of ``dimension`` columns.
+
+        The :func:`split_segments` (``np.array_split``) cut: the first
+        ``dimension % num_segments`` segments get one extra column.
+        """
+        spans = []
+        offset = 0
+        for length in plan_segment_lengths(dimension, num_segments):
+            spans.append((offset, length))
+            offset += length
+        return spans
+
+    @classmethod
+    def zeros(
+        cls, lanes: int, dimension: int, num_segments: int
+    ) -> "PackedLaneGrid":
+        """An all-zero grid laid out for a ``(lanes, dimension)`` matrix.
+
+        Segments follow :meth:`segment_spans`, and ``width`` holds the
+        longest.  :meth:`from_sign_matrix` fills this layout, and so may any
+        packer that writes segment words directly.
+        """
+        if num_segments < 1:
+            raise ValueError("num_segments must be >= 1")
+        seg_lengths = np.array(
+            plan_segment_lengths(dimension, num_segments), dtype=np.int64
+        )
+        width = (int(seg_lengths.max()) + _WORD_BITS - 1) // _WORD_BITS
+        return cls(
+            words=np.zeros((lanes, num_segments, width), dtype=_WORD_DTYPE),
+            lengths=np.broadcast_to(seg_lengths, (lanes, num_segments)).copy(),
+        )
+
     @classmethod
     def from_sign_matrix(
         cls, matrix: np.ndarray, num_segments: int
     ) -> "PackedLaneGrid":
         """Pack a ``(lanes, D)`` sign matrix, split like :func:`split_segments`.
 
-        One vectorized pack per segment (all lanes at once); segment
-        boundaries follow ``np.array_split`` semantics so the grid lines up
-        bit-for-bit with the scalar path's per-worker segment lists.
+        One vectorized pack per segment (all lanes at once) into the
+        :meth:`zeros` layout, so the grid lines up bit-for-bit with the
+        scalar path's per-worker segment lists.  The reference packer: the
+        synchronizer's compensation pass writes the same words block by
+        block, and tests hold it to this one.
         """
         matrix = np.asarray(matrix)
         if matrix.ndim != 2:
             raise ValueError("from_sign_matrix expects a 2-D matrix")
-        if num_segments < 1:
-            raise ValueError("num_segments must be >= 1")
         lanes, dim = matrix.shape
-        base, extra = divmod(dim, num_segments)
-        seg_lengths = np.full(num_segments, base, dtype=np.int64)
-        seg_lengths[:extra] += 1
-        width = (int(seg_lengths.max()) + _WORD_BITS - 1) // _WORD_BITS
-        words = np.zeros((lanes, num_segments, width), dtype=_WORD_DTYPE)
-        lengths = np.broadcast_to(seg_lengths, (lanes, num_segments)).copy()
-        start = 0
-        for seg, seg_len in enumerate(seg_lengths):
+        grid = cls.zeros(lanes, dim, num_segments)
+        for seg, (start, seg_len) in enumerate(
+            cls.segment_spans(dim, num_segments)
+        ):
             if seg_len:
                 batch = PackedBitsBatch.from_sign_matrix(
                     matrix[:, start : start + seg_len]
                 )
-                words[:, seg, : batch.width] = batch.words
-            start += seg_len
-        return cls(words=words, lengths=lengths)
+                grid.words[:, seg, : batch.width] = batch.words
+        return grid
 
     @classmethod
     def from_packed_rows(

@@ -12,33 +12,52 @@ gradient, possibly momentum/Adam-transformed) and a compensation vector
    applies the ``⊙`` merge of :mod:`repro.core.sign_ops` to sign-bit
    segments (lines 4-8), gathers the consensus bit vector, and returns
    ``g_t = eta_s * signs`` (line 9); compensation becomes ``c <- g - g_t``
-   (line 10), subtracted from the same buffer;
+   (line 10);
 3. on a **full-precision round** (``t mod K == 0``): all-reduces ``g`` in
    FP32 and resets ``c <- 0`` (lines 12-13).
 
-Both compensation updates run in place, so a round allocates no ``(M, D)``
+A one-bit round reads the buffer once.  Line 10 does not sweep it: ``g_t``
+stays *pending* and is folded into the next round's line 1, which runs as
+one cache-blocked pass.  Each block first subtracts the pending ``g_t``,
+then adds this round's updates, then writes its ``>= 0`` sign words
+straight into the packed grids the plan's ``Pack`` steps declare, which the
+executor consumes.  Each element still computes ``(c + g) - g_t`` and then
+``+ g'``, in that order, so the buffer is bit-identical to subtracting at
+once.  Reading ``state.compensation`` applies a pending ``g_t`` first, so
+every reader sees ``c``.
+
+The compensation updates run in place, so a round allocates no ``(M, D)``
 matrix of its own; the one-bit global update is one read-only vector shared
-by every worker's report entry.
+by every worker's report entry (and kept as the pending ``g_t``).
 
 The topology knowledge lives in the per-topology compilers registered in
 :mod:`repro.allreduce`; the hop semantics, RNG streams, metrics, and the
 Section 4.1.1 overlap charges live in the two :mod:`repro.sched` executors.
-This module only owns the algorithm state (compensation, RNGs, LR schedule)
-and the plan cache.
+This module only owns the algorithm state (compensation, RNGs, LR schedule),
+the compensation pass and the plan cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from repro.comm.cluster import Cluster
 from repro.sched import executor_names, get_executor
-from repro.sched.plan import CompileContext, SyncPlan, full_precision_plan
+from repro.sched.plan import CompileContext, Pack, SyncPlan, full_precision_plan
+
+if TYPE_CHECKING:
+    from repro.allreduce.ring import PackedLaneGrid
 
 __all__ = ["MarsitConfig", "MarsitState", "MarsitSynchronizer", "SyncReport"]
+
+#: Bytes of ``c`` one block of the compensation pass covers.  With the same
+#: slice of the updates that is 2 MB, so a block's subtract, add and sign
+#: pack run out of one core's L2 cache.
+_BLOCK_BYTES = 1 << 20
+_WORD_BITS = 64
 
 
 @dataclass
@@ -119,31 +138,80 @@ class MarsitConfig:
         return self.global_lr * self.global_lr_schedule(round_idx)
 
 
-@dataclass
 class MarsitState:
     """Per-worker compensation vectors ``c_t^(m)``, stacked ``(M, D)``.
 
-    One contiguous matrix that lives as long as the synchronizer: every round
-    adds the updates into it (line 1) and subtracts the global update from it
-    (line 10) in place, so the array object never changes and its contents
-    change every round.  Take ``compensation.copy()`` to keep a snapshot.
+    One contiguous matrix that lives as long as the synchronizer.  Every
+    round adds the updates into it in place (line 1).  Line 10's
+    ``c -= g_t`` is kept *pending* and folded into the next round's line 1
+    (see the module docstring).  Reading :attr:`compensation` applies a
+    pending ``g_t`` in place first, so readers see exactly ``c`` and the
+    array object never changes; its contents change every round, so take
+    ``compensation.copy()`` to keep a snapshot.  Assigning
+    :attr:`compensation` replaces the buffer and drops any pending ``g_t``.
     Row ``compensation[m]`` is worker ``m``'s vector, so indexing callers
     (checkpointing, tests) are unchanged; a list of equal-length vectors is
     accepted and stacked.
     """
 
-    compensation: np.ndarray
+    def __init__(self, compensation: np.ndarray | Sequence[np.ndarray]) -> None:
+        self.compensation = compensation
 
-    def __post_init__(self) -> None:
-        self.compensation = np.asarray(self.compensation, dtype=np.float64)
-        if self.compensation.ndim != 2:
+    @property
+    def compensation(self) -> np.ndarray:
+        self._apply_pending()
+        return self._buffer
+
+    @compensation.setter
+    def compensation(self, value: np.ndarray | Sequence[np.ndarray]) -> None:
+        buffer = np.asarray(value, dtype=np.float64)
+        if buffer.ndim != 2:
             raise ValueError(
                 "compensation must be a (num_workers, dimension) matrix"
             )
+        self._buffer = buffer
+        self._pending = None
 
     @classmethod
     def zeros(cls, num_workers: int, dimension: int) -> "MarsitState":
         return cls(compensation=np.zeros((num_workers, dimension)))
+
+    def defer(self, global_update: np.ndarray, rows: list[int] | None) -> None:
+        """Line 10, deferred: ``c[rows] -= global_update`` on the next read.
+
+        ``rows=None`` means every row.  ``global_update`` is kept, not
+        copied, so it must not change afterwards (make it read-only).
+        """
+        self._apply_pending()
+        self._pending = (global_update, rows)
+
+    def reset(self) -> None:
+        """``c <- 0`` in place, dropping any pending ``g_t``."""
+        self._pending = None
+        self._buffer.fill(0.0)
+
+    def take_pending(
+        self, rows: list[int] | None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The raw buffer and the pending ``g_t`` a pass over ``rows`` owes.
+
+        The caller must subtract the returned ``g_t`` from those rows before
+        anything reads them.  A ``g_t`` pending on other rows (the active
+        set shrank) is applied here instead, and ``None`` returned.
+        """
+        if self._pending is not None and self._pending[1] != rows:
+            self._apply_pending()
+        pending, self._pending = self._pending, None
+        return self._buffer, None if pending is None else pending[0]
+
+    def _apply_pending(self) -> None:
+        if self._pending is None:
+            return
+        (update, rows), self._pending = self._pending, None
+        if rows is None:
+            self._buffer -= update
+        else:
+            self._buffer[rows] -= update
 
 
 @dataclass
@@ -232,8 +300,10 @@ class MarsitSynchronizer:
             full-precision rounds they are identical up to FP32 wire
             rounding.
 
-        ``self.state.compensation`` is updated in place.  If the sync itself
-        raises (a terminal fault, after which the caller voids the round with
+        ``self.state.compensation`` is updated in place; after a one-bit
+        round it holds ``g_t`` pending (see :class:`MarsitState`), and
+        reading it applies that.  If the sync itself raises (a terminal
+        fault, after which the caller voids the round with
         :meth:`~repro.comm.cluster.Cluster.abort_step`), this round's updates
         are subtracted back out, so the buffer returns to ``c`` up to float64
         rounding.
@@ -248,14 +318,13 @@ class MarsitSynchronizer:
                 recovered = True
         if cluster.num_workers != len(self._active):
             raise ValueError("cluster size does not match synchronizer")
-        # Line 1 of Algorithm 1, in place: the compensation buffer becomes
-        # every worker's compensated update.  After a crash only the
-        # survivors' rows go on the wire; dead rows stay parked (their
-        # updates are ignored and their compensation pinned to zero).
-        compensated = self._add_updates(updates)
+        self._check_updates(updates)
+        # After a crash only the survivors' rows go on the wire; dead rows
+        # stay parked (their updates are ignored and their compensation
+        # pinned to zero).
         active = self._active
         degraded = len(active) != self.num_workers
-        vectors = compensated[active] if degraded else compensated
+        rows = active if degraded else None
 
         obs = cluster.obs
         metrics = obs.metrics
@@ -264,6 +333,7 @@ class MarsitSynchronizer:
         )
         self._forced_fp = False
         sign_agreement = None
+        state = self.state
         with obs.tracer.span(
             "round",
             cat="marsit",
@@ -271,21 +341,40 @@ class MarsitSynchronizer:
             engine=self.config.engine,
             full_precision=full_precision,
         ):
-            sync = (
-                self._full_precision_sync if full_precision else self._one_bit_sync
+            compiled = None
+            if not full_precision and len(active) > 1:
+                compiled = self._plan_for(cluster, "one_bit")
+            # Line 1 of Algorithm 1, in place, fused with the pending line
+            # 10 and the plan's Pack steps: the buffer becomes every
+            # worker's compensated update.
+            packed = self._compensate(
+                updates, rows, None if compiled is None else compiled[0]
             )
+            compensated = state.compensation
+            vectors = None
+            if full_precision or metrics is not None:
+                vectors = compensated[active] if degraded else compensated
             try:
-                result, plan_digest, num_plan_steps = sync(cluster, vectors)
+                if full_precision:
+                    result, plan_digest, num_plan_steps = (
+                        self._full_precision_sync(cluster, vectors)
+                    )
+                else:
+                    result, plan_digest, num_plan_steps = self._one_bit_sync(
+                        cluster, compiled, packed
+                    )
             except BaseException:
                 # A voided round must not leave its updates in the buffer.
-                for row, update in zip(compensated, updates):
-                    row -= np.asarray(update, dtype=np.float64)
+                for rank in active:
+                    compensated[rank] -= np.asarray(
+                        updates[rank], dtype=np.float64
+                    )
                 raise
             if full_precision:
                 outputs = result
                 # No topology's mean all-reduce returns views of its input
                 # rows, so zeroing the buffer leaves ``outputs`` intact.
-                compensated.fill(0.0)
+                state.reset()
                 if degraded:
                     # Dead ranks get the consensus update so trainer-side
                     # indexing (``updates[0]``) stays valid either way.
@@ -308,19 +397,19 @@ class MarsitSynchronizer:
                 if metrics is not None:
                     # Live Figure-1b statistic: how often the one-bit
                     # consensus matches the sign of the exact full-precision
-                    # mean update.  Read before line 10 rewrites ``vectors``.
+                    # mean update.  Read before line 10 applies to ``c``.
                     mean_sign = np.where(vectors.mean(axis=0) >= 0, 1.0, -1.0)
                     sign_agreement = float(np.mean(consensus_signs == mean_sign))
                 global_update = consensus_signs
                 global_update *= self.config.effective_global_lr(round_idx)
+                global_update.flags.writeable = False
                 if self.config.use_compensation:
-                    # Line 10 in place: c <- g - g_t.
-                    compensated -= global_update
+                    # Line 10, c <- g - g_t: pending until the next pass.
+                    state.defer(global_update, rows)
                     if degraded:
                         compensated[self._inactive] = 0.0
                 else:
-                    compensated.fill(0.0)
-                global_update.flags.writeable = False
+                    state.reset()
                 report = SyncReport(
                     round_idx=round_idx,
                     full_precision=False,
@@ -332,7 +421,9 @@ class MarsitSynchronizer:
                 )
         if metrics is not None:
             metrics.gauge("marsit.bits_per_element").set(report.bits_per_element)
-            live = compensated[active] if degraded else compensated
+            # Reading the compensation applies the pending g_t.
+            compensation = state.compensation
+            live = compensation[active] if degraded else compensation
             metrics.gauge("marsit.comp_norm").set(
                 float(np.mean(np.linalg.norm(live, axis=1)))
             )
@@ -340,16 +431,9 @@ class MarsitSynchronizer:
                 metrics.gauge("marsit.sign_agreement").set(sign_agreement)
         return report
 
-    def _add_updates(
-        self, updates: np.ndarray | Sequence[np.ndarray]
-    ) -> np.ndarray:
-        """Validate ``updates``, then add them into the compensation buffer.
-
-        Every shape is checked before the buffer is touched, so a rejected
-        call leaves the state as it was.  Both input forms are added row by
-        row (an ``(M, D)`` array iterates as its rows), so neither allocates
-        an ``(M, D)`` temporary or writes to the input.
-        """
+    def _check_updates(self, updates: np.ndarray | Sequence[np.ndarray]) -> None:
+        """Check ``updates`` before the buffer or the pending ``g_t`` is
+        touched, so a rejected call leaves the state as it was."""
         if len(updates) != self.num_workers:
             raise ValueError("one update vector per worker required")
         for shape in [np.shape(update) for update in updates]:
@@ -357,10 +441,62 @@ class MarsitSynchronizer:
                 raise ValueError(
                     f"update dimension {shape} != ({self.dimension},)"
                 )
-        compensation = self.state.compensation
-        for row, update in zip(compensation, updates):
-            row += np.asarray(update, dtype=np.float64)
-        return compensation
+
+    def _compensate(
+        self,
+        updates: np.ndarray | Sequence[np.ndarray],
+        rows: list[int] | None,
+        plan: SyncPlan | None,
+    ) -> dict[str, "PackedLaneGrid"]:
+        """Line 1, the pending line 10 and the ``Pack`` steps in one pass.
+
+        The pass walks the buffer in column blocks of about
+        ``_BLOCK_BYTES``.  Each block of ``rows`` (every row when ``None``)
+        subtracts the pending ``g_t``, adds ``updates`` and, when ``plan``
+        is given, packs its ``>= 0`` signs into the grid segment its
+        ``Pack`` step declares.  Returns those grids by name.  One
+        ``(M, D)`` float64 array adds a 2-D slice per block; other inputs
+        (a sequence of vectors, or the survivors' rows after a crash) are
+        folded and added row by row first, and the blocks only pack.
+        Neither allocates an ``(M, D)`` temporary or writes to the input.
+        """
+        ranks = range(self.num_workers) if rows is None else rows
+        width = max(
+            _WORD_BITS,
+            _BLOCK_BYTES // (8 * len(ranks)) // _WORD_BITS * _WORD_BITS,
+        )
+        grids, blocks = _pass_blocks(plan, self.dimension, len(ranks), width)
+        buffer, pending = self.state.take_pending(rows)
+        whole = (
+            rows is None
+            and isinstance(updates, np.ndarray)
+            and updates.dtype == np.float64
+        )
+        if not whole:
+            # Row by row over the whole vector: per-block row loops would
+            # cost more in calls than the cache saves at trainer sizes.
+            for rank in ranks:
+                row = buffer[rank]
+                if pending is not None:
+                    row -= pending
+                row += np.asarray(updates[rank], dtype=np.float64)
+        bits = np.empty((len(ranks), width), dtype=bool)
+        for start, stop, out, lanes in blocks:
+            if whole:
+                block = buffer[:, start:stop]
+                if pending is not None:
+                    block -= pending[start:stop]
+                block += updates[:, start:stop]
+            if out is None:
+                continue
+            if rows is None:
+                block = buffer[:, start:stop]
+            else:
+                block = buffer[rows, start:stop]
+            signs = np.greater_equal(block, 0.0, out=bits[:, : stop - start])
+            words = np.packbits(signs, axis=1, bitorder="little")
+            out[...] = words if lanes is None else words[lanes]
+        return grids
 
     # ------------------------------------------------------------------
     # crash recovery
@@ -437,19 +573,24 @@ class MarsitSynchronizer:
     # one-bit path
     # ------------------------------------------------------------------
     def _one_bit_sync(
-        self, cluster: Cluster, vectors: np.ndarray
+        self,
+        cluster: Cluster,
+        compiled: tuple[SyncPlan, str] | None,
+        packed: dict[str, "PackedLaneGrid"],
     ) -> tuple[np.ndarray, str | None, int]:
         """Plan-driven sign aggregation; returns the consensus ``{-1,+1}``.
 
-        ``vectors`` is the stacked compensated-update matrix of the *active*
-        workers (one row per cluster rank); the scalar engine indexes its
-        rows, the batched engine consumes it whole.  Survivors keep their
-        original RNG streams across a recovery.
+        ``compiled`` is :meth:`_plan_for`'s ``(plan, digest)``, and
+        ``packed`` holds one grid per ``Pack`` step of the plan, lanes in
+        cluster-rank order over the *active* workers.  The executor merges
+        into the grids, and they are dropped before the final unpack.  With
+        one active worker there is no plan: its own signs are the result.
+        Survivors keep their original RNG streams across a recovery.
         """
-        if vectors.shape[0] == 1:
-            bits = (vectors[0] >= 0).astype(np.uint8)
-            return bits.astype(np.float64) * 2.0 - 1.0, None, 0
-        plan, digest = self._plan_for(cluster, "one_bit")
+        if compiled is None:
+            row = self.state.compensation[self._active[0]]
+            return np.where(row >= 0, 1.0, -1.0), None, 0
+        plan, digest = compiled
         executor = get_executor(self.config.engine)
         if len(self._active) == self.num_workers:
             rngs = self.rngs
@@ -458,10 +599,11 @@ class MarsitSynchronizer:
         final = executor.run_one_bit(
             plan,
             cluster,
-            vectors,
+            packed,
             rngs,
             verify_consensus=self.config.verify_consensus,
         )
+        packed.clear()
         # The single unpack of the whole pipeline: words -> {-1, +1} floats.
         return final.to_signs(), digest, plan.num_steps
 
@@ -478,3 +620,60 @@ class MarsitSynchronizer:
         executor = get_executor(self.config.engine)
         outputs = executor.run_full_precision(plan, cluster, vectors)
         return outputs, digest, plan.num_steps
+
+
+def _pass_blocks(
+    plan: SyncPlan | None, dimension: int, rows: int, width: int
+) -> tuple[dict[str, "PackedLaneGrid"], list[tuple]]:
+    """The compensation pass's column blocks and the grids they pack into.
+
+    Each ``Pack`` step's columns split into its grid's segments, and each
+    segment into blocks of ``width`` columns from the segment's start, so a
+    block's signs fill whole words of one segment.  Columns no ``Pack``
+    step covers (all of them without a plan) get blocks that pack nothing.
+    A block is ``(start, stop, out, lanes)``: ``out`` is the segment's
+    ``(lanes, bytes)`` slice of the grid words, or ``None``; ``lanes``
+    orders the pass's rows into grid lanes, ``None`` meaning as they are.
+    """
+    from repro.allreduce.ring import PackedLaneGrid
+
+    grids: dict[str, PackedLaneGrid] = {}
+    spans = []
+    if plan is not None:
+        specs = {spec.name: spec for spec in plan.grids}
+        for step in plan.steps:
+            if not isinstance(step, Pack):
+                continue
+            spec = specs[step.grid]
+            columns = step.stop - step.start
+            grid = PackedLaneGrid.zeros(
+                len(spec.lane_ranks), columns, spec.num_segments
+            )
+            grids[step.grid] = grid
+            identity = spec.lane_ranks == tuple(range(rows))
+            lanes = None if identity else list(spec.lane_ranks)
+            raw = grid.words.view(np.uint8)
+            segments = PackedLaneGrid.segment_spans(columns, spec.num_segments)
+            for seg, (offset, length) in enumerate(segments):
+                base = step.start + offset
+                for first in range(0, length, width):
+                    last = min(first + width, length)
+                    out = raw[:, seg, first // 8 : (last + 7) // 8]
+                    spans.append((base + first, base + last, out, lanes))
+
+    def bare(start: int, stop: int) -> list[tuple]:
+        return [
+            (first, min(first + width, stop), None, None)
+            for first in range(start, stop, width)
+        ]
+
+    spans.sort(key=lambda span: span[0])
+    blocks = []
+    covered = 0
+    for span in spans:
+        if span[0] < covered:
+            raise ValueError("the plan's Pack steps overlap")
+        blocks += bare(covered, span[0])
+        blocks.append(span)
+        covered = span[1]
+    return grids, blocks + bare(covered, dimension)

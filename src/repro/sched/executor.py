@@ -7,10 +7,17 @@ merges and transfers are realized:
 - :class:`ScalarExecutor` keeps per-lane :class:`~repro.comm.bits.PackedBits`
   segment lists and moves one message at a time through
   ``Cluster.send``/``recv`` — the reference path.
-- :class:`LaneStackedExecutor` materializes each grid as a
+- :class:`LaneStackedExecutor` keeps each grid as one
   :class:`~repro.allreduce.ring.PackedLaneGrid` and executes each hop as one
   fancy-index gather, one batched merge expression, and one bulk
   ``Cluster.exchange`` — the lockstep path.
+
+Neither packs: the caller hands ``run_one_bit`` one
+:class:`~repro.allreduce.ring.PackedLaneGrid` per ``Pack`` step (the
+synchronizer writes them in its compensation pass; :func:`pack_grids` is
+the reference packer), and a ``Pack`` step only takes its grid in.  The
+batched engine merges into that grid in place; the scalar engine reads it
+through zero-copy :meth:`~repro.allreduce.ring.PackedLaneGrid.row` views.
 
 Both consume identical per-rank RNG streams (a plan's merge *waves* pin the
 draw order), apply identical cost-model charges, and emit identical traffic
@@ -29,7 +36,7 @@ here would close the cycle.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -55,7 +62,39 @@ from repro.sched.plan import (
     Unstack,
 )
 
-__all__ = ["LaneStackedExecutor", "ScalarExecutor"]
+if TYPE_CHECKING:
+    from repro.allreduce.ring import PackedLaneGrid
+
+__all__ = ["LaneStackedExecutor", "ScalarExecutor", "pack_grids"]
+
+
+def pack_grids(plan: SyncPlan, matrix: np.ndarray) -> dict[str, PackedLaneGrid]:
+    """Pack ``matrix``'s signs for every ``Pack`` step of ``plan``.
+
+    ``matrix`` holds one row per cluster rank; grid lane ``l`` packs row
+    ``lane_ranks[l]`` over the step's columns with
+    :meth:`~repro.allreduce.ring.PackedLaneGrid.from_sign_matrix`.  This is
+    the reference packer: the synchronizer writes the same words inside its
+    compensation pass, and tests and benchmarks pack with this one.
+    """
+    from repro.allreduce.ring import PackedLaneGrid
+
+    specs = {spec.name: spec for spec in plan.grids}
+    grids = {}
+    for step in plan.steps:
+        if isinstance(step, Pack):
+            spec = specs[step.grid]
+            lanes = list(spec.lane_ranks)
+            if lanes == list(range(matrix.shape[0])):
+                # Identity lane order: basic slicing keeps this a view
+                # instead of a fancy-index copy of the whole matrix.
+                rows = matrix[:, step.start : step.stop]
+            else:
+                rows = matrix[lanes, step.start : step.stop]
+            grids[step.grid] = PackedLaneGrid.from_sign_matrix(
+                rows, spec.num_segments
+            )
+    return grids
 
 
 class _PlanExecutor:
@@ -138,12 +177,10 @@ class ScalarExecutor(_PlanExecutor):
         self,
         plan: SyncPlan,
         cluster: Cluster,
-        matrix: np.ndarray,
+        packed: Mapping[str, PackedLaneGrid],
         rngs: Sequence[np.random.Generator],
         verify_consensus: bool = True,
     ) -> PackedBits:
-        from repro.allreduce.ring import split_segments
-
         specs = {spec.name: spec for spec in plan.grids}
         segs: dict[str, list[list[PackedBits]]] = {}
         steps = plan.steps
@@ -153,17 +190,9 @@ class ScalarExecutor(_PlanExecutor):
             if isinstance(step, Barrier):
                 self._exec_barrier(cluster, step)
             elif isinstance(step, Pack):
-                spec = specs[step.grid]
+                grid = packed[step.grid]
                 segs[step.grid] = [
-                    [
-                        PackedBits.from_signs(part)
-                        for part in split_segments(
-                            matrix[rank, step.start : step.stop],
-                            spec.num_segments,
-                            copy=False,
-                        )
-                    ]
-                    for rank in spec.lane_ranks
+                    grid.segments_of(lane) for lane in range(grid.num_lanes)
                 ]
             elif isinstance(step, Restack):
                 source = segs[step.src_grid]
@@ -304,7 +333,7 @@ class LaneStackedExecutor(_PlanExecutor):
         self,
         plan: SyncPlan,
         cluster: Cluster,
-        matrix: np.ndarray,
+        packed: Mapping[str, PackedLaneGrid],
         rngs: Sequence[np.random.Generator],
         verify_consensus: bool = True,
     ) -> PackedBits:
@@ -319,17 +348,8 @@ class LaneStackedExecutor(_PlanExecutor):
             if isinstance(step, Barrier):
                 self._exec_barrier(cluster, step)
             elif isinstance(step, Pack):
-                spec = specs[step.grid]
-                lanes = list(spec.lane_ranks)
-                if lanes == list(range(matrix.shape[0])):
-                    # Identity lane order: basic slicing keeps this a view
-                    # instead of a fancy-index copy of the whole matrix.
-                    rows = matrix[:, step.start : step.stop]
-                else:
-                    rows = matrix[lanes, step.start : step.stop]
-                grids[step.grid] = PackedLaneGrid.from_sign_matrix(
-                    rows, spec.num_segments
-                )
+                # The hops merge into the packed grid in place.
+                grids[step.grid] = packed[step.grid]
             elif isinstance(step, Restack):
                 source = grids[step.src_grid]
                 grids[step.grid] = PackedLaneGrid.from_packed_rows(

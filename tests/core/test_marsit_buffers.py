@@ -2,8 +2,9 @@
 
 ``MarsitSynchronizer`` keeps one ``(M, D)`` compensation buffer for its whole
 life: line 1 of Algorithm 1 adds the updates into it and line 10 subtracts
-the global update from it, and every one-bit report shares one read-only
-global update.  :class:`FreshArraySynchronizer` below is the same round
+the global update from it (deferred to the next round's pass, or to the
+next read of ``state.compensation``), and every one-bit report shares one
+read-only global update.  :class:`FreshArraySynchronizer` below is the same round
 written with a fresh matrix for every step (``np.stack(u) + c``,
 ``c - g_t``, one copy of ``g_t`` per worker); the two must agree bit for
 bit on outputs, compensation, traffic and metrics.
@@ -19,6 +20,7 @@ from repro.comm.topology import ring_topology, torus_topology
 from repro.core.marsit import MarsitConfig, MarsitSynchronizer
 from repro.faults import FaultInjector, FaultPlan, MessageDrop, WorkerCrash
 from repro.obs import Observability
+from repro.sched.executor import pack_grids
 
 
 class FreshArraySynchronizer(MarsitSynchronizer):
@@ -54,7 +56,13 @@ class FreshArraySynchronizer(MarsitSynchronizer):
                 global_updates = outputs
             gauges = {}
         else:
-            signs, _, _ = self._one_bit_sync(cluster, vectors)
+            if len(active) == 1:
+                signs = np.where(vectors[0] >= 0, 1.0, -1.0)
+            else:
+                compiled = self._plan_for(cluster, "one_bit")
+                signs, _, _ = self._one_bit_sync(
+                    cluster, compiled, pack_grids(compiled[0], vectors)
+                )
             global_update = self.config.effective_global_lr(round_idx) * signs
             if self.config.use_compensation:
                 compensation = compensated - global_update
@@ -96,7 +104,16 @@ def _pair(topology_fn, num_workers, dimension, plan=None, obs=None, **config):
     return pairs
 
 
-def _assert_rounds_identical(pairs, rounds, num_workers, dimension, seed=0):
+def _assert_rounds_identical(
+    pairs, rounds, num_workers, dimension, seed=0, read_every_round=True
+):
+    """Run both synchronizers in lockstep and compare every output.
+
+    Reading ``state.compensation`` applies the pending ``g_t``, so with
+    ``read_every_round=False`` the in-place synchronizer's buffer is read
+    only after the last round, and every round in between takes the
+    deferred path.
+    """
     (cluster, sync), (ref_cluster, ref_sync) = pairs
     rng = np.random.default_rng(seed)
     for round_idx in range(rounds):
@@ -109,10 +126,11 @@ def _assert_rounds_identical(pairs, rounds, num_workers, dimension, seed=0):
         assert len(report.global_updates) == len(expected) == num_workers
         for got, want in zip(report.global_updates, expected):
             assert got.tobytes() == want.tobytes()
-        assert (
-            sync.state.compensation.tobytes()
-            == ref_sync.state.compensation.tobytes()
-        )
+        if read_every_round or round_idx == rounds - 1:
+            assert (
+                sync.state.compensation.tobytes()
+                == ref_sync.state.compensation.tobytes()
+            )
         assert cluster.total_bytes == ref_cluster.total_bytes
         assert cluster.timeline.seconds == ref_cluster.timeline.seconds
 
@@ -154,6 +172,94 @@ class TestBitIdentity:
         sync = pairs[0][1]
         assert sync.active_workers == [0, 1, 3, 4, 5]
         assert not sync.state.compensation[2].any()
+
+
+class TestPendingPath:
+    """The same identities with ``c`` read only after the last round."""
+
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    def test_k_sync_over_thirty_rounds(self, engine):
+        pairs = _pair(
+            lambda: ring_topology(5), 5, 257,
+            full_precision_every=5, engine=engine,
+        )
+        _assert_rounds_identical(pairs, 30, 5, 257, read_every_round=False)
+
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    def test_without_compensation(self, engine):
+        pairs = _pair(
+            lambda: ring_topology(4), 4, 130,
+            use_compensation=False, engine=engine,
+        )
+        _assert_rounds_identical(pairs, 12, 4, 130, read_every_round=False)
+        assert not pairs[0][1].state.compensation.any()
+
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    def test_worker_crash_leaves_dead_rows_exactly_zero(self, engine):
+        # No K-sync: after the crash's forced full-precision round every
+        # round is one-bit and degraded, so g_t stays pending over the
+        # survivors' rows only.
+        plan = FaultPlan(seed=5, events=(WorkerCrash(worker=1, round_idx=4),))
+        pairs = _pair(
+            lambda: torus_topology(2, 3), 6, 211, plan=plan, engine=engine,
+        )
+        _assert_rounds_identical(pairs, 12, 6, 211, read_every_round=False)
+        sync = pairs[0][1]
+        assert sync.active_workers == [0, 2, 3, 4, 5]
+        compensation = sync.state.compensation
+        assert not compensation[1].any()
+        assert not np.signbit(compensation[1]).any()
+        assert compensation[[0, 2, 3, 4, 5]].any()
+
+    def test_terminal_fault_right_after_a_one_bit_round(self):
+        # Round 1 leaves its g_t pending; round 2 folds it into its pass and
+        # then aborts.  The restore must land on the materialized c of round
+        # 1, which the fresh-array reference holds explicitly.
+        plan = FaultPlan(
+            seed=4,
+            events=(
+                MessageDrop(
+                    prob=1.0,
+                    links=((0, 1),),
+                    mode="timeout",
+                    first_round=2,
+                    last_round=2,
+                ),
+            ),
+        )
+        (cluster, sync), (ref_cluster, ref_sync) = _pair(
+            lambda: ring_topology(4), 4, 33, plan=plan, engine="scalar"
+        )
+        rng = np.random.default_rng(8)
+        first = rng.standard_normal((4, 33))
+        sync.synchronize(cluster, first, 1)
+        ref_sync.synchronize(ref_cluster, first, 1)
+        with pytest.raises(LookupError):
+            sync.synchronize(cluster, rng.standard_normal((4, 33)), 2)
+        expected = ref_sync.state.compensation
+        assert expected.any()
+        np.testing.assert_allclose(
+            sync.state.compensation, expected, rtol=0, atol=1e-12
+        )
+
+    def test_metrics_on_gauges_and_final_buffer(self):
+        num_workers, dimension = 6, 301
+        (cluster, sync), (ref_cluster, ref_sync) = _pair(
+            lambda: torus_topology(2, 3), num_workers, dimension,
+            obs=Observability.metrics_only, full_precision_every=5,
+        )
+        rng = np.random.default_rng(15)
+        for round_idx in range(1, 12):
+            updates = rng.standard_normal((num_workers, dimension))
+            sync.synchronize(cluster, updates, round_idx)
+            _, _, expected = ref_sync.synchronize(ref_cluster, updates, round_idx)
+            gauges = cluster.obs.metrics
+            for name, value in expected.items():
+                assert gauges.gauge(name).value == value
+        assert (
+            sync.state.compensation.tobytes()
+            == ref_sync.state.compensation.tobytes()
+        )
 
 
 class TestBufferSemantics:

@@ -100,6 +100,60 @@ class TestCheckpoint:
         for a, b in zip(fresh.state.compensation, sync.state.compensation):
             assert np.array_equal(a, b)
 
+    def test_save_while_g_t_is_pending_then_continue(self, tmp_path, rng):
+        import copy
+
+        from repro.comm.cluster import Cluster
+        from repro.comm.topology import ring_topology
+        from repro.core.marsit import MarsitConfig, MarsitSynchronizer
+        from repro.nn.zoo import mlp
+        from repro.train.checkpoint import (
+            load_synchronizer_state,
+            save_checkpoint,
+        )
+
+        num_workers, dimension = 4, 150
+
+        def synchronizer():
+            return MarsitSynchronizer(
+                MarsitConfig(global_lr=0.1, seed=6, full_precision_every=7),
+                num_workers,
+                dimension,
+            )
+
+        updates = [
+            rng.standard_normal((num_workers, dimension)) for _ in range(10)
+        ]
+        # ``saved`` is checkpointed mid-run; its twin runs the same rounds and
+        # is never read, so its g_t stays pending from round 4 onwards.
+        saved, twin = synchronizer(), synchronizer()
+        saved_cluster = Cluster(ring_topology(num_workers))
+        twin_cluster = Cluster(ring_topology(num_workers))
+        for round_idx in range(1, 5):
+            saved.synchronize(saved_cluster, updates[round_idx], round_idx)
+            twin.synchronize(twin_cluster, updates[round_idx], round_idx)
+        assert saved.state._pending is not None
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(
+            path, mlp(8, hidden=(4,), num_classes=2, seed=0),
+            synchronizer=saved, round_idx=4,
+        )
+
+        loaded = synchronizer()
+        load_synchronizer_state(path, loaded)
+        # Checkpoints hold the compensation, not the generators.
+        loaded.rngs = copy.deepcopy(twin.rngs)
+        loaded_cluster = Cluster(ring_topology(num_workers))
+        for round_idx in range(5, 10):
+            got = loaded.synchronize(loaded_cluster, updates[round_idx], round_idx)
+            want = twin.synchronize(twin_cluster, updates[round_idx], round_idx)
+            assert got.global_updates[0].tobytes() == (
+                want.global_updates[0].tobytes()
+            )
+        assert loaded.state.compensation.tobytes() == (
+            twin.state.compensation.tobytes()
+        )
+
     def test_architecture_mismatch_rejected(self, tmp_path):
         from repro.nn.zoo import mlp
         from repro.train.checkpoint import load_model, save_checkpoint
