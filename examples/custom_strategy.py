@@ -4,7 +4,9 @@ The library's trainer only needs a ``SyncStrategy`` with one method, so new
 schemes compose from the existing pieces.  This example builds a top-k
 sparsification strategy with per-worker error feedback (the classic
 "memory" fix for biased compressors), runs it against Marsit, and prints
-the accuracy/traffic trade-off.
+the accuracy/traffic trade-off.  Its momentum buffers and residuals are
+the per-worker state of :mod:`repro.core.local`, which the built-in
+schemes use too.
 
 Under MAR, sparse supports grow as they merge (see
 ``benchmarks/bench_related_work.py``), so this strategy gathers the sparse
@@ -21,6 +23,7 @@ import numpy as np
 from repro.bench import WORKLOADS, build_strategy, format_table
 from repro.comm.cluster import Cluster
 from repro.compression.topk import TopKCompressor
+from repro.core.local import ErrorFeedback, LocalOptimizer
 from repro.train import DistributedTrainer, TrainConfig
 from repro.train.strategies import StepResult, SyncStrategy
 
@@ -35,9 +38,10 @@ class TopKErrorFeedbackStrategy(SyncStrategy):
         self.lr = lr
         self.num_workers = num_workers
         self.k_fraction = k_fraction
-        self.momentum = momentum
-        self._memories = [None] * num_workers
-        self._buffers = [None] * num_workers
+        # Per-worker momentum buffers and error-feedback residuals: one
+        # (num_workers, D) array each, allocated on the first step.
+        self._local = LocalOptimizer(num_workers, "momentum", momentum=momentum)
+        self._feedback = ErrorFeedback(num_workers)
 
     def step(self, cluster: Cluster, grads, round_idx: int) -> StepResult:
         dimension = grads[0].size
@@ -46,19 +50,13 @@ class TopKErrorFeedbackStrategy(SyncStrategy):
         decoded = []
         total_bytes = 0
         for worker, grad in enumerate(grads):
-            if self._buffers[worker] is None:
-                self._buffers[worker] = np.zeros(dimension)
-                self._memories[worker] = np.zeros(dimension)
-            self._buffers[worker] = (
-                self.momentum * self._buffers[worker] + grad
-            )
-            corrected = (
-                self.lr * self._buffers[worker] + self._memories[worker]
-            )
+            direction = self._local.step(worker, grad)
+            direction *= self.lr
+            corrected = self._feedback.carry(worker, direction)
             payload = compressor.compress(corrected)
             total_bytes += payload.nbytes
             dense = payload.decode()
-            self._memories[worker] = corrected - dense
+            self._feedback.settle(worker, dense)
             decoded.append(dense)
         # Charge the sparse payloads on a ring circulation (gather-style).
         for hop in range(cluster.num_workers - 1):

@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from repro.compression.signsgd import MeanAbsSignCompressor
+from repro.core.local import LocalOptimizer
 from repro.data import (
     ArrayDataset,
     cifar10_like,
@@ -95,15 +96,14 @@ def calibrate_global_lr(
     iterator = WorkerBatchIterator(
         train_set, min(batch_size, len(train_set)), seed=seed
     )
-    buffer = np.zeros(model.num_parameters())
+    optimizer = LocalOptimizer(1, "momentum", momentum=momentum)
     rms_values = []
     for step in range(pilot_steps):
         x, y = iterator.next_batch()
         model.zero_grad()
         loss_fn(model(x), y)
         model.backward(loss_fn.backward())
-        buffer = momentum * buffer + model.flatten_grads()
-        update = local_lr * buffer
+        update = optimizer.step(0, model.flatten_grads(), scale=local_lr)
         model.add_flat_update(update, scale=-1.0)
         if step >= pilot_steps - measure_last:
             rms_values.append(float(np.sqrt((update**2).mean())))

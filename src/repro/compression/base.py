@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.comm.bits import BitVector, PackedBits
+from repro.comm.bits import PackedBits
 
 __all__ = [
     "Compressor",
@@ -64,14 +64,9 @@ class DensePayload(Payload):
 
 @dataclass(frozen=True)
 class SignPayload(Payload):
-    """Pure sign bits; decodes to ``{-1, +1}``.
+    """Pure sign bits (:class:`PackedBits`); decodes to ``{-1, +1}``."""
 
-    ``bits`` is any packed one-bit container exposing ``nbytes`` /
-    ``to_signs`` — :class:`PackedBits` on the word-level fast path,
-    :class:`BitVector` for byte-level legacy payloads.
-    """
-
-    bits: BitVector | PackedBits
+    bits: PackedBits
 
     @property
     def nbytes(self) -> int:
@@ -88,7 +83,7 @@ class ScaledSignPayload(Payload):
     Used by SSDM (scale = l2 norm) and EF-signSGD (scale = mean |.|).
     """
 
-    bits: BitVector | PackedBits
+    bits: PackedBits
     scale: float
 
     @property

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.comm.bits import PackedBits
 from repro.compression.base import Compressor, Payload, ScaledSignPayload, as_vector
+from repro.core.local import ErrorFeedback
 
 __all__ = ["EFSignCompressor"]
 
@@ -23,39 +24,33 @@ __all__ = ["EFSignCompressor"]
 class EFSignCompressor(Compressor):
     """Stateful scaled-sign compressor with local error feedback.
 
-    One instance per worker; :meth:`compress` mutates the residual memory.
+    One instance per worker, holding a one-row
+    :class:`~repro.core.local.ErrorFeedback`; :meth:`compress` mutates the
+    residual memory.
     """
 
     name = "ef-signsgd"
     unbiased = False
 
     def __init__(self) -> None:
-        self._memory: np.ndarray | None = None
+        self._feedback = ErrorFeedback(1)
 
     @property
     def memory(self) -> np.ndarray | None:
         """The current residual (read-only view for tests/diagnostics)."""
-        return None if self._memory is None else self._memory.copy()
+        residual = self._feedback.residual
+        return None if residual is None else residual[0].copy()
 
     def compress(
         self, vector: np.ndarray, rng: np.random.Generator | None = None
     ) -> Payload:
         vector = as_vector(vector)
-        if self._memory is None:
-            self._memory = np.zeros_like(vector)
-        if self._memory.shape != vector.shape:
-            raise ValueError(
-                f"gradient dimension changed from {self._memory.shape} "
-                f"to {vector.shape}"
-            )
-        corrected = self._memory + vector
-        scale = float(np.abs(corrected).sum() / corrected.size)
-        signs = np.where(corrected >= 0, 1.0, -1.0)
-        self._memory = corrected - scale * signs
+        signs = np.empty(vector.size)
+        scale = self._feedback.scaled_sign(0, vector, signs)
         return ScaledSignPayload(bits=PackedBits.from_signs(signs), scale=scale)
 
     def nominal_bits_per_element(self) -> float:
         return 1.0
 
     def reset(self) -> None:
-        self._memory = None
+        self._feedback = ErrorFeedback(1)

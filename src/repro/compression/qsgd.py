@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.comm.bits import BitVector, PackedBits
+from repro.comm.bits import PackedBits
 from repro.compression.base import Compressor, Payload, as_vector
 
 __all__ = ["QSGDCompressor", "QSGDPayload"]
@@ -25,7 +25,7 @@ class QSGDPayload(Payload):
     """norm + signs + per-element quantization levels."""
 
     norm: float
-    bits: BitVector | PackedBits
+    bits: PackedBits
     levels: np.ndarray
     num_levels: int
 

@@ -17,37 +17,45 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from repro.comm.bits import BitVector, PackedBits
+from repro.comm.bits import PackedBits
 from repro.compression.base import Compressor, Payload, ScaledSignPayload, as_vector
 
 __all__ = ["BlockScaledSignPayload", "SSDMCompressor", "stochastic_sign"]
 
 
 def stochastic_sign(
-    vector: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, float]:
-    """Draw SSDM stochastic signs for ``vector``.
+    vector: np.ndarray, rng: np.random.Generator, block_size: int | None = None
+) -> tuple[np.ndarray, float | np.ndarray]:
+    """Draw SSDM stochastic signs (over ``{-1, +1}``) for ``vector``.
 
-    Returns ``(signs, norm)`` where ``signs`` is over ``{-1, +1}`` and
-    ``norm = ||vector||_2``.  A zero vector returns fair-coin signs with
-    norm 0 so the decoded estimate is exactly the zero vector.
+    Returns ``(signs, ||vector||_2)``; with ``block_size`` shorter than the
+    vector, each block (the last zero-padded) flips by its own l2 norm and
+    the second item is the per-block norms.  A zero vector or block draws
+    fair coins, so its decoded estimate is exactly zero.
     """
     vector = as_vector(vector)
-    norm = float(np.linalg.norm(vector))
-    if norm == 0.0:
-        probs = np.full(vector.shape, 0.5)
+    if block_size is None or vector.size <= block_size:
+        blocks, norms = vector, float(np.linalg.norm(vector))
+        safe = norms or 1.0
     else:
-        probs = 0.5 + vector / (2.0 * norm)
-    draws = rng.random(vector.shape)
-    signs = np.where(draws < probs, 1.0, -1.0)
-    return signs, norm
+        num_blocks = (vector.size + block_size - 1) // block_size
+        padded = np.zeros(num_blocks * block_size)
+        padded[: vector.size] = vector
+        blocks = padded.reshape(num_blocks, block_size)
+        norms = np.linalg.norm(blocks, axis=1)
+        safe = np.where(norms == 0.0, 1.0, norms)[:, None]
+    probs = 0.5 + blocks / (2.0 * safe)
+    draws = rng.random(blocks.shape)
+    # 2·[draw < p] − 1 is exactly np.where(draw < p, 1, -1), and faster.
+    signs = (2.0 * (draws < probs) - 1.0).reshape(-1)[: vector.size]
+    return signs, norms
 
 
 @dataclass(frozen=True)
 class BlockScaledSignPayload(Payload):
     """Sign bits plus one float scale per block of ``block_size`` elements."""
 
-    bits: BitVector | PackedBits
+    bits: PackedBits
     scales: np.ndarray
     block_size: int
 
@@ -87,25 +95,13 @@ class SSDMCompressor(Compressor):
     ) -> Payload:
         if rng is None:
             raise ValueError("SSDMCompressor is stochastic; pass an rng")
-        vector = as_vector(vector)
-        if self.block_size is None or vector.size <= self.block_size:
-            signs, norm = stochastic_sign(vector, rng)
-            return ScaledSignPayload(bits=PackedBits.from_signs(signs), scale=norm)
-        block = self.block_size
-        num_blocks = (vector.size + block - 1) // block
-        padded = np.zeros(num_blocks * block)
-        padded[: vector.size] = vector
-        blocks = padded.reshape(num_blocks, block)
-        norms = np.linalg.norm(blocks, axis=1)
-        safe = np.where(norms == 0.0, 1.0, norms)
-        probs = 0.5 + blocks / (2.0 * safe[:, None])
-        probs[norms == 0.0] = 0.5
-        draws = rng.random(blocks.shape)
-        signs = np.where(draws < probs, 1.0, -1.0).reshape(-1)[: vector.size]
+        signs, norms = stochastic_sign(vector, rng, self.block_size)
+        if isinstance(norms, float):
+            return ScaledSignPayload(bits=PackedBits.from_signs(signs), scale=norms)
         return BlockScaledSignPayload(
             bits=PackedBits.from_signs(signs),
             scales=norms,
-            block_size=block,
+            block_size=self.block_size,
         )
 
     def nominal_bits_per_element(self) -> float:

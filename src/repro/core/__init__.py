@@ -7,6 +7,8 @@
   (RAR) and 2D-torus (TAR) schedules.
 - :mod:`repro.core.optimizer` — Algorithm 2 (Marsit-driven SGD) plus the
   Momentum and Adam variants the experiments use.
+- :mod:`repro.core.local` — the in-place per-worker state (base optimizer,
+  error-feedback residual) that Marsit and every baseline share.
 """
 
 from repro.core.marsit import MarsitConfig, MarsitState, MarsitSynchronizer

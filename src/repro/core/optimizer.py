@@ -7,6 +7,11 @@ image classification and Adam for sentiment analysis; those variants apply
 the base optimizer's gradient transform *locally, before* synchronization —
 the same structure as 1-bit Adam — so the wire still carries one bit.
 
+The transforms are :class:`~repro.core.local.LocalOptimizer` rows, the
+per-worker state every baseline in :mod:`repro.train.strategies` shares.
+Each worker's update is written into one persistent ``(M, D)`` array, which
+is what :meth:`~repro.core.marsit.MarsitSynchronizer.synchronize` receives.
+
 These classes return per-worker update vectors; applying them to model
 parameters is the trainer's job (:mod:`repro.train`), keeping the optimizer
 reusable for raw-vector experiments (quadratic objectives in the theory
@@ -18,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comm.cluster import Cluster
+from repro.core.local import LocalOptimizer
 from repro.core.marsit import MarsitConfig, MarsitSynchronizer, SyncReport
 
 __all__ = ["MarsitAdam", "MarsitMomentum", "MarsitSGD"]
@@ -39,10 +45,12 @@ class MarsitSGD:
         self.synchronizer = MarsitSynchronizer(config, num_workers, dimension)
         self.num_workers = num_workers
         self.dimension = dimension
+        self.local = LocalOptimizer(num_workers)
 
     def transform(self, rank: int, grad: np.ndarray) -> np.ndarray:
-        """Local gradient transform; plain SGD just scales by ``eta_l``."""
-        return self.local_lr * np.asarray(grad, dtype=np.float64)
+        """Worker ``rank``'s update ``eta_l ·`` (base-optimizer direction),
+        written into its row of the update array and returned as a view."""
+        return self.local.step(rank, grad, scale=self.local_lr)
 
     def step(
         self,
@@ -53,8 +61,9 @@ class MarsitSGD:
         """One synchronization round; ``global_updates`` are to be subtracted."""
         if len(grads) != self.num_workers:
             raise ValueError("one gradient per worker required")
-        updates = [self.transform(rank, grad) for rank, grad in enumerate(grads)]
-        return self.synchronizer.synchronize(cluster, updates, round_idx)
+        for rank, grad in enumerate(grads):
+            self.transform(rank, grad)
+        return self.synchronizer.synchronize(cluster, self.local.out, round_idx)
 
 
 class MarsitMomentum(MarsitSGD):
@@ -69,16 +78,7 @@ class MarsitMomentum(MarsitSGD):
         momentum: float = 0.9,
     ) -> None:
         super().__init__(config, local_lr, num_workers, dimension)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = momentum
-        self._buffers = [np.zeros(dimension) for _ in range(num_workers)]
-
-    def transform(self, rank: int, grad: np.ndarray) -> np.ndarray:
-        buffer = self._buffers[rank]
-        buffer *= self.momentum
-        buffer += np.asarray(grad, dtype=np.float64)
-        return self.local_lr * buffer
+        self.local = LocalOptimizer(num_workers, "momentum", momentum=momentum)
 
 
 class MarsitAdam(MarsitSGD):
@@ -95,21 +95,6 @@ class MarsitAdam(MarsitSGD):
         eps: float = 1e-8,
     ) -> None:
         super().__init__(config, local_lr, num_workers, dimension)
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ValueError("betas must be in [0, 1)")
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self._m = [np.zeros(dimension) for _ in range(num_workers)]
-        self._v = [np.zeros(dimension) for _ in range(num_workers)]
-        self._step_count = [0] * num_workers
-
-    def transform(self, rank: int, grad: np.ndarray) -> np.ndarray:
-        grad = np.asarray(grad, dtype=np.float64)
-        self._step_count[rank] += 1
-        t = self._step_count[rank]
-        self._m[rank] = self.beta1 * self._m[rank] + (1 - self.beta1) * grad
-        self._v[rank] = self.beta2 * self._v[rank] + (1 - self.beta2) * grad**2
-        m_hat = self._m[rank] / (1 - self.beta1**t)
-        v_hat = self._v[rank] / (1 - self.beta2**t)
-        return self.local_lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.local = LocalOptimizer(
+            num_workers, "adam", beta1=beta1, beta2=beta2, eps=eps
+        )

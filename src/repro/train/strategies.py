@@ -6,9 +6,13 @@ Section-2 PowerSGD related-work baseline.
 
 A :class:`SyncStrategy` consumes per-worker raw gradients for one round and
 returns the per-worker parameter updates (all equal — every scheme here ends
-in consensus).  Strategies own their optimizer state (momentum buffers,
-error-feedback memories, Marsit compensation) so the trainer stays scheme
-agnostic.
+in consensus).  Strategies own their optimizer state so the trainer stays
+scheme agnostic.  Every scheme's local base optimizer (identity, momentum
+or Adam; PSGD's global one is a single row) and every error-feedback
+residual (EF-signSGD, PowerSGD) is a :mod:`repro.core.local` object: one
+``(M, D)`` array per quantity, updated in place row by row.  A scheme
+writes each worker's message over that worker's row of the optimizer's
+output, so a round allocates no ``(M, D)`` array of its own.
 
 Wire accounting notes for the MAR-extended sign baselines (signSGD-MV,
 EF-signSGD, SSDM): following Section 5 ("we extend them to MAR by
@@ -33,8 +37,8 @@ from repro.allreduce import get_topology
 from repro.allreduce.cascading import cascading_ring_allreduce
 from repro.comm.bits import signed_int_bit_width
 from repro.comm.cluster import Cluster
-from repro.compression.ef import EFSignCompressor
 from repro.compression.ssdm import SSDMCompressor, stochastic_sign
+from repro.core.local import ErrorFeedback, LocalOptimizer, write_signs
 from repro.core.marsit import MarsitConfig
 from repro.core.optimizer import MarsitAdam, MarsitMomentum, MarsitSGD
 from repro.obs.hooks import CallbackList
@@ -119,89 +123,6 @@ class SyncStrategy(abc.ABC):
         """Aggregate this round's gradients into per-worker updates."""
 
 
-class _LocalMomentum:
-    """Per-worker heavy-ball buffers shared by the sign-based baselines."""
-
-    def __init__(self, num_workers: int, momentum: float) -> None:
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = momentum
-        self._buffers: list[np.ndarray | None] = [None] * num_workers
-
-    def apply(self, rank: int, grad: np.ndarray) -> np.ndarray:
-        grad = np.asarray(grad, dtype=np.float64)
-        if self._buffers[rank] is None:
-            self._buffers[rank] = np.zeros_like(grad)
-        buffer = self._buffers[rank]
-        buffer *= self.momentum
-        buffer += grad
-        return buffer.copy()
-
-
-class _LocalAdam:
-    """Per-worker Adam preconditioning (unit-scale steps, no lr)."""
-
-    def __init__(self, num_workers: int, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8) -> None:
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self._m: list[np.ndarray | None] = [None] * num_workers
-        self._v: list[np.ndarray | None] = [None] * num_workers
-        self._t = [0] * num_workers
-
-    def apply(self, rank: int, grad: np.ndarray) -> np.ndarray:
-        grad = np.asarray(grad, dtype=np.float64)
-        if self._m[rank] is None:
-            self._m[rank] = np.zeros_like(grad)
-            self._v[rank] = np.zeros_like(grad)
-        self._t[rank] += 1
-        t = self._t[rank]
-        self._m[rank] = self.beta1 * self._m[rank] + (1 - self.beta1) * grad
-        self._v[rank] = self.beta2 * self._v[rank] + (1 - self.beta2) * grad**2
-        m_hat = self._m[rank] / (1 - self.beta1**t)
-        v_hat = self._v[rank] / (1 - self.beta2**t)
-        return m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def _make_transform(num_workers: int, base_optimizer: str, momentum: float):
-    """Per-worker gradient transform used by the sign-family baselines.
-
-    ``momentum`` -> heavy-ball smoothing (the paper's image-task optimizer);
-    ``adam`` -> unit-scale Adam preconditioning (sentiment task);
-    ``sgd`` -> identity.
-    """
-    if base_optimizer == "momentum":
-        smoother = _LocalMomentum(num_workers, momentum)
-        return smoother.apply
-    if base_optimizer == "adam":
-        precond = _LocalAdam(num_workers)
-        return precond.apply
-    if base_optimizer == "sgd":
-        return lambda rank, grad: np.asarray(grad, dtype=np.float64)
-    raise ValueError(f"unknown base optimizer {base_optimizer!r}")
-
-
-class _GlobalAdam:
-    """Adam on the aggregated gradient (identical state on all workers)."""
-
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8) -> None:
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self._m: np.ndarray | None = None
-        self._v: np.ndarray | None = None
-        self._t = 0
-
-    def apply(self, grad: np.ndarray) -> np.ndarray:
-        if self._m is None:
-            self._m = np.zeros_like(grad)
-            self._v = np.zeros_like(grad)
-        self._t += 1
-        self._m = self.beta1 * self._m + (1 - self.beta1) * grad
-        self._v = self.beta2 * self._v + (1 - self.beta2) * grad**2
-        m_hat = self._m / (1 - self.beta1**self._t)
-        v_hat = self._v / (1 - self.beta2**self._t)
-        return m_hat / (np.sqrt(v_hat) + self.eps)
-
-
 class PSGDStrategy(SyncStrategy):
     """Non-compressed parallel SGD (the paper's FP32 baseline).
 
@@ -224,28 +145,13 @@ class PSGDStrategy(SyncStrategy):
         self.lr = lr
         self.num_workers = num_workers
         self.base_optimizer = base_optimizer
-        if base_optimizer == "momentum":
-            self._momentum = momentum
-            self._buffer: np.ndarray | None = None
-        elif base_optimizer == "adam":
-            self._adam = _GlobalAdam()
-        elif base_optimizer != "sgd":
-            raise ValueError(f"unknown base optimizer {base_optimizer!r}")
+        self._optimizer = LocalOptimizer(1, base_optimizer, momentum=momentum)
 
     def step(
         self, cluster: Cluster, grads: list[np.ndarray], round_idx: int
     ) -> StepResult:
         mean = _mean_allreduce(cluster, grads)[0]
-        if self.base_optimizer == "momentum":
-            if self._buffer is None:
-                self._buffer = np.zeros_like(mean)
-            self._buffer = self._momentum * self._buffer + mean
-            direction = self._buffer
-        elif self.base_optimizer == "adam":
-            direction = self._adam.apply(mean)
-        else:
-            direction = mean
-        update = self.lr * direction
+        update = self.lr * self._optimizer.step(0, mean)
         return StepResult(
             updates=_shared_update(update, self.num_workers),
             bits_per_element=32.0,
@@ -273,19 +179,19 @@ class SignSGDMajorityStrategy(SyncStrategy):
             raise ValueError("lr must be positive")
         self.lr = lr
         self.num_workers = num_workers
-        self._transform = _make_transform(num_workers, base_optimizer, momentum)
+        self._local = LocalOptimizer(num_workers, base_optimizer, momentum=momentum)
 
     def step(
         self, cluster: Cluster, grads: list[np.ndarray], round_idx: int
     ) -> StepResult:
-        signs = [
-            np.where(self._transform(rank, grad) >= 0, 1.0, -1.0)
-            for rank, grad in enumerate(grads)
-        ]
+        for rank, grad in enumerate(grads):
+            direction = self._local.step(rank, grad)
+            write_signs(direction, direction)
+        signs = self._local.out
         if cluster.num_workers == 1:
             totals = signs[0]
         else:
-            totals = _signsum_allreduce(cluster, signs)[0]
+            totals = _signsum_allreduce(cluster, list(signs))[0]
         update = self.lr * np.where(totals >= 0, 1.0, -1.0)
         return StepResult(
             updates=_shared_update(update, self.num_workers),
@@ -317,25 +223,23 @@ class EFSignSGDStrategy(SyncStrategy):
             raise ValueError("lr must be positive")
         self.lr = lr
         self.num_workers = num_workers
-        self._transform = _make_transform(num_workers, base_optimizer, momentum)
-        self._compressors = [EFSignCompressor() for _ in range(num_workers)]
+        self._local = LocalOptimizer(num_workers, base_optimizer, momentum=momentum)
+        self._feedback = ErrorFeedback(num_workers)
 
     def step(
         self, cluster: Cluster, grads: list[np.ndarray], round_idx: int
     ) -> StepResult:
-        signs, scales = [], []
+        scales = []
         for rank, grad in enumerate(grads):
-            smoothed = self._transform(rank, grad)
-            payload = self._compressors[rank].compress(self.lr * smoothed)
-            signs.append(payload.bits.to_signs())
-            scales.append(payload.scale)
+            direction = self._local.step(rank, grad)
+            direction *= self.lr
+            # The signs overwrite the direction once the residual holds it.
+            scales.append(self._feedback.scaled_sign(rank, direction, direction))
+        messages = self._local.out
         if cluster.num_workers > 1:
-            _signsum_allreduce(cluster, signs)
-            gathered = _allgather_scalars(cluster, scales)
-        else:
-            gathered = np.array(scales)
-        decoded = [gathered[rank] * signs[rank] for rank in range(self.num_workers)]
-        update = np.mean(decoded, axis=0)
+            _signsum_allreduce(cluster, list(messages))
+        messages *= _allgather_scalars(cluster, scales)[:, None]
+        update = np.mean(messages, axis=0)
         return StepResult(
             updates=_shared_update(update, self.num_workers),
             bits_per_element=float(self.num_workers.bit_length() + 1),
@@ -376,51 +280,26 @@ class SSDMStrategy(SyncStrategy):
         self.num_workers = num_workers
         self.norm_scaled = norm_scaled
         self.block_size = block_size
-        self._transform = _make_transform(num_workers, base_optimizer, momentum)
+        self._local = LocalOptimizer(num_workers, base_optimizer, momentum=momentum)
         seeds = np.random.SeedSequence(seed).spawn(num_workers)
         self._rngs = [np.random.default_rng(s) for s in seeds]
-
-    def _draw_signs(self, vector: np.ndarray, rng) -> tuple[np.ndarray, float]:
-        """Stochastic signs with global or per-block l2 flip probabilities.
-
-        Block-wise norms (the SSDM paper's rho-norm practical variant) keep
-        the per-coordinate signal ``~1/sqrt(block)`` instead of
-        ``~1/sqrt(D)``, which is what lets SSDM train large flat-gradient
-        models like the transformer workload.
-        """
-        if self.block_size is None or vector.size <= self.block_size:
-            return stochastic_sign(vector, rng)
-        block = self.block_size
-        num_blocks = (vector.size + block - 1) // block
-        padded = np.zeros(num_blocks * block)
-        padded[: vector.size] = vector
-        blocks = padded.reshape(num_blocks, block)
-        norms = np.linalg.norm(blocks, axis=1)
-        safe = np.where(norms == 0.0, 1.0, norms)
-        probs = 0.5 + blocks / (2.0 * safe[:, None])
-        draws = rng.random(blocks.shape)
-        signs = np.where(draws < probs, 1.0, -1.0).reshape(-1)[: vector.size]
-        return signs, float(np.linalg.norm(vector))
 
     def step(
         self, cluster: Cluster, grads: list[np.ndarray], round_idx: int
     ) -> StepResult:
-        signs, norms = [], []
+        norms = []
         for rank, grad in enumerate(grads):
-            transformed = self._transform(rank, grad)
-            sign, norm = self._draw_signs(transformed, self._rngs[rank])
-            signs.append(sign)
-            norms.append(norm)
-        if cluster.num_workers > 1:
-            _signsum_allreduce(cluster, signs)
+            direction = self._local.step(rank, grad)
             if self.norm_scaled:
-                gathered = _allgather_scalars(cluster, norms)
-            else:
-                gathered = np.ones(self.num_workers)
-        else:
-            gathered = np.array(norms) if self.norm_scaled else np.ones(1)
-        estimates = [gathered[rank] * signs[rank] for rank in range(self.num_workers)]
-        update = self.lr * np.mean(estimates, axis=0)
+                norms.append(float(np.linalg.norm(direction)))
+            signs, _ = stochastic_sign(direction, self._rngs[rank], self.block_size)
+            direction[...] = signs
+        messages = self._local.out
+        if cluster.num_workers > 1:
+            _signsum_allreduce(cluster, list(messages))
+        if self.norm_scaled:
+            messages *= _allgather_scalars(cluster, norms)[:, None]
+        update = self.lr * np.mean(messages, axis=0)
         return StepResult(
             updates=_shared_update(update, self.num_workers),
             bits_per_element=float(self.num_workers.bit_length() + 1),
@@ -463,8 +342,8 @@ class CascadingSSDMStrategy(SyncStrategy):
         self.num_workers = num_workers
         self.normalize = normalize
         self._compressor = compressor if compressor is not None else SSDMCompressor()
-        self._momentum = (
-            _LocalMomentum(num_workers, momentum) if momentum > 0 else None
+        self._local = LocalOptimizer(
+            num_workers, "momentum" if momentum > 0 else "sgd", momentum=momentum
         )
         seeds = np.random.SeedSequence(seed).spawn(num_workers)
         self._rngs = [np.random.default_rng(s) for s in seeds]
@@ -472,11 +351,7 @@ class CascadingSSDMStrategy(SyncStrategy):
     def step(
         self, cluster: Cluster, grads: list[np.ndarray], round_idx: int
     ) -> StepResult:
-        if self._momentum is not None:
-            grads = [
-                self._momentum.apply(rank, grad) for rank, grad in enumerate(grads)
-            ]
-        vectors = [np.asarray(grad, dtype=np.float64) for grad in grads]
+        vectors = [self._local.step(rank, grad) for rank, grad in enumerate(grads)]
         if cluster.num_workers == 1:
             mean = vectors[0]
         else:
@@ -527,8 +402,8 @@ class PowerSGDStrategy(SyncStrategy):
         self.lr = lr
         self.num_workers = num_workers
         self.rank = rank
-        self._transform = _make_transform(num_workers, base_optimizer, momentum)
-        self._memories: list[np.ndarray | None] = [None] * num_workers
+        self._local = LocalOptimizer(num_workers, base_optimizer, momentum=momentum)
+        self._feedback = ErrorFeedback(num_workers, zero_start=False)
         self._q: np.ndarray | None = None
         self._seed = seed
 
@@ -548,16 +423,12 @@ class PowerSGDStrategy(SyncStrategy):
             self._q = np.random.default_rng(self._seed).standard_normal(
                 (cols, rank)
             )
-        matrices = []
-        corrected_vectors = []
+        padded = np.zeros((self.num_workers, rows * cols))
         for worker, grad in enumerate(grads):
-            corrected = self.lr * self._transform(worker, grad)
-            if self._memories[worker] is not None:
-                corrected = corrected + self._memories[worker]
-            corrected_vectors.append(corrected)
-            padded = np.zeros(rows * cols)
-            padded[:dimension] = corrected
-            matrices.append(padded.reshape(rows, cols))
+            direction = self._local.step(worker, grad)
+            direction *= self.lr
+            padded[worker, :dimension] = self._feedback.carry(worker, direction)
+        matrices = [row.reshape(rows, cols) for row in padded]
 
         # First sequential pass: all-reduce P = G Q.
         p_locals = [(g @ self._q).reshape(-1) for g in matrices]
@@ -571,7 +442,7 @@ class PowerSGDStrategy(SyncStrategy):
 
         decoded_flat = (p_hat @ self._q.T).reshape(-1)[:dimension]
         for worker in range(self.num_workers):
-            self._memories[worker] = corrected_vectors[worker] - decoded_flat
+            self._feedback.settle(worker, decoded_flat)
         update = decoded_flat
         bits = 32.0 * rank * (rows + cols) / dimension
         return StepResult(

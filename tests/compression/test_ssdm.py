@@ -50,6 +50,63 @@ class TestStochasticSign:
             assert signs[0] == 1.0
 
 
+def _frozen_block_signs(vector, rng, block, zero_blocks_half):
+    """The two blockwise draws ``stochastic_sign`` replaced, frozen.
+
+    The compressor pinned a zero block's probabilities to 1/2; SSDM's
+    strategy divided by a norm of 1 instead.  Both must match.
+    """
+    num_blocks = (vector.size + block - 1) // block
+    padded = np.zeros(num_blocks * block)
+    padded[: vector.size] = vector
+    blocks = padded.reshape(num_blocks, block)
+    norms = np.linalg.norm(blocks, axis=1)
+    safe = np.where(norms == 0.0, 1.0, norms)
+    probs = 0.5 + blocks / (2.0 * safe[:, None])
+    if zero_blocks_half:
+        probs[norms == 0.0] = 0.5
+    draws = rng.random(blocks.shape)
+    return np.where(draws < probs, 1.0, -1.0).reshape(-1)[: vector.size], norms
+
+
+class TestBlockSizes:
+    DIMENSION = 103
+
+    def _vector(self):
+        vector = np.random.default_rng(9).standard_normal(self.DIMENSION)
+        vector[:14] = 0.0  # two whole zero blocks at block size 7
+        vector[3:14:2] = -0.0
+        vector[60:70] = -0.0
+        return vector
+
+    @pytest.mark.parametrize("block", [1, 7, 50, 102, 103, 104, None])
+    @pytest.mark.parametrize("zero_blocks_half", [True, False])
+    def test_matches_both_frozen_draws(self, block, zero_blocks_half):
+        vector = self._vector()
+        ours, reference = np.random.default_rng(5), np.random.default_rng(5)
+        signs, norms = stochastic_sign(vector, ours, block)
+        if block is None or block >= vector.size:
+            expected, expected_norm = stochastic_sign(vector, reference)
+            assert isinstance(norms, float) and norms == expected_norm
+        else:
+            expected, expected_norms = _frozen_block_signs(
+                vector, reference, block, zero_blocks_half
+            )
+            assert np.array_equal(norms, expected_norms)
+        assert np.array_equal(signs, expected)
+        assert ours.random() == reference.random()
+
+    @pytest.mark.parametrize("block", [1, 7, 50, 102, 103, 104, None])
+    def test_compressor_decodes_the_same_draw(self, block):
+        vector = self._vector()
+        signs, norms = stochastic_sign(vector, np.random.default_rng(6), block)
+        payload = SSDMCompressor(block).compress(
+            vector, rng=np.random.default_rng(6)
+        )
+        scales = np.repeat(np.atleast_1d(norms), block or vector.size)
+        assert np.array_equal(payload.decode(), scales[: vector.size] * signs)
+
+
 class TestSSDMCompressor:
     def test_requires_rng(self, rng):
         with pytest.raises(ValueError):

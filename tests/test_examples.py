@@ -1,0 +1,47 @@
+"""Smoke tests for the scripts under ``examples/``."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from repro.comm.cluster import Cluster
+from repro.comm.topology import ring_topology
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, EXAMPLES / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_topk_error_feedback_strategy_steps_on_a_ring():
+    module = _load("custom_strategy")
+    num, dimension, lr, momentum = 4, 40, 0.1, 0.9
+    strategy = module.TopKErrorFeedbackStrategy(
+        lr=lr, num_workers=num, k_fraction=0.1, momentum=momentum
+    )
+    cluster = Cluster(ring_topology(num))
+    rng = np.random.default_rng(0)
+    buffers = np.zeros((num, dimension))
+    directions = np.zeros((num, dimension))
+    applied = np.zeros(dimension)
+    for round_idx in range(3):
+        grads = [rng.standard_normal(dimension) for _ in range(num)]
+        result = strategy.step(cluster, grads, round_idx)
+        assert len(result.updates) == num
+        for update in result.updates:
+            assert np.array_equal(update, result.updates[0])
+        assert np.isfinite(result.updates[0]).all()
+        assert np.count_nonzero(result.updates[0]) <= num * 4
+        applied += result.updates[0]
+        buffers = momentum * buffers + np.array(grads)
+        directions += lr * buffers
+    assert cluster.total_bytes > 0
+    # Error feedback: what was applied plus what is still carried is the
+    # momentum-smoothed total, averaged over workers.
+    residual = strategy._feedback.residual
+    assert np.allclose(applied + residual.mean(axis=0), directions.mean(axis=0))
