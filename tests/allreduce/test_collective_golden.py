@@ -1,8 +1,8 @@
 """Golden fingerprints of every registered collective.
 
 Each case runs one collective — the registered FP mean, the integer sign
-sum, the Elias-coded ring sign sum, or the scalar all-gather — on a fixed
-topology with seeded inputs, and records what a bit-for-bit refactor must
+sum, the Elias-coded ring sign sum, the segmented ring sum, or the scalar
+all-gather — on a fixed topology with seeded inputs, and records what a bit-for-bit refactor must
 preserve: a sha256 over the outputs (dtype, shape and bytes), the total
 bytes and messages, the bytes on every link, the simulated seconds per
 timeline phase, and (for the faulty case) the fault-injector counters.
@@ -10,7 +10,9 @@ timeline phase, and (for the faulty case) the fault-injector counters.
 The faulty case runs one 4x4 torus round of mean + sign sum + all-gather
 under link jitter, a straggler and retry-mode drops — the events of the
 ``schemes-torus-faulty`` benchmark workload — so every fault decision keyed
-by ``(tag, link, occurrence)`` is pinned too.  Refresh intentionally with::
+by ``(tag, link, occurrence)`` is pinned too.  A second faulty case runs
+one halving-doubling round of mean + sign sum under the same events, where
+several segments share a link in one step.  Refresh intentionally with::
 
     python -m pytest tests/allreduce/test_collective_golden.py --update-golden
 """
@@ -24,6 +26,7 @@ import pytest
 
 from repro.allreduce import get_topology
 from repro.allreduce.ring import signsum_ring_allreduce
+from repro.allreduce.segmented import segmented_ring_allreduce
 from repro.comm.cluster import Cluster
 from repro.faults import (
     BitFlip,
@@ -42,7 +45,9 @@ TOPOLOGIES = {
     "ring_m5": ("ring", {}, 5),
     "torus_2x3": ("torus", {"rows": 2, "cols": 3}, 6),
     "torus_4x4": ("torus", {"rows": 4, "cols": 4}, 16),
+    "ring_m6": ("ring", {}, 6),
     "tree_m7_a2": ("tree", {"arity": 2}, 7),
+    "tree_m13_a3": ("tree", {"arity": 3}, 13),
     "halving_doubling_m8": ("halving_doubling", {}, 8),
     "star_m5": ("star", {}, 5),
 }
@@ -68,6 +73,11 @@ def _elias_signsum(cluster, name, num, rng):
     return signsum_ring_allreduce(cluster, _signs(rng, num), elias_coded=True)
 
 
+def _segmented(cluster, name, num, rng):
+    vectors = [rng.standard_normal(DIMENSION) for _ in range(num)]
+    return segmented_ring_allreduce(cluster, vectors, segment_elems=40)
+
+
 def _allgather(cluster, name, num, rng):
     values = list(rng.standard_normal(num) * 3.0)
     return get_topology(name).allgather_scalars(cluster, values)
@@ -79,6 +89,10 @@ def _faulty_round(cluster, name, num, rng):
         _signsum(cluster, name, num, rng),
         _allgather(cluster, name, num, rng),
     ]
+
+
+def _faulty_sums(cluster, name, num, rng):
+    return [_mean(cluster, name, num, rng), _signsum(cluster, name, num, rng)]
 
 
 def _fault_plan(seed: int) -> FaultPlan:
@@ -106,8 +120,15 @@ CASES = {
     "torus_4x4_mean": ("torus_4x4", _mean, None),
     "torus_4x4_signsum": ("torus_4x4", _signsum, None),
     "torus_4x4_allgather": ("torus_4x4", _allgather, None),
+    "ring_m6_segmented_40": ("ring_m6", _segmented, None),
     "tree_m7_a2_mean": ("tree_m7_a2", _mean, None),
+    "tree_m7_a2_signsum": ("tree_m7_a2", _signsum, None),
+    "tree_m13_a3_mean": ("tree_m13_a3", _mean, None),
     "halving_doubling_m8_mean": ("halving_doubling_m8", _mean, None),
+    "halving_doubling_m8_signsum": ("halving_doubling_m8", _signsum, None),
+    "halving_doubling_m8_faulty_round": (
+        "halving_doubling_m8", _faulty_sums, 3,
+    ),
     "star_m5_mean": ("star_m5", _mean, None),
     "star_m5_allgather": ("star_m5", _allgather, None),
     "torus_4x4_faulty_round": ("torus_4x4", _faulty_round, 3),
@@ -177,4 +198,9 @@ def test_collective_matches_golden(case_name, update_golden):
 
 def test_faulty_golden_is_not_vacuous():
     counters = fingerprint("torus_4x4_faulty_round")["fault_counters"]
+    assert counters["retries"] > 0
+
+
+def test_halving_doubling_faulty_golden_is_not_vacuous():
+    counters = fingerprint("halving_doubling_m8_faulty_round")["fault_counters"]
     assert counters["retries"] > 0
