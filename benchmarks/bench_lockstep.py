@@ -18,8 +18,8 @@ Since the SyncPlan refactor both engines are plan interpreters: the round
 is compiled once to a :class:`~repro.sched.plan.SyncPlan` and executed by
 ``ScalarExecutor`` / ``LaneStackedExecutor``.  The bench therefore grew a
 *plan-executor guard*: :func:`run_plan_guard` keeps a frozen copy of the
-pre-IR hand-coded batched ring round (built on the same
-``lockstep_ring_*`` primitives the compiler targets) and times it
+pre-IR hand-coded batched ring round (built on the lockstep ring
+walks the compiler replaced, frozen below) and times it
 interleaved with the plan executor in one process — the only comparison
 that survives noisy shared machines.  The guard also asserts the two
 produce bit-identical sign words and identical traffic/timeline charges.
@@ -60,11 +60,7 @@ import numpy as np
 import pytest
 
 from repro.allreduce import get_topology
-from repro.allreduce.ring import (
-    PackedLaneGrid,
-    lockstep_ring_all_gather,
-    lockstep_ring_reduce_scatter,
-)
+from repro.allreduce.ring import PackedLaneGrid
 from repro.bench import format_table, save_report
 from repro.comm.bits import PackedBits, PackedBitsBatch
 from repro.comm.cluster import Cluster
@@ -169,6 +165,74 @@ def run_rounds(dimension: int, workers: tuple[int, ...], rounds: int) -> dict:
 # ----------------------------------------------------------------------
 
 
+def _lockstep_reduce_scatter(
+    cluster: Cluster,
+    ranks: list[int],
+    grid: PackedLaneGrid,
+    combine,
+    tag: str,
+    on_step_end,
+) -> None:
+    """The pre-SyncPlan ``lockstep_ring_reduce_scatter`` over one ring cycle.
+
+    Each synchronous step is one fancy-index gather, one ``combine`` over a
+    :class:`~repro.comm.bits.PackedBitsBatch` (called as ``combine(received,
+    local, step, ranks)``), one scatter and one bulk ``Cluster.exchange``;
+    ``on_step_end(step, transfer_seconds)`` follows each step.
+    """
+    size = len(ranks)
+    lane_idx = np.arange(size)
+    src_lane = (lane_idx - 1) % size
+    rank_arr = np.asarray(ranks)
+    src_rank = rank_arr[src_lane]
+    for step in range(size - 1):
+        seg = (lane_idx - 1 - step) % size
+        received = PackedBitsBatch._trusted(
+            grid.words[src_lane, seg], grid.lengths[src_lane, seg]
+        )
+        local = PackedBitsBatch._trusted(
+            grid.words[lane_idx, seg], grid.lengths[lane_idx, seg]
+        )
+        merged = combine(received, local, step, ranks)
+        grid.words[lane_idx, seg] = merged.words
+        grid.lengths[lane_idx, seg] = merged.lengths
+        nbytes = (received.lengths + 7) // 8
+        elapsed = cluster.exchange(
+            [
+                (int(src_rank[i]), int(rank_arr[i]), int(nbytes[i]))
+                for i in range(size)
+            ],
+            tag=f"{tag}:{step}",
+        )
+        on_step_end(step, elapsed)
+
+
+def _lockstep_all_gather(
+    cluster: Cluster, ranks: list[int], grid: PackedLaneGrid, tag: str
+) -> None:
+    """The pre-SyncPlan ``lockstep_ring_all_gather`` over one ring cycle:
+    position ``p`` owns segment ``(p + 1) % size`` and circulates it."""
+    size = len(ranks)
+    lane_idx = np.arange(size)
+    src_lane = (lane_idx - 1) % size
+    rank_arr = np.asarray(ranks)
+    src_rank = rank_arr[src_lane]
+    for step in range(size - 1):
+        seg = (lane_idx - step) % size
+        moved_words = grid.words[src_lane, seg]
+        moved_lengths = grid.lengths[src_lane, seg]
+        grid.words[lane_idx, seg] = moved_words
+        grid.lengths[lane_idx, seg] = moved_lengths
+        nbytes = (moved_lengths + 7) // 8
+        cluster.exchange(
+            [
+                (int(src_rank[i]), int(rank_arr[i]), int(nbytes[i]))
+                for i in range(size)
+            ],
+            tag=f"{tag}:{step}",
+        )
+
+
 def _hand_coded_ring_round(
     cluster: Cluster,
     matrix: np.ndarray,
@@ -209,11 +273,11 @@ def _hand_coded_ring_round(
 
     with cluster.obs.tracer.span("reduce-scatter", cat="phase", tag="m-rs"):
         cluster.charge(Phase.COMPRESSION, model.compress_time(segment_elems))
-        lockstep_ring_reduce_scatter(
-            cluster, [ranks], grid, combine, tag="m-rs", on_step_end=charge_hop
+        _lockstep_reduce_scatter(
+            cluster, ranks, grid, combine, tag="m-rs", on_step_end=charge_hop
         )
     with cluster.obs.tracer.span("all-gather", cat="phase", tag="m-ag"):
-        lockstep_ring_all_gather(cluster, [ranks], grid, tag="m-ag")
+        _lockstep_all_gather(cluster, ranks, grid, tag="m-ag")
     return PackedBits.concat(grid.segments_of(0))
 
 

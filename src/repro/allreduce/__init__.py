@@ -1,10 +1,14 @@
 """All-reduce algorithms over the simulated cluster, plus the topology registry.
 
-Each topology family has one sum schedule, parameterized by a wire codec
-(:mod:`repro.allreduce.codec`): FP32 arrays for the full-precision baseline,
-or integer sign sums whose width grows with the number of contributors for
-the MAR-extended sign baselines.  Ring and torus share one cycle kernel
-(:func:`repro.allreduce.ring.cycle_allreduce`): a ring is the one-row torus.
+Each topology family writes its hop schedule once, as a
+:class:`~repro.sched.plan.SyncPlan` compiler.  Marsit's one-bit round runs
+the compiled plan; the sum collectives run it with its reduce hops re-typed
+under a wire codec (:mod:`repro.allreduce.codec`): FP32 arrays for the
+full-precision baseline, integer sign sums whose width grows with the
+number of contributors for the MAR-extended sign baselines, and cascading
+compression's decompress-add-recompress.  Ring and torus share the cycle
+phases: a ring is the one-row torus.  The star (parameter server), gossip
+and the scalar all-gathers stay hand-written.
 
 Higher-level collectives: 2D-torus all-reduce, parameter-server emulation,
 tree all-reduce, segmented ring, recursive halving-doubling, cascading
@@ -40,10 +44,6 @@ from repro.allreduce.ring import (
     PackedLaneGrid,
     SizedPayload,
     compile_ring,
-    lockstep_ring_all_gather,
-    lockstep_ring_reduce_scatter,
-    parallel_ring_all_gather,
-    parallel_ring_reduce_scatter,
     ring_allgather_scalars,
     ring_allreduce_mean,
     ring_allreduce_sum,
@@ -64,7 +64,6 @@ from repro.allreduce.torus import (
 from repro.allreduce.tree import (
     compile_tree,
     signsum_tree_allreduce,
-    tree_allreduce,
     tree_allreduce_mean,
 )
 from repro.comm.topology import (
@@ -91,11 +90,7 @@ __all__ = [
     "gossip_mixing_matrix",
     "halving_doubling_allreduce_mean",
     "halving_doubling_allreduce_sum",
-    "lockstep_ring_all_gather",
-    "lockstep_ring_reduce_scatter",
     "one_bit_topology_names",
-    "parallel_ring_all_gather",
-    "parallel_ring_reduce_scatter",
     "ps_allreduce",
     "register_topology",
     "ring_allgather_scalars",
@@ -114,7 +109,6 @@ __all__ = [
     "torus_allgather_scalars",
     "torus_allreduce_mean",
     "torus_allreduce_sum",
-    "tree_allreduce",
     "tree_allreduce_mean",
 ]
 

@@ -12,24 +12,48 @@ of which this implementation reproduces:
    l2-norm keeps growing, so the deviation compounds per Theorem 3
    (``(2D)^M G^2 / M``) and the matching rate collapses (Figure 1b) —
    divergence at M = 8 in Table 1.
+
+The walk is the ring's compiled SyncPlan with its reduce hops re-typed as
+``cascade`` (:func:`repro.allreduce.codec.allreduce_sum`), so it moves
+exactly the ring's messages.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Any, Sequence
 
 import numpy as np
 
+from repro.allreduce.codec import allreduce_sum
 from repro.comm.cluster import Cluster
 from repro.comm.timing import Phase
 from repro.compression.base import Compressor, Payload
-from repro.allreduce.ring import (
-    parallel_ring_all_gather,
-    parallel_ring_reduce_scatter,
-    split_segments,
-)
+from repro.sched.plan import ReduceOp
 
 __all__ = ["cascading_ring_allreduce"]
+
+
+@dataclass(frozen=True)
+class _Cascade:
+    """The cascade reduce op's per-hop codec: the sending worker compresses
+    its partial sum with its own generator; receivers decode and add."""
+
+    compressor: Compressor
+    rngs: Sequence[np.random.Generator]
+    op = ReduceOp(kind="cascade")
+
+    def cast(self, values: Any) -> np.ndarray:
+        return np.asarray(values, dtype=np.float64)
+
+    def encode(self, values: np.ndarray, contributors: int, rank: int) -> Payload:
+        return self.compressor.compress(values, rng=self.rngs[rank])
+
+    def value(self, payload: Payload) -> np.ndarray:
+        return payload.decode()
+
+    def finish(self, values: Sequence[np.ndarray]) -> np.ndarray:
+        return np.concatenate(values)
 
 
 def cascading_ring_allreduce(
@@ -40,6 +64,10 @@ def cascading_ring_allreduce(
     charge_time: bool = True,
 ) -> list[np.ndarray]:
     """Ring all-reduce with per-hop decompress -> add -> recompress.
+
+    The ring's plan with cascade reduce hops: a worker compresses a
+    segment when it first sends it, so every hop re-quantizes the running
+    sum, and the gathered segments are the compressed ones.
 
     Args:
         cluster: ring-topology cluster.
@@ -57,53 +85,18 @@ def cascading_ring_allreduce(
         raise ValueError("need one vector and one rng per worker")
     if num == 1:
         return [np.asarray(vectors[0], dtype=np.float64).copy()]
-
-    raw = [split_segments(np.asarray(v, dtype=np.float64), num) for v in vectors]
-    segment_elems = max(segment.size for segment in raw[0])
-
-    # Step 0 sends a freshly compressed local segment; later sends forward
-    # the payload produced by the previous hop's combine.  ``segments``
-    # therefore starts as payloads for the first send index and raw floats
-    # elsewhere; combine always receives a payload + a raw local segment.
-    segments: list[list[object]] = []
-    for pos in range(num):
-        worker_segments: list[object] = list(raw[pos])
-        first_send = pos % num
-        worker_segments[first_send] = compressor.compress(
-            raw[pos][first_send], rng=rngs[pos]
-        )
-        segments.append(worker_segments)
+    results = allreduce_sum(cluster, vectors, _Cascade(compressor, rngs), "ring")
     if charge_time:
-        cluster.charge(
-            Phase.COMPRESSION, cluster.cost_model.compress_time(segment_elems)
-        )
-
-    def combine(received: Payload, local: object, step: int, rank: int) -> Payload:
-        if not isinstance(local, np.ndarray):
-            raise TypeError("cascading combine expected a raw local segment")
-        recovered = received.decode()
-        return compressor.compress(recovered + local, rng=rngs[rank])
-
-    ring = [list(range(num))]
-    parallel_ring_reduce_scatter(cluster, ring, [segments], combine, tag="casc-rs")
-    if charge_time:
-        per_hop = cluster.cost_model.decompress_time(
+        # The first send's compression, then per reduce hop a decompress +
+        # compress that cannot overlap reception, then the final decode.
+        model = cluster.cost_model
+        segment_elems = -(-int(np.asarray(vectors[0]).size) // num)
+        per_hop = model.decompress_time(segment_elems) + model.compress_time(
             segment_elems
-        ) + cluster.cost_model.compress_time(segment_elems)
-        cluster.charge(Phase.COMPRESSION, (num - 1) * per_hop)
-
-    parallel_ring_all_gather(cluster, ring, [segments], tag="casc-ag")
-    if charge_time:
-        cluster.charge(
-            Phase.COMPRESSION,
-            cluster.cost_model.decompress_time(segment_elems * num),
         )
-
-    results = []
-    for pos in range(num):
-        decoded = [
-            seg.decode() if isinstance(seg, Payload) else np.asarray(seg)
-            for seg in segments[pos]
-        ]
-        results.append(np.concatenate(decoded) / num)
-    return results
+        cluster.charge(Phase.COMPRESSION, model.compress_time(segment_elems))
+        cluster.charge(Phase.COMPRESSION, (num - 1) * per_hop)
+        cluster.charge(
+            Phase.COMPRESSION, model.decompress_time(segment_elems * num)
+        )
+    return [result / num for result in results]

@@ -1,17 +1,20 @@
-"""Wire codecs: what a sum schedule puts on the wire per hop.
+"""Wire codecs, and the sum collectives that run them over a SyncPlan.
 
-Each topology has one sum schedule, parameterized by a codec that turns a
-partial sum over ``contributors`` workers into a wire payload.
+A sum collective runs its topology's one-bit schedule re-typed as a sum
+(:func:`~repro.sched.plan.as_sum_plan`), parameterized by a codec that
+turns a partial sum over ``contributors`` workers into a wire payload.
 :class:`FloatCodec` is the full-precision baseline (PSGD): ``wire_dtype``
 arrays, accumulated in that dtype.  :class:`SignSumCodec` is the
 MAR-extended sign baselines (signSGD, EF, SSDM): ``int64`` sign sums charged
 ``ceil(log2(m + 1)) + 1`` bits per element over ``m`` contributors (Section
-3.1's bit-length expansion), or the exact Elias-gamma size.  The FP mean is
-formed in one place, :func:`mean_of`.
+3.1's bit-length expansion), or the exact Elias-gamma size.
+:func:`allreduce_sum` compiles the plan once per (topology, M, D, op) and
+runs it; the FP mean is formed in one place, :func:`mean_of`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Sequence, Union
 
@@ -20,14 +23,18 @@ import numpy as np
 from repro.comm.bits import elias_gamma_encode, signed_int_bit_width, zigzag_encode
 from repro.comm.cluster import Cluster, SizedPayload
 from repro.comm.timing import Phase
+from repro.comm.topology import Topology
+from repro.sched.plan import CompileContext, ReduceOp, SyncPlan, as_sum_plan
 
 __all__ = [
     "SIGN_SUM",
     "FloatCodec",
     "SignSumCodec",
+    "allreduce_sum",
     "checked_signs",
     "mean_of",
     "signsum_collective",
+    "sum_plan",
 ]
 
 
@@ -38,24 +45,25 @@ class _Codec:
     wire_dtype: np.dtype
     dtype: np.dtype
 
+    @property
+    def op(self) -> ReduceOp:
+        """The reduce op a sum plan under this codec carries."""
+        return ReduceOp(kind="sum", codec=self.name)
+
     def cast(self, values: Any) -> np.ndarray:
         return np.asarray(values, dtype=self.wire_dtype)
 
-    def encode(self, values: Any, contributors: int) -> Any:
+    def encode(self, values: Any, contributors: int, rank: int = 0) -> Any:
+        """The payload worker ``rank`` sends for a partial sum over
+        ``contributors`` workers."""
         return self.cast(values)
 
     def value(self, payload: Any) -> np.ndarray:
         return payload
 
-    def combine(self, received: Any, local: Any, contributors: int) -> Any:
-        """Add a received partial sum into a local one, re-encoded."""
-        return self.encode(self.value(received) + self.value(local), contributors)
-
-    def finish(self, payloads: Sequence[Any]) -> np.ndarray:
+    def finish(self, values: Sequence[np.ndarray]) -> np.ndarray:
         """One worker's reduced segments, concatenated in the result dtype."""
-        return np.concatenate(
-            [np.asarray(self.value(p), dtype=self.dtype) for p in payloads]
-        )
+        return np.concatenate([np.asarray(v, dtype=self.dtype) for v in values])
 
     def single(self, vector: Any) -> np.ndarray:
         """The one-worker result: nothing goes on the wire."""
@@ -68,6 +76,10 @@ class FloatCodec(_Codec):
 
     wire_dtype: np.dtype = np.dtype(np.float32)
     dtype = np.dtype(np.float64)
+
+    @property
+    def name(self) -> str:
+        return np.dtype(self.wire_dtype).name
 
 
 @dataclass(frozen=True)
@@ -82,7 +94,13 @@ class SignSumCodec(_Codec):
     elias_coded: bool = False
     wire_dtype = dtype = np.dtype(np.int64)
 
-    def encode(self, values: Any, contributors: int) -> SizedPayload:
+    @property
+    def name(self) -> str:
+        return "signsum-elias" if self.elias_coded else "signsum"
+
+    def encode(
+        self, values: Any, contributors: int, rank: int = 0
+    ) -> SizedPayload:
         values = self.cast(values)
         if self.elias_coded and values.size:
             # A sum of m iid signs lives on {-m, -m+2, ..., m} with a
@@ -124,12 +142,99 @@ def checked_signs(
     return sign_vectors
 
 
-def signsum_collective(schedule):
-    """``signsum(cluster, sign_vectors, charge_compression=True)`` over a
-    sum ``schedule(cluster, vectors, codec=...)``."""
+def _tag_prefix(family: str, op: ReduceOp) -> str:
+    """Message-tag prefix of a sum plan's hops (one-bit hops use ``m-``).
+
+    Fault decisions are keyed by tag; the torus keeps TAR's ``tar-`` (FP)
+    and ``ss-`` (sign sum) tags, and cascading its ``casc-``.
+    """
+    if op.kind == "cascade":
+        return "casc-"
+    if family == "torus":
+        return "ss-" if op.codec.startswith("signsum") else "tar-"
+    return ""
+
+
+@functools.lru_cache(maxsize=256)
+def _compiled(
+    family: str,
+    meta: tuple,
+    num_workers: int,
+    dimension: int,
+    op: ReduceOp,
+    segment_elems: int | None,
+) -> SyncPlan:
+    from repro.allreduce import get_topology
+
+    compiler = get_topology(family).compile_one_bit
+    if compiler is None:
+        raise ValueError(f"topology {family!r} has no SyncPlan compiler")
+    context = CompileContext(
+        num_workers=num_workers,
+        dimension=dimension,
+        meta=dict(meta),
+        segment_elems=segment_elems,
+    )
+    plan = as_sum_plan(compiler(context), op, _tag_prefix(family, op))
+    plan.validate()
+    return plan
+
+
+def sum_plan(
+    topology: Topology,
+    dimension: int,
+    op: ReduceOp,
+    segment_elems: int | None = None,
+) -> SyncPlan:
+    """``topology``'s schedule as a sum plan of ``op``, compiled once.
+
+    The family's registered compiler builds the schedule; plans are cached
+    per (family, meta, M, D, op, segment size).
+    """
+    return _compiled(
+        topology.name,
+        tuple(sorted(topology.meta.items())),
+        topology.num_workers,
+        dimension,
+        op,
+        segment_elems,
+    )
+
+
+def allreduce_sum(
+    cluster: Cluster,
+    vectors: Sequence[np.ndarray],
+    codec: Any,
+    family: str,
+    segment_elems: int | None = None,
+) -> list[np.ndarray]:
+    """Per-worker sums of ``vectors`` over ``family``'s schedule under
+    ``codec`` (``codec.finish`` of each rank's reduced segments)."""
+    from repro.sched import get_executor
+
+    if cluster.topology.name != family:
+        raise ValueError(
+            f"the {family} all-reduce requires a {family} topology, "
+            f"got {cluster.topology.name!r}"
+        )
+    num = cluster.num_workers
+    if len(vectors) != num:
+        raise ValueError(f"expected {num} vectors, got {len(vectors)}")
+    sizes = {int(np.asarray(vector).size) for vector in vectors}
+    if len(sizes) > 1:
+        raise ValueError("all vectors must share one dimension")
+    if num == 1:
+        return [codec.single(vectors[0])]
+    plan = sum_plan(cluster.topology, sizes.pop(), codec.op, segment_elems)
+    return get_executor("scalar").run_sum(plan, cluster, vectors, codec)
+
+
+def signsum_collective(family: str):
+    """``signsum(cluster, sign_vectors, charge_compression=True)``: the
+    integer sign sum over ``family``'s schedule."""
 
     def signsum(cluster, sign_vectors, charge_compression=True):
         signs = checked_signs(cluster, sign_vectors, charge_compression)
-        return schedule(cluster, signs, codec=SIGN_SUM)
+        return allreduce_sum(cluster, signs, SIGN_SUM, family)
 
     return signsum

@@ -13,7 +13,12 @@ rank ``r`` owns segment ``r``, fully reduced.  The *doubling* (all-gather)
 phase mirrors the recursion back up: step ``t`` exchanges owned blocks with
 the partner across bit ``t``, doubling each rank's holdings until everyone
 has everything.  ``2k`` steps total versus the ring's ``2(M - 1)``, at the
-same optimal ``2 D (M - 1) / M`` traffic volume.
+same optimal ``2 D (M - 1) / M`` traffic volume.  A step moves one message
+per link: all the segments a rank sends its partner travel together.
+
+The FP and sign-sum collectives run the compiled plan with its reduce hops
+re-typed under a wire codec (:func:`repro.allreduce.codec.allreduce_sum`):
+halving step ``s`` carries sums over ``2^(s+1)`` workers.
 """
 
 from __future__ import annotations
@@ -22,11 +27,10 @@ import numpy as np
 
 from repro.allreduce.codec import (
     FloatCodec,
-    WireCodec,
+    allreduce_sum,
     mean_of,
     signsum_collective,
 )
-from repro.allreduce.ring import split_segments
 from repro.comm.cluster import Cluster
 from repro.sched.plan import (
     Barrier,
@@ -155,7 +159,9 @@ def halving_doubling_allreduce_sum(
     wire_dtype: np.dtype = np.dtype(np.float32),
 ) -> list[np.ndarray]:
     """Full-precision halving-doubling all-reduce; returns per-worker sums."""
-    return _halving_doubling(cluster, vectors, FloatCodec(wire_dtype))
+    return allreduce_sum(
+        cluster, vectors, FloatCodec(wire_dtype), "halving_doubling"
+    )
 
 
 def halving_doubling_allreduce_mean(
@@ -167,70 +173,5 @@ def halving_doubling_allreduce_mean(
     return mean_of(halving_doubling_allreduce_sum(cluster, vectors, wire_dtype))
 
 
-def _halving_doubling(
-    cluster: Cluster, vectors: list[np.ndarray], codec: WireCodec
-) -> list[np.ndarray]:
-    """The butterfly sum schedule of :func:`compile_halving_doubling`."""
-    meta = cluster.topology.meta
-    if cluster.topology.name != "halving_doubling":
-        raise ValueError(
-            "halving_doubling_allreduce requires a halving_doubling topology"
-        )
-    num = cluster.num_workers
-    if len(vectors) != num:
-        raise ValueError(f"expected {num} vectors, got {len(vectors)}")
-    if num == 1:
-        return [codec.single(vectors[0])]
-    order = _order_of(meta, num)
-
-    segs = [
-        [
-            codec.encode(part, 1)
-            for part in split_segments(codec.cast(vector), num, copy=False)
-        ]
-        for vector in vectors
-    ]
-    blocks = [list(range(num)) for _ in range(num)]
-    for step_idx in range(order):
-        bit = 1 << (order - step_idx - 1)
-        kept = [
-            [i for i in blocks[rank] if (i & bit) == (rank & bit)]
-            for rank in range(num)
-        ]
-        tag = f"hd-rs:{step_idx}"
-        cluster.begin_step()
-        for rank in range(num):
-            partner = rank ^ bit
-            cluster.send(
-                rank, partner, [segs[rank][i] for i in kept[partner]], tag=tag
-            )
-        for rank in range(num):
-            payload = cluster.recv(rank, rank ^ bit, tag=tag)
-            for seg, part in zip(kept[rank], payload):
-                segs[rank][seg] = codec.combine(
-                    part, segs[rank][seg], 2 << step_idx
-                )
-        cluster.end_step(tag=tag)
-        blocks = kept
-    owned = [[rank] for rank in range(num)]
-    for step_idx in range(order):
-        bit = 1 << step_idx
-        tag = f"hd-ag:{step_idx}"
-        cluster.begin_step()
-        for rank in range(num):
-            partner = rank ^ bit
-            cluster.send(
-                rank, partner, [segs[rank][i] for i in owned[rank]], tag=tag
-            )
-        for rank in range(num):
-            partner = rank ^ bit
-            payload = cluster.recv(rank, partner, tag=tag)
-            for seg, part in zip(owned[partner], payload):
-                segs[rank][seg] = part
-        cluster.end_step(tag=tag)
-        owned = [sorted(owned[rank] + owned[rank ^ bit]) for rank in range(num)]
-    return [codec.finish(row) for row in segs]
-
-
-signsum_halving_doubling_allreduce = signsum_collective(_halving_doubling)
+signsum_halving_doubling_allreduce = signsum_collective("halving_doubling")
 """Integer sign sums: halving step ``s`` carries sums over ``2^(s+1)`` workers."""

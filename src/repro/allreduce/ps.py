@@ -14,7 +14,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.allreduce.codec import WireCodec, signsum_collective
+from repro.allreduce.codec import SIGN_SUM, WireCodec, checked_signs
 from repro.comm.cluster import Cluster
 
 __all__ = [
@@ -121,11 +121,17 @@ def _star_sum(cluster: Cluster, vectors: list, codec: WireCodec) -> list:
         aggregate=lambda values: codec.encode(np.sum(values, axis=0), num),
         decode=codec.value,
     )
-    return [codec.finish([total]) for total in totals]
+    return [codec.finish([codec.value(total)]) for total in totals]
 
 
-signsum_star_allreduce = signsum_collective(_star_sum)
-"""Integer sign sums through the server: one-bit uploads, full-width download."""
+def signsum_star_allreduce(
+    cluster: Cluster,
+    sign_vectors: list[np.ndarray],
+    charge_compression: bool = True,
+) -> list[np.ndarray]:
+    """Integer sign sums through the server: one-bit uploads, full-width download."""
+    signs = checked_signs(cluster, sign_vectors, charge_compression)
+    return _star_sum(cluster, signs, SIGN_SUM)
 
 
 def star_allgather_scalars(

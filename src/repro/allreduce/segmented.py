@@ -4,19 +4,18 @@ The vector is cut into fixed-size segments that are pipelined through
 independent ring all-reduces; small segments keep per-step messages under
 the NIC's optimal packet size and overlap reduce/gather of different
 segments.  In the synchronous timing model the pipelining shows up as more,
-smaller steps; traffic volume matches the plain ring.
+smaller steps; traffic volume matches the plain ring.  The FP sum runs the
+compiled plan re-typed under a wire codec
+(:func:`repro.allreduce.codec.allreduce_sum`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.allreduce.codec import FloatCodec, allreduce_sum
+from repro.allreduce.ring import cycle_gather_steps, cycle_reduce_steps
 from repro.comm.cluster import Cluster
-from repro.allreduce.ring import (
-    cycle_gather_steps,
-    cycle_reduce_steps,
-    ring_allreduce_sum,
-)
 from repro.sched.plan import (
     CompileContext,
     GridSpec,
@@ -87,19 +86,6 @@ def segmented_ring_allreduce(
     """
     if segment_elems < 1:
         raise ValueError("segment_elems must be >= 1")
-    num = cluster.num_workers
-    if len(vectors) != num:
-        raise ValueError(f"expected {num} vectors, got {len(vectors)}")
-    arrays = [np.asarray(vector, dtype=np.float64) for vector in vectors]
-    dimension = arrays[0].size
-    if any(a.size != dimension for a in arrays):
-        raise ValueError("all vectors must share one dimension")
-
-    outputs = [np.empty(dimension) for _ in range(num)]
-    for start in range(0, dimension, segment_elems):
-        stop = min(start + segment_elems, dimension)
-        slices = [a[start:stop] for a in arrays]
-        reduced = ring_allreduce_sum(cluster, slices, wire_dtype=wire_dtype)
-        for rank in range(num):
-            outputs[rank][start:stop] = reduced[rank]
-    return outputs
+    return allreduce_sum(
+        cluster, vectors, FloatCodec(wire_dtype), "ring", segment_elems
+    )

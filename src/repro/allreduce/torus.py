@@ -15,19 +15,24 @@ elements — the *same volume* as the flat ring — but only
 column-phase messages are ``cols`` times smaller.  That step/latency saving
 is why every baseline communicates faster under TAR in Figure 5.
 
-The FP and sign-sum collectives are :func:`repro.allreduce.ring.cycle_allreduce`
-over the row and column cycles under a wire codec — the same kernel the
-flat ring runs with one row and no columns.
+:func:`compile_torus` writes the schedule once, from the ring's cycle
+phases; the FP and sign-sum collectives run that plan with its reduce hops
+re-typed under a wire codec (:func:`repro.allreduce.codec.allreduce_sum`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.allreduce.codec import SIGN_SUM, FloatCodec, checked_signs, mean_of
+from repro.allreduce.codec import (
+    SIGN_SUM,
+    FloatCodec,
+    allreduce_sum,
+    checked_signs,
+    mean_of,
+)
 from repro.allreduce.ring import (
     cycle_allgather_scalars,
-    cycle_allreduce,
     cycle_gather_steps,
     cycle_reduce_steps,
 )
@@ -61,8 +66,7 @@ def compile_torus(context: CompileContext) -> SyncPlan:
 
     Row-phase lanes are ranks in row-major order (the row-cycle flatten);
     the column phase restacks each rank's owned row segment into a second
-    grid in column-cycle order — mirroring the hand-written schedules'
-    ``split(rows)`` so per-rank RNG streams line up exactly.  The column
+    grid in column-cycle order, split into ``rows`` pieces.  The column
     merges carry ``base_weight=cols`` because every merged vector already
     represents a whole row (the weighted generalization of Eq. 2).
     """
@@ -159,13 +163,7 @@ def torus_allreduce_sum(
     wire_dtype: np.dtype = np.dtype(np.float32),
 ) -> list[np.ndarray]:
     """Hierarchical 2D-torus all-reduce; returns per-worker sums."""
-    return cycle_allreduce(
-        cluster,
-        vectors,
-        FloatCodec(wire_dtype),
-        *torus_cycles(cluster),
-        tags=("tar-row-", "tar-col-"),
-    )
+    return allreduce_sum(cluster, vectors, FloatCodec(wire_dtype), "torus")
 
 
 def torus_allreduce_mean(
@@ -189,12 +187,11 @@ def signsum_torus_allreduce(
     multiples of ``cols``, each hop charged at the fixed signed width of its
     partial-sum range — Section 3.1's expansion, under TAR.
     """
-    return cycle_allreduce(
+    return allreduce_sum(
         cluster,
         checked_signs(cluster, sign_vectors, charge_compression),
         SIGN_SUM,
-        *torus_cycles(cluster),
-        tags=("ss-row-", "ss-col-"),
+        "torus",
     )
 
 

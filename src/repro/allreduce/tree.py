@@ -2,18 +2,19 @@
 
 Mentioned in the paper (Section 5, "Implementation") as an all-reduce
 paradigm Marsit extends to.  Depth-synchronous: all transfers at one tree
-level overlap in a single timing step.
+level overlap in a single timing step.  :func:`compile_tree` writes the
+schedule once; the FP mean and the sign sum run it re-typed under a wire
+codec (:func:`repro.allreduce.codec.allreduce_sum`), each upward hop sized
+by the sender's subtree.
 """
 
 from __future__ import annotations
-
-from typing import Any, Callable
 
 import numpy as np
 
 from repro.allreduce.codec import (
     FloatCodec,
-    WireCodec,
+    allreduce_sum,
     mean_of,
     signsum_collective,
 )
@@ -36,7 +37,6 @@ from repro.sched.plan import (
 __all__ = [
     "compile_tree",
     "signsum_tree_allreduce",
-    "tree_allreduce",
     "tree_allreduce_mean",
 ]
 
@@ -53,68 +53,7 @@ def _levels(num_workers: int, arity: int) -> list[list[int]]:
     return levels
 
 
-def tree_allreduce(
-    cluster: Cluster,
-    vectors: list[np.ndarray],
-    reduce_pair: Callable[[Any, Any], Any] | None = None,
-    finalize: Callable[[Any], Any] | None = None,
-    codec: WireCodec = FloatCodec(np.dtype(np.float64)),
-) -> list[np.ndarray]:
-    """All-reduce over a tree topology: reduce up, broadcast down.
-
-    Depth-synchronous: every tree level is one step.  ``codec`` sizes each
-    upward hop by the sender's subtree size (the running weights
-    :func:`compile_tree` merges with); the default puts float64 on the wire.
-    ``reduce_pair`` folds two wire payloads (default: the codec's sum);
-    ``finalize`` maps the root's total before the broadcast.  Returns the
-    per-worker results, all equal.
-    """
-    meta = cluster.topology.meta
-    if cluster.topology.name != "tree" or "arity" not in meta:
-        raise ValueError("tree_allreduce requires a tree topology")
-    arity, root = meta["arity"], meta["root"]
-    num = cluster.num_workers
-    if len(vectors) != num:
-        raise ValueError(f"expected {num} vectors, got {len(vectors)}")
-
-    partial = [codec.encode(vector, 1) for vector in vectors]
-    weight = [1] * num
-    levels = _levels(num, arity)
-
-    # Reduce: deepest level first, each level one synchronous step.
-    for level in reversed(levels[1:]):
-        cluster.begin_step()
-        for rank in level:
-            cluster.send(rank, (rank - 1) // arity, partial[rank], tag="reduce")
-        for rank in level:
-            parent = (rank - 1) // arity
-            received = cluster.recv(parent, rank, tag="reduce")
-            weight[parent] += weight[rank]
-            if reduce_pair is None:
-                partial[parent] = codec.combine(
-                    received, partial[parent], weight[parent]
-                )
-            else:
-                partial[parent] = reduce_pair(partial[parent], received)
-        cluster.end_step()
-
-    final = [partial[root]] * num
-    if finalize is not None:
-        final[root] = finalize(partial[root])
-
-    # Broadcast: shallowest level first.
-    for level in levels[1:]:
-        cluster.begin_step()
-        for rank in level:
-            parent = (rank - 1) // arity
-            cluster.send(parent, rank, final[parent], tag="bcast")
-        for rank in level:
-            final[rank] = cluster.recv(rank, (rank - 1) // arity, tag="bcast")
-        cluster.end_step()
-    return [codec.finish([payload]) for payload in final]
-
-
-signsum_tree_allreduce = signsum_collective(tree_allreduce)
+signsum_tree_allreduce = signsum_collective("tree")
 """Integer sign sums up the tree, each hop at its subtree's signed width."""
 
 
@@ -122,7 +61,7 @@ def tree_allreduce_mean(
     cluster: Cluster, vectors: list[np.ndarray]
 ) -> list[np.ndarray]:
     """Tree all-reduce of the FP32 sum, then the mean (``2 (M - 1)`` hops)."""
-    return mean_of(tree_allreduce(cluster, vectors, codec=FloatCodec()))
+    return mean_of(allreduce_sum(cluster, vectors, FloatCodec(), "tree"))
 
 
 def compile_tree(context: CompileContext) -> SyncPlan:

@@ -14,7 +14,9 @@ gradient, possibly momentum/Adam-transformed) and a compensation vector
    ``g_t = eta_s * signs`` (line 9); compensation becomes ``c <- g - g_t``
    (line 10);
 3. on a **full-precision round** (``t mod K == 0``): all-reduces ``g`` in
-   FP32 and resets ``c <- 0`` (lines 12-13).
+   FP32 over the same topology's schedule, compiled as a sum plan
+   (:func:`repro.allreduce.codec.sum_plan`), and resets ``c <- 0`` (lines
+   12-13).
 
 A one-bit round reads the buffer once.  Line 10 does not sweep it: ``g_t``
 stays *pending* and is folded into the next round's line 1, which runs as
@@ -46,7 +48,7 @@ import numpy as np
 
 from repro.comm.cluster import Cluster
 from repro.sched import executor_names, get_executor
-from repro.sched.plan import CompileContext, Pack, SyncPlan, full_precision_plan
+from repro.sched.plan import CompileContext, Pack, SyncPlan
 
 if TYPE_CHECKING:
     from repro.allreduce.ring import PackedLaneGrid
@@ -547,14 +549,14 @@ class MarsitSynchronizer:
         cached = self._plans.get(key)
         if cached is not None:
             return cached
+        self.config.validate_topology(topology.name)
         if kind == "full_precision":
-            plan = full_precision_plan(
-                topology.name, cluster.num_workers, self.dimension
-            )
+            from repro.allreduce.codec import FloatCodec, sum_plan
+
+            plan = sum_plan(topology, self.dimension, FloatCodec().op)
         else:
             from repro.allreduce import get_topology
 
-            self.config.validate_topology(topology.name)
             compiler = get_topology(topology.name).compile_one_bit
             plan = compiler(
                 CompileContext(

@@ -19,10 +19,12 @@ Events
     ``mode="timeout"`` loses the message terminally — the receiver times
     out and the caller must abort/clean the round
     (:meth:`~repro.comm.cluster.Cluster.abort_step` +
-    :meth:`~repro.comm.cluster.Cluster.discard_pending`).  Terminal mode is
-    a scalar-engine diagnostic: the lane-stacked engine models only the
-    reliable-transport protocol, because its payloads never cross the
-    cluster.
+    :meth:`~repro.comm.cluster.Cluster.discard_pending`).  Sum plans (the
+    FP mean, the sign sum, cascading) move every message through the
+    cluster on both engines, so a terminal loss raises there on either.
+    In a one-bit round terminal mode is a scalar-engine diagnostic: the
+    lane-stacked engine's bulk exchange models only the reliable-transport
+    protocol, because its payloads never cross the cluster.
 :class:`BitFlip`
     Per-bit corruption of one-bit *reduce* payloads on the wire.  Gather
     (broadcast) hops are modelled as checksum-protected: a flip there would

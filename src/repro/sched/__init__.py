@@ -1,9 +1,9 @@
 """Plan/compile/execute pipeline for synchronization rounds.
 
-``repro.sched`` holds the topology-agnostic half of the one-bit machinery:
-the :class:`~repro.sched.plan.SyncPlan` IR and the two interpreters that run
-any plan.  The per-topology compilers live next to their hand-written
-schedules in :mod:`repro.allreduce` and are reached through that package's
+``repro.sched`` holds the topology-agnostic half of every multi-hop
+collective: the :class:`~repro.sched.plan.SyncPlan` IR and the two
+interpreters that run any plan, one-bit or sum.  The per-topology compilers
+live in :mod:`repro.allreduce` and are reached through that package's
 topology registry.
 """
 
@@ -12,35 +12,37 @@ from __future__ import annotations
 from repro.sched.executor import LaneStackedExecutor, ScalarExecutor
 from repro.sched.plan import (
     Barrier,
+    MERGE_SIGN,
     CompileContext,
-    FpAllReduce,
     Gather,
     GridSpec,
     Merge,
     MergeSign,
     Output,
     Pack,
+    ReduceOp,
     Restack,
     SendRecv,
     Step,
     SyncPlan,
     Transfer,
     Unstack,
-    full_precision_plan,
+    as_sum_plan,
     plan_segment_lengths,
 )
 
 __all__ = [
     "Barrier",
     "CompileContext",
-    "FpAllReduce",
     "Gather",
     "GridSpec",
     "LaneStackedExecutor",
+    "MERGE_SIGN",
     "Merge",
     "MergeSign",
     "Output",
     "Pack",
+    "ReduceOp",
     "Restack",
     "ScalarExecutor",
     "SendRecv",
@@ -48,8 +50,8 @@ __all__ = [
     "SyncPlan",
     "Transfer",
     "Unstack",
+    "as_sum_plan",
     "executor_names",
-    "full_precision_plan",
     "get_executor",
     "plan_segment_lengths",
 ]

@@ -1,8 +1,8 @@
 """The two SyncPlan interpreters.
 
 Both executors run *any* plan; the per-topology knowledge lives entirely in
-the compilers (:mod:`repro.allreduce`).  They differ only in how a hop's
-merges and transfers are realized:
+the compilers (:mod:`repro.allreduce`).  They differ only in how a one-bit
+hop's merges and transfers are realized:
 
 - :class:`ScalarExecutor` keeps per-lane :class:`~repro.comm.bits.PackedBits`
   segment lists and moves one message at a time through
@@ -11,6 +11,12 @@ merges and transfers are realized:
   :class:`~repro.allreduce.ring.PackedLaneGrid` and executes each hop as one
   fancy-index gather, one batched merge expression, and one bulk
   ``Cluster.exchange`` — the lockstep path.
+
+Sum plans (:func:`~repro.sched.plan.as_sum_plan`: the FP32 mean, the
+integer sign sum, cascading compression) run once, in the shared base
+(:meth:`_PlanExecutor.run_sum`), message by message through
+``Cluster.send``/``recv`` under a wire codec, so both engines return the
+same sums and a terminal loss raises ``LookupError`` on either.
 
 Neither packs: the caller hands ``run_one_bit`` one
 :class:`~repro.allreduce.ring.PackedLaneGrid` per ``Pack`` step (the
@@ -23,10 +29,11 @@ Both consume identical per-rank RNG streams (a plan's merge *waves* pin the
 draw order), apply identical cost-model charges, and emit identical traffic
 and wire metrics, so the engines stay bit-for-bit interchangeable — the
 invariant ``tests/sched/test_engine_identity.py`` enforces for every
-registered topology.
+registered topology.  A step's transfers on one link travel as one message
+on both engines, sized as the sum of their segments.
 
-Cost accounting per reduce hop (Section 4.1.1's overlap claim): the sign
-extraction and the transient draw for the next segment overlap the
+Cost accounting per one-bit reduce hop (Section 4.1.1's overlap claim): the
+sign extraction and the transient draw for the next segment overlap the
 transfer, so only their excess over the transfer makespan is charged; the
 post-receive bit merge needs the received bits and is charged in full.
 ``repro.allreduce`` is imported lazily inside the run methods: the compilers
@@ -36,7 +43,7 @@ here would close the cycle.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
@@ -51,7 +58,6 @@ from repro.core.sign_ops import (
 )
 from repro.sched.plan import (
     Barrier,
-    FpAllReduce,
     Gather,
     GridSpec,
     MergeSign,
@@ -59,10 +65,12 @@ from repro.sched.plan import (
     Restack,
     SendRecv,
     SyncPlan,
+    Transfer,
     Unstack,
 )
 
 if TYPE_CHECKING:
+    from repro.allreduce.codec import WireCodec
     from repro.allreduce.ring import PackedLaneGrid
 
 __all__ = ["LaneStackedExecutor", "ScalarExecutor", "pack_grids"]
@@ -97,8 +105,58 @@ def pack_grids(plan: SyncPlan, matrix: np.ndarray) -> dict[str, PackedLaneGrid]:
     return grids
 
 
+def _links(transfers: Sequence[Transfer]) -> dict[tuple[int, int], list[int]]:
+    """A step's transfers as one message per ``(src_lane, dst_lane)`` link:
+    the link's segments, in transfer order."""
+    links: dict[tuple[int, int], list[int]] = {}
+    for transfer in transfers:
+        key = (transfer.src_lane, transfer.dst_lane)
+        segs = links.get(key)
+        if segs is None:
+            links[key] = [transfer.seg]
+        else:
+            segs.append(transfer.seg)
+    return links
+
+
+def _receive(
+    cluster: Cluster,
+    ranks: Sequence[int],
+    links: dict[tuple[int, int], list[int]],
+    inbox: dict[tuple[int, int], dict[int, Any]],
+    src: int,
+    dst: int,
+    tag: str,
+) -> dict[int, Any]:
+    """Segment -> payload of the message on link ``src -> dst`` (lanes),
+    taken from ``dst``'s mailbox the first time a merge asks for it."""
+    received = inbox.get((src, dst))
+    if received is None:
+        payloads = cluster.recv(ranks[dst], ranks[src], tag=tag)
+        received = inbox[(src, dst)] = dict(zip(links[(src, dst)], payloads))
+    return received
+
+
+def _link_bytes(
+    ranks: Sequence[int], transfers: Sequence[Transfer], nbytes
+) -> list[tuple[int, int, int]]:
+    """``Cluster.exchange`` entries: one per link, bytes summed over its
+    segments (``nbytes[i]`` is transfer ``i``'s size)."""
+    totals: dict[tuple[int, int], int] = {}
+    for transfer, size in zip(transfers, nbytes):
+        key = (ranks[transfer.src_lane], ranks[transfer.dst_lane])
+        totals[key] = totals.get(key, 0) + int(size)
+    return [(src, dst, size) for (src, dst), size in totals.items()]
+
+
+def _value(codec: WireCodec, slot: Any) -> Any:
+    # A slot is a partial sum (an array) until it is first sent, and the
+    # payload that went on the wire from then on.
+    return slot if isinstance(slot, np.ndarray) else codec.value(slot)
+
+
 class _PlanExecutor:
-    """Shared plan walking: barriers, charges, and the full-precision path."""
+    """Shared plan walking: barriers, charges, and the sum plans."""
 
     name = "?"
 
@@ -142,30 +200,181 @@ class _PlanExecutor:
         )
 
     # ------------------------------------------------------------------
-    # full-precision plans
+    # sum plans
     # ------------------------------------------------------------------
     def run_full_precision(
         self, plan: SyncPlan, cluster: Cluster, vectors: Sequence[np.ndarray]
     ) -> list[np.ndarray]:
-        """Execute a ``kind="full_precision"`` plan; returns per-worker means."""
-        outputs: list[np.ndarray] | None = None
-        for step in plan.steps:
+        """The K-sync round: run the FP32 sum ``plan`` inside an
+        ``fp-allreduce`` span; returns per-worker means."""
+        from repro.allreduce.codec import FloatCodec, mean_of
+
+        tracer = cluster.obs.tracer
+        tracer.begin("fp-allreduce", cat="phase")
+        sums = self.run_sum(plan, cluster, vectors, FloatCodec())
+        tracer.end()
+        return mean_of(sums)
+
+    def run_sum(
+        self,
+        plan: SyncPlan,
+        cluster: Cluster,
+        vectors: Sequence[np.ndarray],
+        codec: WireCodec,
+    ) -> list[np.ndarray]:
+        """Execute a sum plan under ``codec``; returns per-rank results.
+
+        Each lane's slot holds its partial sum until the slot is first
+        sent: the sender encodes it for the workers it covers (the sum of
+        the merge weights that formed it) and keeps the payload, which
+        gathers then forward verbatim.  A merge adds the decoded payload to
+        the local partial sum.  ``codec.finish`` concatenates each rank's
+        output segments.
+        """
+        specs = {spec.name: spec for spec in plan.grids}
+        slots: dict[str, list[list[Any]]] = {}
+        weights: dict[str, list[list[int]]] = {}
+        steps = plan.steps
+        pos = 0
+        while pos < len(steps):
+            step = steps[pos]
             if isinstance(step, Barrier):
                 self._exec_barrier(cluster, step)
-            elif isinstance(step, FpAllReduce):
-                from repro.allreduce import get_topology
-
-                outputs = get_topology(step.topology).mean_allreduce(
-                    cluster, vectors
+            elif isinstance(step, Pack):
+                spec = specs[step.grid]
+                # Cast per slice, so no copy of the whole input outlives
+                # the slots that still need it.
+                slots[step.grid] = [
+                    np.array_split(
+                        codec.cast(np.asarray(vectors[rank])[step.start : step.stop]),
+                        spec.num_segments,
+                    )
+                    for rank in spec.lane_ranks
+                ]
+                weights[step.grid] = [
+                    [1] * spec.num_segments for _ in spec.lane_ranks
+                ]
+            elif isinstance(step, Restack):
+                source = slots[step.src_grid]
+                counts = weights[step.src_grid]
+                slots[step.grid] = [
+                    np.array_split(_value(codec, source[lane][seg]), step.parts)
+                    for lane, seg in step.sources
+                ]
+                weights[step.grid] = [
+                    [counts[lane][seg]] * step.parts for lane, seg in step.sources
+                ]
+            elif isinstance(step, Unstack):
+                source = slots[step.src_grid]
+                counts = weights[step.src_grid]
+                for lane, (dst_lane, dst_seg) in enumerate(step.targets):
+                    slots[step.grid][dst_lane][dst_seg] = np.concatenate(
+                        [_value(codec, part) for part in source[lane]]
+                    )
+                    weights[step.grid][dst_lane][dst_seg] = counts[lane][0]
+            elif isinstance(step, SendRecv):
+                merge = steps[pos + 1]
+                assert isinstance(merge, MergeSign)
+                if merge.reduce != codec.op:
+                    raise ValueError(
+                        f"plan reduces with {merge.reduce}, codec is {codec.op}"
+                    )
+                self._sum_hop(
+                    cluster, specs[step.grid], slots[step.grid],
+                    weights[step.grid], step, merge, codec,
+                )
+                pos += 2
+                continue
+            elif isinstance(step, Gather):
+                self._sum_gather(
+                    cluster, specs[step.grid], slots[step.grid],
+                    weights[step.grid], step, codec,
                 )
             else:
                 raise TypeError(
-                    f"unexpected step {type(step).__name__} in a "
-                    "full-precision plan"
+                    f"unexpected step {type(step).__name__} in a sum plan"
                 )
-        if outputs is None:
-            raise ValueError("full-precision plan ran no FpAllReduce step")
-        return outputs
+            pos += 1
+        held: dict[int, list[Any]] = {}
+        for out in plan.outputs:
+            for lane, rank in enumerate(specs[out.grid].lane_ranks):
+                held.setdefault(rank, []).extend(slots[out.grid][lane])
+        return [
+            codec.finish([_value(codec, slot) for slot in held[rank]])
+            for rank in range(len(held))
+        ]
+
+    @staticmethod
+    def _send_sums(
+        cluster: Cluster,
+        ranks: Sequence[int],
+        links: dict[tuple[int, int], list[int]],
+        rows: list[list[Any]],
+        weights: list[list[int]],
+        tag: str,
+        codec: WireCodec,
+    ) -> None:
+        """Send each link's segments as one message, encoding a partial
+        sum the first time it leaves its lane."""
+        for (src, dst), segs in links.items():
+            payloads = []
+            for seg in segs:
+                slot = rows[src][seg]
+                if isinstance(slot, np.ndarray):
+                    slot = rows[src][seg] = codec.encode(
+                        slot, weights[src][seg], ranks[src]
+                    )
+                payloads.append(slot)
+            cluster.send(ranks[src], ranks[dst], payloads, tag=tag)
+
+    def _sum_hop(
+        self,
+        cluster: Cluster,
+        spec: GridSpec,
+        rows: list[list[Any]],
+        weights: list[list[int]],
+        send: SendRecv,
+        merge: MergeSign,
+        codec: WireCodec,
+    ) -> None:
+        """One fused SendRecv + sum hop, one synchronous step."""
+        ranks = spec.lane_ranks
+        links = _links(send.transfers)
+        cluster.begin_step()
+        self._send_sums(cluster, ranks, links, rows, weights, send.tag, codec)
+        inbox: dict[tuple[int, int], dict[int, Any]] = {}
+        for wave in merge.waves:
+            for entry in wave:
+                received = _receive(
+                    cluster, ranks, links, inbox,
+                    entry.src_lane, entry.dst_lane, send.tag,
+                )
+                dst, seg = entry.dst_lane, entry.seg
+                rows[dst][seg] = codec.value(received[seg]) + _value(
+                    codec, rows[dst][seg]
+                )
+                weights[dst][seg] = entry.received_weight + entry.local_weight
+        cluster.end_step(tag=send.tag)
+
+    def _sum_gather(
+        self,
+        cluster: Cluster,
+        spec: GridSpec,
+        rows: list[list[Any]],
+        weights: list[list[int]],
+        step: Gather,
+        codec: WireCodec,
+    ) -> None:
+        ranks = spec.lane_ranks
+        links = _links(step.transfers)
+        cluster.begin_step()
+        self._send_sums(cluster, ranks, links, rows, weights, step.tag, codec)
+        for (src, dst), segs in links.items():
+            payloads = cluster.recv(ranks[dst], ranks[src], tag=step.tag)
+            for seg, payload in zip(segs, payloads):
+                rows[dst][seg] = payload
+                weights[dst][seg] = weights[src][seg]
+        cluster.end_step(tag=step.tag)
 
 
 class ScalarExecutor(_PlanExecutor):
@@ -237,20 +446,23 @@ class ScalarExecutor(_PlanExecutor):
         metrics = cluster.obs.metrics
         faults = cluster.faults
         flips = faults is not None and faults.flips_active
+        links = _links(send.transfers)
         cluster.begin_step()
-        for transfer in send.transfers:
+        for (src, dst), segs in links.items():
             cluster.send(
-                ranks[transfer.src_lane],
-                ranks[transfer.dst_lane],
-                rows[transfer.src_lane][transfer.seg],
+                ranks[src],
+                ranks[dst],
+                [rows[src][seg] for seg in segs],
                 tag=send.tag,
             )
+        inbox: dict[tuple[int, int], dict[int, Any]] = {}
         for wave in merge.waves:
             for entry in wave:
                 rank = ranks[entry.dst_lane]
-                received: PackedBits = cluster.recv(
-                    rank, ranks[entry.src_lane], tag=send.tag
-                )
+                received: PackedBits = _receive(
+                    cluster, ranks, links, inbox,
+                    entry.src_lane, entry.dst_lane, send.tag,
+                )[entry.seg]
                 if flips:
                     # Wire corruption lands on the received copy before the
                     # merge; the mask is keyed by (tag, link), so the
@@ -288,18 +500,19 @@ class ScalarExecutor(_PlanExecutor):
         step: Gather,
     ) -> None:
         ranks = spec.lane_ranks
+        links = _links(step.transfers)
         cluster.begin_step()
-        for transfer in step.transfers:
+        for (src, dst), segs in links.items():
             cluster.send(
-                ranks[transfer.src_lane],
-                ranks[transfer.dst_lane],
-                rows[transfer.src_lane][transfer.seg],
+                ranks[src],
+                ranks[dst],
+                [rows[src][seg] for seg in segs],
                 tag=step.tag,
             )
-        for transfer in step.transfers:
-            rows[transfer.dst_lane][transfer.seg] = cluster.recv(
-                ranks[transfer.dst_lane], ranks[transfer.src_lane], tag=step.tag
-            )
+        for (src, dst), segs in links.items():
+            payloads = cluster.recv(ranks[dst], ranks[src], tag=step.tag)
+            for seg, payload in zip(segs, payloads):
+                rows[dst][seg] = payload
         cluster.end_step(tag=step.tag)
 
     def _collect(
@@ -402,16 +615,14 @@ class LaneStackedExecutor(_PlanExecutor):
         metrics = cluster.obs.metrics
         faults = cluster.faults
         flips = faults is not None and faults.flips_active
-        exchange = [
-            (
-                ranks[transfer.src_lane],
-                ranks[transfer.dst_lane],
-                int(
-                    (grid.lengths[transfer.src_lane, transfer.seg] + 7) // 8
-                ),
-            )
-            for transfer in send.transfers
-        ]
+        exchange = _link_bytes(
+            ranks,
+            send.transfers,
+            [
+                (grid.lengths[transfer.src_lane, transfer.seg] + 7) // 8
+                for transfer in send.transfers
+            ],
+        )
         for wave in merge.waves:
             dst = np.fromiter(
                 (entry.dst_lane for entry in wave), dtype=np.int64,
@@ -492,16 +703,8 @@ class LaneStackedExecutor(_PlanExecutor):
         moved_lengths = grid.lengths[src, seg]
         grid.words[dst, seg] = moved_words
         grid.lengths[dst, seg] = moved_lengths
-        nbytes = (moved_lengths + 7) // 8
         cluster.exchange(
-            [
-                (
-                    ranks[t.src_lane],
-                    ranks[t.dst_lane],
-                    int(nbytes[i]),
-                )
-                for i, t in enumerate(step.transfers)
-            ],
+            _link_bytes(ranks, step.transfers, (moved_lengths + 7) // 8),
             tag=step.tag,
         )
 

@@ -1,38 +1,47 @@
 """The SyncPlan IR: a declarative schedule for one synchronization round.
 
 A :class:`SyncPlan` is a flat, ordered list of *steps* over named *grids*.
-A grid is a (lane, segment) matrix of packed sign vectors — the same shape
-:class:`~repro.allreduce.ring.PackedLaneGrid` materializes — annotated with
-which cluster rank owns each lane.  Per-topology **compilers** (living next
-to their hand-written schedules in :mod:`repro.allreduce`) lower a topology
-into a plan once; exactly two **executors** (:mod:`repro.sched.executor`)
-interpret any plan, so adding a topology never touches executor code.
+A grid is a (lane, segment) matrix of vector segments — the same shape
+:class:`~repro.allreduce.ring.PackedLaneGrid` materializes for packed sign
+bits — annotated with which cluster rank owns each lane.  Per-topology
+**compilers** (living next to their topologies in :mod:`repro.allreduce`)
+lower a topology into a plan once; exactly two **executors**
+(:mod:`repro.sched.executor`) interpret any plan, so adding a topology
+never touches executor code.
+
+One schedule serves every collective.  A compiler emits the one-bit round;
+:func:`as_sum_plan` re-types its reduce hops with another
+:class:`ReduceOp` — a sum under a named wire codec (the FP32 mean, the
+integer sign sum) or cascading's decompress-add-recompress — so each
+topology's hop schedule is written once.  The merge weights are the
+contributor counts a sum's codec sizes its payloads by.
 
 Steps
 -----
 ``Pack``
-    Pack the signs of each lane's slice ``matrix[rank, start:stop]`` into
+    Take each lane's slice ``matrix[rank, start:stop]`` into
     ``num_segments`` segments (``numpy.array_split`` boundaries).
 ``Restack`` / ``Unstack``
     Re-shard data between grids (e.g. the torus row phase's owned segment
     re-split across the column grid, and back).
 ``SendRecv`` + ``MergeSign``
     One reduce hop: every transfer's payload crosses the wire inside one
-    synchronous step, then each receiver merges via Algorithm 1's ``⊙``
-    (transient tie-break drawn from the *receiving* rank's rng stream).
-    A ``SendRecv`` is always immediately followed by its ``MergeSign``;
-    executors fuse the pair into a single accounted step.  Merges are
-    grouped into *waves*: within a wave every destination lane is unique,
-    and waves execute in order, which pins the per-rank rng draw order so
-    both executors consume identical stream prefixes.
+    synchronous step, then each receiver folds the received copy into its
+    own with the hop's ``reduce`` op: Algorithm 1's ``⊙`` by default
+    (transient tie-break drawn from the *receiving* rank's rng stream), or
+    a sum.  A ``SendRecv`` is always immediately followed by its
+    ``MergeSign``; executors fuse the pair into a single accounted step.
+    Merges are grouped into *waves*: within a wave every destination lane
+    is unique, and waves execute in order, which pins the per-rank rng
+    draw order so both executors consume identical stream prefixes.
 ``Gather``
     One all-gather/broadcast hop: payloads move, nothing is merged.
 ``Barrier``
     Opens or closes a tracing phase span (``reduce-scatter`` etc.) and
     optionally charges the up-front pack/compress cost inside it.
-``FpAllReduce``
-    The full-precision escape hatch for K-sync rounds: delegate the whole
-    round to the topology's registered mean all-reduce.
+
+A step's transfers that share a link travel as one message, sized as the
+sum of their segments.
 
 The IR is data, not code: plans serialize to canonical JSON (stable key
 order, no floats) and hash to a 12-hex-digit digest used for golden
@@ -43,26 +52,27 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Mapping, Union
 
 __all__ = [
     "Barrier",
     "CompileContext",
-    "FpAllReduce",
     "Gather",
     "GridSpec",
+    "MERGE_SIGN",
     "Merge",
     "MergeSign",
     "Output",
     "Pack",
+    "ReduceOp",
     "Restack",
     "SendRecv",
     "Step",
     "SyncPlan",
     "Transfer",
     "Unstack",
-    "full_precision_plan",
+    "as_sum_plan",
     "plan_segment_lengths",
 ]
 
@@ -96,7 +106,8 @@ class CompileContext:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A named (lane, segment) matrix of packed sign vectors.
+    """A named (lane, segment) matrix of vector segments (packed signs in a
+    one-bit plan, partial sums in a sum plan).
 
     ``lane_ranks[lane]`` is the cluster rank that owns the lane — the rank
     whose rng stream pays for merges into it and whose mailbox receives its
@@ -120,7 +131,8 @@ class Transfer:
 @dataclass(frozen=True)
 class Merge:
     """One ``⊙`` application: fold the received copy of ``seg`` into
-    ``dst_lane``'s local copy with the given vote weights."""
+    ``dst_lane``'s local copy with the given vote weights (in a sum plan,
+    the workers each copy covers)."""
 
     dst_lane: int
     src_lane: int
@@ -130,9 +142,28 @@ class Merge:
 
 
 @dataclass(frozen=True)
+class ReduceOp:
+    """What a reduce hop computes from a received segment and its own.
+
+    ``kind`` is ``"merge_sign"`` (Algorithm 1's ``⊙`` on packed sign bits),
+    ``"sum"`` (add the partial sums; ``codec`` names the wire codec of
+    :mod:`repro.allreduce.codec` that sizes them) or ``"cascade"``
+    (decompress, add, recompress: Section 3.2's cascading compression).
+    """
+
+    kind: str = "merge_sign"
+    codec: str = ""
+
+
+#: The one-bit reduce op; hops that carry it serialize no ``reduce`` key,
+#: so one-bit plans keep their digests.
+MERGE_SIGN = ReduceOp()
+
+
+@dataclass(frozen=True)
 class Pack:
-    """Pack ``matrix[rank, start:stop]`` signs into the grid, one lane per
-    entry of the grid's ``lane_ranks``."""
+    """Take ``matrix[rank, start:stop]`` into the grid, one lane per entry
+    of the grid's ``lane_ranks`` (one-bit plans pack its signs)."""
 
     grid: str
     start: int
@@ -181,9 +212,11 @@ class MergeSign:
     """The compute half of a reduce hop.
 
     ``waves`` fix the merge (and therefore rng-draw) order; the ``*_elems``
-    fields parameterize the cost model charges for the fused hop:
+    fields parameterize the cost model charges for a fused one-bit hop:
     ``compress_elems`` (``None`` when packing was pre-charged by the phase
     barrier), ``rng_elems`` transient draws, ``bitop_elems`` merge bit-ops.
+    ``reduce`` is what each merge computes; a sum's merged partial covers
+    ``received_weight + local_weight`` workers.
     """
 
     grid: str
@@ -191,6 +224,7 @@ class MergeSign:
     compress_elems: int | None
     rng_elems: int
     bitop_elems: int
+    reduce: ReduceOp = MERGE_SIGN
 
 
 @dataclass(frozen=True)
@@ -217,13 +251,6 @@ class Barrier:
 
 
 @dataclass(frozen=True)
-class FpAllReduce:
-    """Run the registered full-precision mean all-reduce for ``topology``."""
-
-    topology: str
-
-
-@dataclass(frozen=True)
 class Output:
     """One grid whose lane contents are the round's result (and must agree
     across lanes — ``where`` labels the consensus-violation error)."""
@@ -232,18 +259,16 @@ class Output:
     where: str
 
 
-Step = Union[
-    Pack, Restack, Unstack, SendRecv, MergeSign, Gather, Barrier, FpAllReduce
-]
+Step = Union[Pack, Restack, Unstack, SendRecv, MergeSign, Gather, Barrier]
 
 
 @dataclass(frozen=True)
 class SyncPlan:
     """A compiled synchronization round.
 
-    ``kind`` is ``"one_bit"`` or ``"full_precision"``; ``outputs`` lists the
-    grids (in concatenation order) holding the agreed result of a one-bit
-    plan.
+    ``kind`` is ``"one_bit"`` or ``"sum"`` (:func:`as_sum_plan`);
+    ``outputs`` lists the grids (in concatenation order) holding the
+    agreed result.
     """
 
     kind: str
@@ -275,6 +300,8 @@ class SyncPlan:
         for step in self.steps:
             entry: dict[str, Any] = {"op": type(step).__name__}
             entry.update(asdict(step))
+            if entry.get("reduce") == asdict(MERGE_SIGN):
+                del entry["reduce"]
             steps.append(entry)
         document = {
             "kind": self.kind,
@@ -338,20 +365,24 @@ class SyncPlan:
                 raise ValueError(f"output references unknown grid {out.grid!r}")
 
 
-def full_precision_plan(
-    topology: str, num_workers: int, dimension: int
-) -> SyncPlan:
-    """The K-sync round plan: one FpAllReduce wrapped in its phase span."""
-    return SyncPlan(
-        kind="full_precision",
-        topology=topology,
-        num_workers=num_workers,
-        dimension=dimension,
-        grids=(),
-        steps=(
-            Barrier(kind="begin", span="fp-allreduce"),
-            FpAllReduce(topology=topology),
-            Barrier(kind="end", span="fp-allreduce"),
-        ),
-        outputs=(),
-    )
+def as_sum_plan(plan: SyncPlan, op: ReduceOp, tag_prefix: str) -> SyncPlan:
+    """``plan``'s schedule with every reduce hop re-typed as ``op``.
+
+    Grids, transfers, waves and merge weights stay as compiled.  Hop and
+    phase tags trade the one-bit ``m-`` prefix for ``tag_prefix``, and the
+    phase barriers charge no sign pack: a sum plan costs its wire time.
+    """
+
+    def retag(tag: str | None) -> str | None:
+        return None if tag is None else tag_prefix + tag.removeprefix("m-")
+
+    steps: list[Step] = []
+    for step in plan.steps:
+        if isinstance(step, (SendRecv, Gather)):
+            step = replace(step, tag=retag(step.tag))
+        elif isinstance(step, MergeSign):
+            step = replace(step, reduce=op)
+        elif isinstance(step, Barrier):
+            step = replace(step, tag=retag(step.tag), compress_elems=None)
+        steps.append(step)
+    return replace(plan, kind="sum", steps=tuple(steps))

@@ -1,73 +1,110 @@
-"""Direct tests for the lockstep multi-cycle ring primitives."""
+"""Direct tests for the lockstep multi-cycle ring phases.
+
+The cycle phases (:func:`repro.allreduce.ring.cycle_reduce_steps` and
+:func:`~repro.allreduce.ring.cycle_gather_steps`) are what the ring and
+torus compilers are built from; here they run as a sum plan of their own.
+"""
 
 import numpy as np
 import pytest
 
-from repro.allreduce.ring import (
-    parallel_ring_all_gather,
-    parallel_ring_reduce_scatter,
-    split_segments,
-)
+from repro.allreduce.codec import FloatCodec
+from repro.allreduce.ring import cycle_gather_steps, cycle_reduce_steps
+from repro.allreduce.torus import compile_torus, torus_allreduce_sum
 from repro.comm.cluster import Cluster
 from repro.comm.timing import Phase
 from repro.comm.topology import torus_topology
+from repro.sched import ScalarExecutor
+from repro.sched.plan import (
+    CompileContext,
+    GridSpec,
+    Output,
+    Pack,
+    SyncPlan,
+    as_sum_plan,
+)
+
+CODEC = FloatCodec(np.dtype(np.float64))
 
 
-def _add(received, local, step, rank):
-    return np.asarray(received) + local
+def _cycles_plan(num_cycles, size, dimension, gather=True):
+    """Reduce-scatter (then all-gather) over ``num_cycles`` lockstep rings
+    of ``size`` consecutive ranks, as a float64 sum plan."""
+    steps = [Pack(grid="g", start=0, stop=dimension)]
+    steps += cycle_reduce_steps("g", num_cycles, size, 1, dimension, "m-rs")
+    if gather:
+        steps += cycle_gather_steps("g", num_cycles, size, "m-ag")
+    lanes = num_cycles * size
+    plan = SyncPlan(
+        kind="one_bit",
+        topology="torus",
+        num_workers=lanes,
+        dimension=dimension,
+        grids=(
+            GridSpec(name="g", lane_ranks=tuple(range(lanes)), num_segments=size),
+        ),
+        steps=tuple(steps),
+        outputs=(Output(grid="g", where="gather"),),
+    )
+    return as_sum_plan(plan, CODEC.op, "")
 
 
 class TestParallelRing:
     def test_two_rows_reduce_in_lockstep(self, rng):
         cluster = Cluster(torus_topology(2, 3))
         cycles = [[0, 1, 2], [3, 4, 5]]
-        vectors = {rank: rng.standard_normal(9) for rank in range(6)}
-        segments = [
-            [split_segments(vectors[rank], 3) for rank in cycle]
-            for cycle in cycles
-        ]
-        owned = parallel_ring_reduce_scatter(cluster, cycles, segments, _add)
-        parallel_ring_all_gather(cluster, cycles, segments)
-        for cycle_idx, cycle in enumerate(cycles):
+        vectors = [rng.standard_normal(9) for _ in range(6)]
+        executor = ScalarExecutor()
+        reduced = executor.run_sum(
+            _cycles_plan(2, 3, 9, gather=False), cluster, vectors, CODEC
+        )
+        gathered = executor.run_sum(_cycles_plan(2, 3, 9), cluster, vectors, CODEC)
+        for cycle in cycles:
             expected = np.sum([vectors[r] for r in cycle], axis=0)
-            for pos in range(3):
-                got = np.concatenate(segments[cycle_idx][pos])
-                assert np.allclose(got, expected, atol=1e-9)
-        assert owned == [[1, 2, 0], [1, 2, 0]]
+            for pos, rank in enumerate(cycle):
+                assert np.allclose(gathered[rank], expected, atol=1e-9)
+                # Position p ends the reduce phase owning segment p + 1.
+                own = (pos + 1) % 3
+                segment = slice(3 * own, 3 * own + 3)
+                assert np.allclose(
+                    reduced[rank][segment], expected[segment], atol=1e-9
+                )
         cluster.assert_drained()
 
     def test_lockstep_charges_one_latency_per_step(self, rng):
         # Two concurrent 3-cycles: still only (3-1) reduce steps of latency.
         cluster = Cluster(torus_topology(2, 3))
-        cycles = [[0, 1, 2], [3, 4, 5]]
-        segments = [
-            [split_segments(np.zeros(3), 3) for _ in cycle] for cycle in cycles
-        ]
-        parallel_ring_reduce_scatter(cluster, cycles, segments, _add)
+        ScalarExecutor().run_sum(
+            _cycles_plan(2, 3, 3, gather=False), cluster, [np.zeros(3)] * 6, CODEC
+        )
         latency = cluster.cost_model.latency_s
         comm = cluster.timeline.seconds[Phase.COMMUNICATION]
         assert comm == pytest.approx(2 * latency, rel=0.05)
 
     def test_rejects_unequal_cycle_lengths(self, rng):
-        cluster = Cluster(torus_topology(2, 3))
-        cycles = [[0, 1, 2], [3, 4]]
-        segments = [
-            [split_segments(np.zeros(3), len(c)) for _ in c] for c in cycles
-        ]
+        # Torus cycles are the rows and columns of its shape; a shape that
+        # does not cover the workers would leave cycles of unequal length.
         with pytest.raises(ValueError):
-            parallel_ring_reduce_scatter(cluster, cycles, segments, _add)
+            compile_torus(
+                CompileContext(
+                    num_workers=5, dimension=9, meta={"rows": 2, "cols": 3}
+                )
+            )
 
     def test_rejects_wrong_segment_count(self, rng):
+        # Every worker must cut the same vector length into cycle segments.
         cluster = Cluster(torus_topology(2, 3))
-        cycles = [[0, 1, 2]]
-        segments = [[split_segments(np.zeros(4), 2) for _ in range(3)]]
+        vectors = [np.zeros(4)] * 5 + [np.zeros(2)]
         with pytest.raises(ValueError):
-            parallel_ring_reduce_scatter(cluster, cycles, segments, _add)
+            torus_allreduce_sum(cluster, vectors)
 
     def test_empty_cycles_noop(self):
         cluster = Cluster(torus_topology(2, 3))
-        assert parallel_ring_reduce_scatter(cluster, [], [], _add) == []
-        parallel_ring_all_gather(cluster, [], [])  # no raise
+        assert ScalarExecutor().run_sum(
+            _cycles_plan(0, 3, 9), cluster, np.zeros((0, 9)), CODEC
+        ) == []
+        assert cluster.total_messages == 0
+        assert cluster.timeline.seconds[Phase.COMMUNICATION] == 0
 
 
 class TestTorusScalarAllgather:

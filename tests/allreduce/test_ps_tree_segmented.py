@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.allreduce import get_topology
 from repro.allreduce.ps import ps_allreduce
 from repro.allreduce.ring import ring_allreduce_sum
 from repro.allreduce.segmented import segmented_ring_allreduce
-from repro.allreduce.tree import tree_allreduce
 from repro.comm.cluster import Cluster
 from repro.comm.timing import Phase
 from repro.comm.topology import ring_topology, star_topology, tree_topology
@@ -77,41 +77,29 @@ class TestPSAllreduce:
             ps_allreduce(cluster, [rng.standard_normal(3)] * 3, aggregate=sum)
 
 
+def tree_allreduce_mean(cluster, vectors):
+    return get_topology("tree").mean_allreduce(cluster, vectors)
+
+
 class TestTreeAllreduce:
     @pytest.mark.parametrize("m", [1, 2, 3, 7, 10])
     def test_sum(self, m, rng):
         vectors = [rng.standard_normal(8) for _ in range(m)]
         cluster = Cluster(tree_topology(m, arity=2))
-        results = tree_allreduce(cluster, vectors)
-        expected = np.sum(vectors, axis=0)
+        results = tree_allreduce_mean(cluster, vectors)
+        expected = np.mean(vectors, axis=0)
         for result in results:
-            assert np.allclose(result, expected, atol=1e-9)
+            assert np.allclose(result, expected, atol=1e-6)
         cluster.assert_drained()
-
-    def test_finalize_mean(self, rng):
-        m = 5
-        vectors = [rng.standard_normal(4) for _ in range(m)]
-        cluster = Cluster(tree_topology(m))
-        results = tree_allreduce(cluster, vectors, finalize=lambda x: x / m)
-        assert np.allclose(results[3], np.mean(vectors, axis=0))
-
-    def test_custom_reduce(self, rng):
-        m = 4
-        vectors = [rng.standard_normal(6) for _ in range(m)]
-        cluster = Cluster(tree_topology(m))
-        results = tree_allreduce(cluster, vectors, reduce_pair=np.maximum)
-        assert np.allclose(results[0], np.max(vectors, axis=0))
 
     def test_wide_arity(self, rng):
         m = 6
         vectors = [rng.standard_normal(3) for _ in range(m)]
         cluster = Cluster(tree_topology(m, arity=5))
-        results = tree_allreduce(cluster, vectors)
-        assert np.allclose(results[0], np.sum(vectors, axis=0))
+        results = tree_allreduce_mean(cluster, vectors)
+        assert np.allclose(results[0], np.mean(vectors, axis=0), atol=1e-6)
 
     def test_mean_puts_fp32_on_the_wire(self, rng):
-        from repro.allreduce.tree import tree_allreduce_mean
-
         m, d = 7, 10
         vectors = [rng.standard_normal(d) for _ in range(m)]
         cluster = Cluster(tree_topology(m, arity=2))
@@ -127,7 +115,9 @@ class TestTreeAllreduce:
 
     def test_requires_tree(self, rng):
         with pytest.raises(ValueError):
-            tree_allreduce(Cluster(ring_topology(3)), [rng.standard_normal(2)] * 3)
+            tree_allreduce_mean(
+                Cluster(ring_topology(3)), [rng.standard_normal(2)] * 3
+            )
 
 
 class TestSegmentedRing:

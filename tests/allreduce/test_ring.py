@@ -13,7 +13,7 @@ from repro.allreduce.ring import (
 )
 from repro.comm.bits import signed_int_bit_width
 from repro.comm.cluster import Cluster
-from repro.comm.topology import ring_topology, torus_topology
+from repro.comm.topology import ring_topology
 
 
 def make_cluster(m):
@@ -87,14 +87,6 @@ class TestRingAllreduce:
     def test_dimension_smaller_than_workers(self, rng):
         vectors = [rng.standard_normal(2) for _ in range(5)]
         results = ring_allreduce_sum(make_cluster(5), vectors)
-        assert np.allclose(results[0], np.sum(vectors, axis=0), atol=1e-5)
-
-    def test_subgroup_ring_on_torus(self, rng):
-        # Reduce only along the first row of a 2x3 torus.
-        cluster = Cluster(torus_topology(2, 3))
-        row = [0, 1, 2]
-        vectors = [rng.standard_normal(9) for _ in range(3)]
-        results = ring_allreduce_sum(cluster, vectors, ranks=row)
         assert np.allclose(results[0], np.sum(vectors, axis=0), atol=1e-5)
 
     @given(

@@ -1,6 +1,7 @@
 """Chaos suite: randomized seeded fault plans against the whole stack.
 
-Three invariants, each across every one-bit topology and both executors:
+Three invariants, each across every one-bit topology and both executors
+(for the one-bit round and for the sum plans its schedule lowers to):
 
 1. **Determinism** — a seeded :class:`FaultPlan` replays exactly: same
    outputs, same wire counters, same timeline, same ``faults.*`` counters.
@@ -22,6 +23,7 @@ import pytest
 
 from repro import quick_train
 from repro.allreduce import get_topology, one_bit_topology_names
+from repro.allreduce.codec import SIGN_SUM, FloatCodec, sum_plan
 from repro.comm.cluster import Cluster
 from repro.core.marsit import MarsitConfig, MarsitSynchronizer
 from repro.faults import (
@@ -34,6 +36,7 @@ from repro.faults import (
     Straggler,
     WorkerCrash,
 )
+from repro.sched import get_executor
 from repro.train.strategies import MarsitStrategy
 
 pytestmark = pytest.mark.slow
@@ -139,6 +142,100 @@ def test_engines_identical_under_faults(case_name, plan_seed):
     ) > 0, "chaos plan fired no faults; the test is vacuous"
     s_cluster.assert_drained()
     b_cluster.assert_drained()
+
+
+SUM_CODECS = {"mean": FloatCodec(), "signsum": SIGN_SUM}
+
+
+def _run_sum(case_name, codec_name, engine, plan):
+    """One sum plan (FP32 or sign sum) of ``case_name``'s topology, run by
+    ``engine`` under ``plan``'s faults."""
+    build_kwargs, num_workers, dimension, overrides = CASES[case_name]
+    topology = get_topology(TOPOLOGY_OF[case_name]).build(
+        num_workers, **build_kwargs
+    )
+    cluster = Cluster(topology)
+    injector = FaultInjector(plan)
+    cluster.attach_faults(injector)
+    codec = SUM_CODECS[codec_name]
+    vectors = np.random.default_rng(9).standard_normal((num_workers, dimension))
+    if codec_name == "signsum":
+        vectors = np.where(vectors >= 0, 1.0, -1.0)
+    compiled = sum_plan(
+        topology, dimension, codec.op, overrides.get("segment_elems")
+    )
+    outputs = get_executor(engine).run_sum(compiled, cluster, vectors, codec)
+    return cluster, np.stack(outputs), injector, vectors.sum(axis=0)
+
+
+@pytest.mark.parametrize("case_name", sorted(CASES))
+@pytest.mark.parametrize("codec_name", sorted(SUM_CODECS))
+@pytest.mark.parametrize("plan_seed", [101, 202])
+def test_engines_identical_on_sum_plans_under_faults(
+    case_name, codec_name, plan_seed
+):
+    plan = _chaos_plan(plan_seed)
+    s_cluster, s_out, s_inj, expected = _run_sum(
+        case_name, codec_name, "scalar", plan
+    )
+    b_cluster, b_out, b_inj, _ = _run_sum(case_name, codec_name, "batched", plan)
+    assert np.array_equal(s_out, b_out)
+    assert b_cluster.total_bytes == s_cluster.total_bytes
+    assert b_cluster.total_messages == s_cluster.total_messages
+    assert b_cluster.links.keys() == s_cluster.links.keys()
+    for key, link in s_cluster.links.items():
+        assert b_cluster.links[key].bytes_sent == link.bytes_sent
+    assert b_cluster.timeline.seconds == s_cluster.timeline.seconds
+    assert b_inj.counters == s_inj.counters
+    # Retry-mode drops cost time and bytes, never the sum.
+    if codec_name == "signsum":
+        assert (s_out == expected).all()
+    else:
+        assert np.allclose(s_out, expected, atol=1e-4)
+    s_cluster.assert_drained()
+    b_cluster.assert_drained()
+
+
+@pytest.mark.parametrize("codec_name", sorted(SUM_CODECS))
+def test_sum_plans_fire_faults(codec_name):
+    fired = sum(
+        _run_sum(case, codec_name, "scalar", _chaos_plan(101))[2].counters.get(
+            "drops", 0
+        )
+        for case in CASES
+    )
+    assert fired > 0, "chaos plan fired no faults on sum plans; vacuous"
+
+
+@pytest.mark.parametrize("case_name", sorted(CASES))
+@pytest.mark.parametrize("codec_name", sorted(SUM_CODECS))
+@pytest.mark.parametrize("engine", ["scalar", "batched"])
+def test_terminal_loss_in_a_sum_plan_raises(case_name, codec_name, engine):
+    # Sum plans move each message through send/recv on both engines, so a
+    # terminal drop times the receiver out on either.
+    src, dst = _first_link(case_name)
+    plan = FaultPlan(
+        seed=4,
+        events=(MessageDrop(prob=1.0, links=((src, dst),), mode="timeout"),),
+    )
+    with pytest.raises(LookupError):
+        _run_sum(case_name, codec_name, engine, plan)
+
+
+def _first_link(case_name):
+    """A ``(src, dst)`` link the case's sum plan sends on."""
+    build_kwargs, num_workers, dimension, overrides = CASES[case_name]
+    topology = get_topology(TOPOLOGY_OF[case_name]).build(
+        num_workers, **build_kwargs
+    )
+    cluster = Cluster(topology)
+    get_executor("scalar").run_sum(
+        sum_plan(topology, dimension, SIGN_SUM.op, overrides.get("segment_elems")),
+        cluster,
+        np.ones((num_workers, dimension)),
+        SIGN_SUM,
+    )
+    return min(key for key, link in cluster.links.items() if link.messages_sent)
 
 
 @pytest.mark.parametrize("engine", ["scalar", "batched"])

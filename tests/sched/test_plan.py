@@ -15,16 +15,21 @@ import numpy as np
 import pytest
 
 from repro.allreduce import get_topology
+from repro.allreduce.codec import SIGN_SUM, FloatCodec, sum_plan
+from repro.comm.topology import ring_topology, torus_topology
 from repro.sched.plan import (
+    MERGE_SIGN,
     Barrier,
     CompileContext,
+    Gather,
     GridSpec,
     MergeSign,
     Pack,
+    ReduceOp,
     SendRecv,
     SyncPlan,
     Transfer,
-    full_precision_plan,
+    as_sum_plan,
     plan_segment_lengths,
 )
 
@@ -60,11 +65,13 @@ class TestPlanHelpers:
         assert plan_segment_lengths(total, parts) == expected
 
     def test_digest_is_stable_and_content_sensitive(self):
-        a = full_precision_plan("ring", 4, 100)
-        b = full_precision_plan("ring", 4, 100)
-        c = full_precision_plan("ring", 4, 101)
+        fp = FloatCodec().op
+        a = sum_plan(ring_topology(4), 100, fp)
+        b = as_sum_plan(_compile("ring", {}, 4, 100, None), fp, "")
+        c = sum_plan(ring_topology(4), 101, fp)
         assert a.digest() == b.digest()
         assert a.digest() != c.digest()
+        assert a.digest() != sum_plan(ring_topology(4), 100, SIGN_SUM.op).digest()
         assert len(a.digest()) == 12
 
     def test_validate_rejects_unpaired_sendrecv(self):
@@ -145,6 +152,46 @@ class TestPlanHelpers:
                     depth += 1 if step.kind == "begin" else -1
                     assert depth >= 0
             assert depth == 0
+
+
+class TestSumPlans:
+    def test_keeps_the_schedule_and_retypes_the_reduce_hops(self):
+        one_bit = _compile("torus", {"rows": 2, "cols": 3}, 6, 101, None)
+        op = ReduceOp(kind="sum", codec="float32")
+        lowered = as_sum_plan(one_bit, op, "tar-")
+        lowered.validate()
+        assert lowered.kind == "sum"
+        assert lowered.grids == one_bit.grids
+        assert len(lowered.steps) == len(one_bit.steps)
+        for old, new in zip(one_bit.steps, lowered.steps):
+            assert type(old) is type(new)
+            if isinstance(new, MergeSign):
+                assert new.reduce == op and old.reduce == MERGE_SIGN
+                assert new.waves == old.waves
+            if isinstance(new, (SendRecv, Gather)):
+                assert new.transfers == old.transfers
+                assert new.tag == "tar-" + old.tag.removeprefix("m-")
+            if isinstance(new, Barrier):
+                assert new.compress_elems is None
+
+    def test_reduce_op_is_serialized_only_off_the_one_bit_default(self):
+        one_bit = _compile("ring", {}, 5, 103, None)
+        assert '"reduce"' not in one_bit.to_json()
+        lowered = as_sum_plan(one_bit, SIGN_SUM.op, "")
+        reduces = [
+            entry["reduce"]
+            for entry in lowered.to_json_dict()["steps"]
+            if entry["op"] == "MergeSign"
+        ]
+        assert reduces and all(
+            r == {"kind": "sum", "codec": "signsum"} for r in reduces
+        )
+
+    def test_sum_plans_compile_once_per_shape_and_op(self):
+        fp = FloatCodec().op
+        torus = torus_topology(2, 2)
+        assert sum_plan(torus, 64, fp) is sum_plan(torus_topology(2, 2), 64, fp)
+        assert sum_plan(torus, 64, fp) is not sum_plan(torus, 64, SIGN_SUM.op)
 
 
 class TestGoldenPlans:
