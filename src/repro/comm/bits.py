@@ -21,6 +21,7 @@ Four codec families live here:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -256,8 +257,17 @@ class PackedBits:
         return np.unpackbits(raw, bitorder="little")[: self.length].copy()
 
     def to_signs(self) -> np.ndarray:
-        """Unpack to ``{-1, +1}`` floats — the final decode step."""
-        return self.to_bits().astype(np.float64) * 2.0 - 1.0
+        """Unpack to ``{-1, +1}`` floats — the final decode step.
+
+        ``2 b - 1`` is formed in ``int8`` on the unpacked bits, so the one
+        ``float64`` array is the result.
+        """
+        signs = np.unpackbits(
+            self._byte_view(), count=self.length, bitorder="little"
+        ).view(np.int8)
+        signs += signs
+        signs -= 1
+        return signs.astype(np.float64)
 
     def _byte_view(self) -> np.ndarray:
         """The words reinterpreted as the little-endian byte stream."""
@@ -598,18 +608,43 @@ def _pack_bit_rows(bits: np.ndarray, width: int) -> np.ndarray:
     return out.view(_WORD_DTYPE)
 
 
+@functools.lru_cache(maxsize=64)
+def _row_padding(
+    lengths: bytes, width: int
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
+    """Where ``int64`` row lengths pad a ``width``-word matrix.
+
+    Returns a boolean mask of the whole padding words (``None`` when every
+    row fills its width) and, for each row whose last word is partial, its
+    ``(row, column, valid-bit mask)``.  Cached: a lane-stacked hop sees the
+    same few length vectors every round.
+    """
+    sizes = np.frombuffer(lengths, dtype=np.int64)
+    full = (sizes + _WORD_BITS - 1) // _WORD_BITS
+    spare = None
+    if sizes.size and full.min() < width:
+        spare = np.arange(width, dtype=np.int64)[None, :] >= full[:, None]
+    rows = np.flatnonzero(sizes % _WORD_BITS)
+    tails = (sizes[rows] % _WORD_BITS).astype(np.uint64)
+    keep = (_WORD_DTYPE.type(1) << tails) - _WORD_DTYPE.type(1)
+    cols = full[rows] - 1
+    for array in (spare, rows, cols, keep):
+        if array is not None:
+            array.flags.writeable = False
+    return spare, rows, cols, keep
+
+
 def _mask_row_padding(words: np.ndarray, lengths: np.ndarray) -> None:
     """Zero every bit at or past ``lengths[i]`` in row ``i``, in place."""
     if not words.size:
         return
-    col = np.arange(words.shape[1], dtype=np.int64)
-    full = (lengths + _WORD_BITS - 1) // _WORD_BITS
-    words[col[None, :] >= full[:, None]] = 0
-    tail = lengths % _WORD_BITS
-    ragged = np.flatnonzero(tail)
-    if ragged.size:
-        mask = (_WORD_DTYPE.type(1) << tail[ragged].astype(np.uint64)) - 1
-        words[ragged, lengths[ragged] // _WORD_BITS] &= mask
+    spare, rows, cols, keep = _row_padding(
+        np.asarray(lengths, dtype=np.int64).tobytes(), words.shape[1]
+    )
+    if spare is not None:
+        words[spare] = 0
+    if rows.size:
+        words[rows, cols] &= keep
 
 
 def _bytes_to_words(raw: np.ndarray, length: int) -> np.ndarray:

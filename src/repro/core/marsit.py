@@ -265,6 +265,11 @@ class MarsitSynchronizer:
         seeds = np.random.SeedSequence(config.seed).spawn(num_workers)
         self.rngs = [np.random.default_rng(seed) for seed in seeds]
         self._plans: dict[tuple, tuple[SyncPlan, str]] = {}
+        # (id(plan), rows, block width) -> (plan, grids, blocks): the
+        # compensation pass's layout, and the grids it packs into, reused
+        # every round (each round rewrites every word the plan reads).  An
+        # entry holds its plan, so the id cannot be reused while it lives.
+        self._passes: dict[tuple, tuple] = {}
         # Crash recovery state: the original ranks still participating, and
         # whether the next round must resync in full precision.
         self._active: list[int] = list(range(num_workers))
@@ -467,7 +472,14 @@ class MarsitSynchronizer:
             _WORD_BITS,
             _BLOCK_BYTES // (8 * len(ranks)) // _WORD_BITS * _WORD_BITS,
         )
-        grids, blocks = _pass_blocks(plan, self.dimension, len(ranks), width)
+        key = (id(plan), None if rows is None else tuple(rows), width)
+        cached = self._passes.get(key)
+        if cached is None:
+            cached = self._passes[key] = (
+                plan,
+                *_pass_blocks(plan, self.dimension, len(ranks), width),
+            )
+        _, grids, blocks = cached
         buffer, pending = self.state.take_pending(rows)
         whole = (
             rows is None
@@ -498,7 +510,7 @@ class MarsitSynchronizer:
             signs = np.greater_equal(block, 0.0, out=bits[:, : stop - start])
             words = np.packbits(signs, axis=1, bitorder="little")
             out[...] = words if lanes is None else words[lanes]
-        return grids
+        return dict(grids)
 
     # ------------------------------------------------------------------
     # crash recovery
@@ -585,8 +597,8 @@ class MarsitSynchronizer:
         ``compiled`` is :meth:`_plan_for`'s ``(plan, digest)``, and
         ``packed`` holds one grid per ``Pack`` step of the plan, lanes in
         cluster-rank order over the *active* workers.  The executor merges
-        into the grids, and they are dropped before the final unpack.  With
-        one active worker there is no plan: its own signs are the result.
+        into the grids, which the next round's pass packs over.  With one
+        active worker there is no plan: its own signs are the result.
         Survivors keep their original RNG streams across a recovery.
         """
         if compiled is None:
@@ -605,7 +617,6 @@ class MarsitSynchronizer:
             rngs,
             verify_consensus=self.config.verify_consensus,
         )
-        packed.clear()
         # The single unpack of the whole pipeline: words -> {-1, +1} floats.
         return final.to_signs(), digest, plan.num_steps
 

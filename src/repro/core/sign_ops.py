@@ -36,6 +36,21 @@ levels); otherwise the ≈ ``2^-12`` of elements still tied after
 ``_PLANE_DEPTH`` levels settle their remaining bits with one more raw word
 each from the same generator.
 
+How the compare runs.  Write ``W_l`` for level ``l``'s raw words and
+``P_l = W_0 | … | W_l``.  Element ``j`` leaves the tie at the first level
+where ``W`` has a 1, and there ``k_j < T`` iff ``T``'s bit is 1.  The
+elements leaving during a run of 1-bits ``s..e`` of ``T`` are exactly
+``P_e ⊕ P_(s-1)``, so ``B`` is the XOR of ``P_l`` over the levels after
+which ``T``'s bit turns.  Each lane's raw words land in one copy, level
+``l`` of every lane forming one contiguous ``(lanes, width)`` plane; one
+in-place OR per level builds ``P_l`` there, and one XOR per turn folds it
+into ``B``: an alternating ``T`` such as ``1/3`` costs two word ops per
+level, a constant run one.  Lanes that share ``T`` (ring and torus hops)
+need no masks; a wave whose lanes turn at different levels (the tree's
+mixed subtree sizes) masks each lane's turns.  The elements still tied are
+the zero bits of the last ``P``; the tie-break finds them with one flat
+scan of it.
+
 All three tiers are views of that one per-lane primitive
 (:func:`_bernoulli_words`): the unpacked reference (:func:`transient_vector`,
 :func:`merge_sign_bits`), the packed fast path
@@ -51,11 +66,17 @@ per-rank generators with a shared seed.
 
 from __future__ import annotations
 
-from typing import Sequence
+import functools
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from repro.comm.bits import PackedBits, PackedBitsBatch
+from repro.comm.bits import (
+    PackedBits,
+    PackedBitsBatch,
+    _mask_row_padding,
+    _row_padding,
+)
 
 __all__ = [
     "expected_merge_probability",
@@ -94,93 +115,182 @@ def _validate_bits(bits: np.ndarray, name: str) -> np.ndarray:
     return array.astype(np.uint8)
 
 
+class _Schedule(NamedTuple):
+    """What the word-parallel compare does for one wave's weights."""
+
+    #: Bit levels read per lane: down to T's lowest set bit, at most
+    #: ``_PLANE_DEPTH``.
+    depth: tuple[int, ...]
+    #: Per level: ``None`` where no lane's T turns after it, ``True`` where
+    #: every lane's does, else a ``(lanes, 1)`` mask of the lanes that do.
+    turns: tuple
+    #: Whether any lane still has ties after its planes.
+    ties: bool
+    #: Boolean mask of the exact lanes (their ties mean ``k >= T``) when
+    #: ``ties`` and some lanes are exact, else ``None``.
+    exact: np.ndarray | None
+    #: ``T``'s low ``_LOW_BITS`` bits per lane, for the tie-break.
+    low_thresholds: np.ndarray
+
+
+@functools.lru_cache(maxsize=256)
+def _schedule(received: bytes, local: bytes) -> _Schedule:
+    """The schedule for ``int64`` weight vectors (as bytes: a hop's
+    weights repeat every round)."""
+    pairs = list(
+        zip(
+            np.frombuffer(received, dtype=np.int64).tolist(),
+            np.frombuffer(local, dtype=np.int64).tolist(),
+        )
+    )
+    if any(a < 1 or b < 1 for a, b in pairs):
+        raise ValueError("weights must be >= 1")
+    thresholds = [-((-b << _UNIFORM_BITS) // (a + b)) for a, b in pairs]
+    # Levels needed for an exact answer: down to T's lowest set bit.
+    exact_depth = [_UNIFORM_BITS + 1 - (t & -t).bit_length() for t in thresholds]
+    depth = tuple(min(levels, _PLANE_DEPTH) for levels in exact_depth)
+    max_depth = max(depth, default=0)
+    # bits[l][i] is bit 52 - l of T_i, zero from lane i's depth on (and at
+    # level max_depth), so a lane's last 1-bit always turns.
+    bits = [
+        [
+            (t >> (_UNIFORM_BITS - 1 - level)) & 1 if level < d else 0
+            for t, d in zip(thresholds, depth)
+        ]
+        for level in range(max_depth + 1)
+    ]
+    turns = []
+    for level in range(max_depth):
+        turning = [x != y for x, y in zip(bits[level], bits[level + 1])]
+        if not any(turning):
+            turns.append(None)
+        elif all(turning):
+            turns.append(True)
+        else:
+            mask = (np.array(turning) * _ALL_ONES)[:, None]
+            mask.flags.writeable = False
+            turns.append(mask)
+    exact = np.array([e <= d for e, d in zip(exact_depth, depth)], dtype=bool)
+    exact.flags.writeable = False
+    low = np.array(thresholds, dtype=np.uint64) & _LOW_MASK
+    low.flags.writeable = False
+    ties = not exact.all()
+    return _Schedule(
+        depth, tuple(turns), ties, exact if ties and exact.any() else None, low
+    )
+
+
 def _bernoulli_words(
-    valid: np.ndarray,
     lengths: np.ndarray,
+    width: int,
     received_weights: np.ndarray,
     local_weights: np.ndarray,
     rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
     """Bit ``j`` of lane ``i`` is i.i.d. ``Bernoulli(T_i / 2^53)``.
 
-    ``T_i = ceil(b_i 2^53 / (a_i + b_i))``.  ``valid`` is the ``(lanes,
-    width)`` word matrix with exactly the first ``lengths[i]`` bits of row
-    ``i`` set; the result has the same shape and is zero wherever ``valid``
-    is.  Lane ``i`` reads ``depth_i * ceil(lengths[i] / 64)`` raw words from
-    ``rngs[i]``, then one more per element still tied after
-    ``_PLANE_DEPTH`` levels, in element order.  All main draws happen before
-    any tie-break draw, so the generators must be distinct objects for the
-    per-lane streams to equal one-lane calls.
+    ``T_i = ceil(b_i 2^53 / (a_i + b_i))``.  The result is a ``(lanes,
+    width)`` word matrix whose row ``i`` holds lane ``i``'s ``lengths[i]``
+    bits; bits past them are unspecified (callers mask them).  Lane ``i``
+    reads ``depth_i * ceil(lengths[i] / 64)`` raw words from ``rngs[i]``,
+    then one more per element still tied after ``_PLANE_DEPTH`` levels, in
+    element order.  All main draws happen before any tie-break draw, so the
+    generators must be distinct objects for the per-lane streams to equal
+    one-lane calls.
     """
-    lanes, width = valid.shape
-    thresholds = [
-        -((-int(b) << _UNIFORM_BITS) // (int(a) + int(b)))
-        for a, b in zip(received_weights, local_weights)
-    ]
-    # Levels needed for an exact answer: down to T's lowest set bit.
-    exact_depth = [
-        _UNIFORM_BITS + 1 - (t & -t).bit_length() for t in thresholds
-    ]
-    depth = [min(levels, _PLANE_DEPTH) for levels in exact_depth]
+    lanes = lengths.size
+    schedule = _schedule(
+        np.asarray(received_weights, dtype=np.int64).tobytes(),
+        np.asarray(local_weights, dtype=np.int64).tobytes(),
+    )
+    depth = schedule.depth
     max_depth = max(depth, default=0)
+    if not width or not max_depth:
+        return np.zeros((lanes, width), dtype=np.uint64)
     num_words = (lengths + _WORD_BITS - 1) // _WORD_BITS
-    # Level l of lane i sits at planes[l, i, :num_words[i]].  Entries past a
-    # lane's words or depth stay uninitialised: the padding is never tied
-    # and levels past a lane's depth only matter for lanes without ties.
+    # Level l of lane i sits at planes[l, i, :num_words[i]]: one copy per
+    # lane, and every level one contiguous (lanes, width) plane.  Entries
+    # past a lane's words or depth stay uninitialised: they land in padding
+    # (masked by the caller) or in levels past a lane's depth, where the
+    # lane never turns.
     planes = np.empty((max_depth, lanes, width), dtype=np.uint64)
-    for lane in range(lanes):
-        words, lane_depth = int(num_words[lane]), depth[lane]
+    for lane, words in enumerate(num_words.tolist()):
         if words:
-            planes[:lane_depth, lane, :words] = (
-                rngs[lane].bit_generator.random_raw(lane_depth * words)
-            ).reshape(lane_depth, words)
-    # threshold_masks[l, i] is all ones where bit 52 - l of T_i is set and
-    # level l is within lane i's depth, broadcast along the words.
-    threshold_words = np.array(thresholds, dtype=np.uint64)
-    levels = np.arange(max_depth)
-    shifts = (_UNIFORM_BITS - 1 - levels).astype(np.uint64)
-    level_bits = (threshold_words >> shifts[:, None]) & np.uint64(1)
-    level_bits[levels[:, None] >= np.array(depth, dtype=np.int64)] = 0
-    threshold_masks = (level_bits * _ALL_ONES)[:, :, None]
+            planes[: depth[lane], lane, :words] = (
+                rngs[lane].bit_generator.random_raw(depth[lane] * words)
+            ).reshape(depth[lane], words)
 
     # The drawn integer is k = T xor W, W the raw bits: uniform because W
-    # is.  An element leaves the tie at the first level where W has a 1,
-    # i.e. where k's bit differs from T's; there k < T iff T's bit is 1.
-    tied = valid.copy()
-    below = np.zeros((lanes, width), dtype=np.uint64)
-    for level in range(max_depth):
-        leaving = np.bitwise_and(tied, planes[level], out=planes[level])
-        tied ^= leaving
-        leaving &= threshold_masks[level]
-        below |= leaving
+    # is.  B is the XOR of the prefix ORs P_l over the levels after which
+    # T's bit turns (see the module docstring); P_l overwrites level l.
+    below = None
+    prefix = planes[0]
+    for level, turn in enumerate(schedule.turns):
+        if level:
+            prefix = np.bitwise_or(prefix, planes[level], out=planes[level])
+        if turn is None:
+            continue
+        if turn is True:
+            term = prefix
+        else:
+            term = prefix & turn
+        if below is None:
+            below = term.copy() if term is prefix else term
+        else:
+            below ^= term
+    if below is None:
+        below = np.zeros((lanes, width), dtype=np.uint64)
 
     # Exact lanes are finished: a tie through T's lowest set bit means
-    # k >= T.  The rest settle k's low bits against T's, element by element.
-    settled = [lane for lane in range(lanes) if exact_depth[lane] <= depth[lane]]
-    tied[settled] = 0
-    lane_idx, word_idx = np.nonzero(tied)
-    if lane_idx.size:
-        bits = np.unpackbits(
-            tied[lane_idx, word_idx].view(np.uint8).reshape(-1, 8),
-            axis=1,
-            bitorder="little",
+    # k >= T.  The rest all read _PLANE_DEPTH levels, so prefix is their
+    # P_last: they are still tied where it is 0, and settle k's low bits
+    # against T's, element by element.
+    if schedule.ties:
+        # Exact lanes and every bit past a lane's length are settled too.
+        if schedule.exact is not None:
+            prefix[schedule.exact] = _ALL_ONES
+        spare, rows, cols, keep = _row_padding(
+            np.asarray(lengths, dtype=np.int64).tobytes(), width
         )
-        hit, bit = np.nonzero(bits)
-        lane_of = lane_idx[hit]
-        counts = np.bincount(lane_of, minlength=lanes)
-        draws = np.concatenate(
-            [
-                rngs[lane].bit_generator.random_raw(int(counts[lane]))
-                for lane in np.flatnonzero(counts)
-            ]
-        )
-        low_thresholds = (threshold_words & _LOW_MASK)[lane_of]
-        bits[hit, bit] = (draws >> _LOW_SHIFT) < low_thresholds
-        # (lane_idx, word_idx) pairs are distinct, so a fancy |= is safe.
-        below[lane_idx, word_idx] |= np.packbits(
-            bits, axis=1, bitorder="little"
-        ).view(np.uint64)[:, 0]
+        if spare is not None:
+            prefix[spare] = _ALL_ONES
+        if rows.size:
+            prefix[rows, cols] |= np.invert(keep)
+        _settle_ties(prefix, below, schedule.low_thresholds, rngs)
     return below
+
+
+def _settle_ties(
+    prefix: np.ndarray,
+    below: np.ndarray,
+    low_thresholds: np.ndarray,
+    rngs: Sequence[np.random.Generator],
+) -> None:
+    """Set ``below``'s bits for the elements still tied (zero bits of
+    ``prefix``): one raw word each, in element order per lane, compared by
+    its top ``_LOW_BITS`` bits with ``T``'s low bits."""
+    # Flat indices throughout: 2-D and non-bool nonzero cost several times
+    # a flat one over bools.
+    flat = np.flatnonzero(prefix != _ALL_ONES)
+    if not flat.size:
+        return
+    tied = np.invert(prefix.reshape(-1)[flat])
+    bits = np.unpackbits(tied.view(np.uint8), bitorder="little")
+    hits = np.flatnonzero(bits.view(np.bool_))
+    lane_of = flat[hits >> 6] // prefix.shape[1]
+    counts = np.bincount(lane_of, minlength=len(rngs)).tolist()
+    draws = np.concatenate(
+        [
+            rngs[lane].bit_generator.random_raw(count)
+            for lane, count in enumerate(counts)
+            if count
+        ]
+    )
+    bits[hits] = (draws >> _LOW_SHIFT) < low_thresholds[lane_of]
+    # Flat word indices are distinct, so a fancy |= is safe.
+    below.reshape(-1)[flat] |= np.packbits(bits, bitorder="little").view(
+        np.uint64
+    )
 
 
 def transient_vector(
@@ -268,8 +378,8 @@ def transient_vector_batch(
     rngs: Sequence[np.random.Generator],
 ) -> PackedBitsBatch:
     """Lane-stacked :func:`transient_vector_packed` for a whole synchronous
-    step: every lane's words are drawn first, then one bit-serial compare
-    runs over the ``(lanes, width)`` matrix.
+    step: every lane's words are drawn first, then one word-parallel
+    compare runs over the ``(lanes, width)`` matrix.
 
     ``rngs[i]`` is lane ``i``'s generator (the receiving rank's stream; a
     MergeSign wave's destinations are distinct, and so must the generators
@@ -288,17 +398,14 @@ def transient_vector_batch(
         np.asarray(received_weights, dtype=np.int64), (lanes,)
     )
     local_w = np.broadcast_to(np.asarray(local_weights, dtype=np.int64), (lanes,))
-    if lanes and (received.min() < 1 or local_w.min() < 1):
-        raise ValueError("weights must be >= 1")
-    inverted = local_bits.invert()
-    draw = _bernoulli_words(
-        inverted.words | local_bits.words,
-        local_bits.lengths,
-        received,
-        local_w,
-        rngs,
+    # r = not(v*) xor B = not(v* xor B), padding re-zeroed.
+    transient = _bernoulli_words(
+        local_bits.lengths, local_bits.width, received, local_w, rngs
     )
-    return PackedBitsBatch._trusted(inverted.words ^ draw, local_bits.lengths)
+    np.bitwise_xor(transient, local_bits.words, out=transient)
+    np.invert(transient, out=transient)
+    _mask_row_padding(transient, local_bits.lengths)
+    return PackedBitsBatch._trusted(transient, local_bits.lengths)
 
 
 def merge_sign_bits_batch(
@@ -308,12 +415,16 @@ def merge_sign_bits_batch(
 ) -> PackedBitsBatch:
     """``v ⊙ v* = (v AND v*) OR ((v XOR v*) AND r)`` over a whole lane stack.
 
-    One batched word-matrix expression merges every (cycle, position) lane of
-    a synchronous step at once — the lockstep engine's per-step workhorse.
+    One batched word-matrix pass merges every (cycle, position) lane of a
+    synchronous step at once — the lockstep engine's per-step workhorse —
+    with two temporaries.
     """
-    return (received_bits & local_bits) | (
-        (received_bits ^ local_bits) & transient
-    )
+    received_bits._check_compatible(local_bits)
+    received_bits._check_compatible(transient)
+    words = np.bitwise_xor(received_bits.words, local_bits.words)
+    words &= transient.words
+    words |= np.bitwise_and(received_bits.words, local_bits.words)
+    return PackedBitsBatch._trusted(words, received_bits.lengths)
 
 
 def expected_merge_probability(

@@ -246,11 +246,17 @@ class FaultInjector:
         occ = self._next_occurrence(("flip", tag, origin))
         rng = self._keyed_rng("flip", tag, origin, occ)
         # Exactly ``rng.random(length) < prob``: random() is the top 53 bits
-        # of one raw word times 2**-53, and for an integer u, u < p * 2**53
-        # iff u < ceil(p * 2**53) (the scaling by 2**53 is exact).
-        threshold = np.uint64(math.ceil(prob * 2.0**53))
-        bits = (rng.bit_generator.random_raw(length) >> np.uint64(11)) < threshold
-        flipped = int(bits.sum())
+        # of one raw word w times 2**-53, and for an integer u, u < p * 2**53
+        # iff u < ceil(p * 2**53) = T (the scaling by 2**53 is exact).  For
+        # T < 2**53, (w >> 11) < T iff w < T << 11, one compare; T = 2**53
+        # (p = 1) flips every bit.
+        threshold = math.ceil(prob * 2.0**53)
+        words = rng.bit_generator.random_raw(length)
+        if threshold >= 1 << 53:
+            bits = np.ones(length, dtype=bool)
+        else:
+            bits = words < np.uint64(threshold << 11)
+        flipped = np.count_nonzero(bits)
         if not flipped:
             return None
         self._count("flipped_messages")

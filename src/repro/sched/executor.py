@@ -10,7 +10,8 @@ hop's merges and transfers are realized:
 - :class:`LaneStackedExecutor` keeps each grid as one
   :class:`~repro.allreduce.ring.PackedLaneGrid` and executes each hop as one
   fancy-index gather, one batched merge expression, and one bulk
-  ``Cluster.exchange`` — the lockstep path.
+  ``Cluster.exchange`` — the lockstep path.  Its index arrays, weights and
+  per-link byte tables are compiled once per plan (:func:`_compile_hops`).
 
 Sum plans (:func:`~repro.sched.plan.as_sum_plan`: the FP32 mean, the
 integer sign sum, cascading compression) run once, in the shared base
@@ -43,7 +44,8 @@ here would close the cycle.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+import weakref
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,6 +62,7 @@ from repro.sched.plan import (
     Barrier,
     Gather,
     GridSpec,
+    Merge,
     MergeSign,
     Pack,
     Restack,
@@ -67,6 +70,7 @@ from repro.sched.plan import (
     SyncPlan,
     Transfer,
     Unstack,
+    plan_segment_lengths,
 )
 
 if TYPE_CHECKING:
@@ -137,16 +141,116 @@ def _receive(
     return received
 
 
-def _link_bytes(
-    ranks: Sequence[int], transfers: Sequence[Transfer], nbytes
+class _Wave(NamedTuple):
+    """One merge wave as index arrays: row ``i`` merges segment ``seg[i]``
+    of lane ``src[i]`` into lane ``dst[i]``."""
+
+    dst: np.ndarray
+    src: np.ndarray
+    seg: np.ndarray
+    received_weights: np.ndarray
+    local_weights: np.ndarray
+    #: receiving rank per row: whose generator draws its transient.
+    ranks: tuple[int, ...]
+    #: ``(src rank, dst rank)`` per row: the link a flip mask is keyed by.
+    links: tuple[tuple[int, int], ...]
+
+
+class _Hop(NamedTuple):
+    """A ``SendRecv`` + ``MergeSign`` pair or a ``Gather``, compiled.
+
+    ``exchange`` holds the ``Cluster.exchange`` entries: one per link,
+    bytes summed over its segments.  A reduce hop has ``waves``; a gather
+    has ``moves``, its transfers' ``(src, dst, seg)`` index arrays.
+    """
+
+    exchange: list[tuple[int, int, int]]
+    waves: tuple[_Wave, ...] = ()
+    moves: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+
+def _index(values) -> np.ndarray:
+    array = np.array(values, dtype=np.int64)
+    array.flags.writeable = False
+    return array
+
+
+def _wave(ranks: Sequence[int], merges: Sequence[Merge]) -> _Wave:
+    return _Wave(
+        dst=_index([merge.dst_lane for merge in merges]),
+        src=_index([merge.src_lane for merge in merges]),
+        seg=_index([merge.seg for merge in merges]),
+        received_weights=_index([merge.received_weight for merge in merges]),
+        local_weights=_index([merge.local_weight for merge in merges]),
+        ranks=tuple(ranks[merge.dst_lane] for merge in merges),
+        links=tuple(
+            (ranks[merge.src_lane], ranks[merge.dst_lane]) for merge in merges
+        ),
+    )
+
+
+def _exchange(
+    ranks: Sequence[int], transfers: Sequence[Transfer], slots: list[list[int]]
 ) -> list[tuple[int, int, int]]:
-    """``Cluster.exchange`` entries: one per link, bytes summed over its
-    segments (``nbytes[i]`` is transfer ``i``'s size)."""
+    """One entry per link, in first-transfer order; ``slots`` holds the
+    grid's segment lengths in bits, read before the hop moves anything."""
     totals: dict[tuple[int, int], int] = {}
-    for transfer, size in zip(transfers, nbytes):
+    for transfer in transfers:
         key = (ranks[transfer.src_lane], ranks[transfer.dst_lane])
-        totals[key] = totals.get(key, 0) + int(size)
+        size = (slots[transfer.src_lane][transfer.seg] + 7) // 8
+        totals[key] = totals.get(key, 0) + size
     return [(src, dst, size) for (src, dst), size in totals.items()]
+
+
+def _compile_hops(plan: SyncPlan) -> dict[int, _Hop]:
+    """Step position -> :class:`_Hop` for every hop of ``plan``.
+
+    Segment lengths are a function of the plan alone: ``Pack`` and
+    ``Restack`` cut with ``numpy.array_split`` boundaries, ``Unstack``
+    concatenates, and hops move or merge equal-length segments.  So the
+    per-link byte tables are compiled with the index arrays.
+    """
+    specs = {spec.name: spec for spec in plan.grids}
+    slots: dict[str, list[list[int]]] = {}
+    tables: dict[int, _Hop] = {}
+    for pos, step in enumerate(plan.steps):
+        if isinstance(step, Pack):
+            spec = specs[step.grid]
+            slots[step.grid] = [
+                plan_segment_lengths(step.stop - step.start, spec.num_segments)
+                for _ in spec.lane_ranks
+            ]
+        elif isinstance(step, Restack):
+            source = slots[step.src_grid]
+            slots[step.grid] = [
+                plan_segment_lengths(source[lane][seg], step.parts)
+                for lane, seg in step.sources
+            ]
+        elif isinstance(step, Unstack):
+            source = slots[step.src_grid]
+            for lane, (dst_lane, dst_seg) in enumerate(step.targets):
+                slots[step.grid][dst_lane][dst_seg] = sum(source[lane])
+        elif isinstance(step, SendRecv):
+            ranks = specs[step.grid].lane_ranks
+            merge = plan.steps[pos + 1]
+            tables[pos] = _Hop(
+                exchange=_exchange(ranks, step.transfers, slots[step.grid]),
+                waves=tuple(_wave(ranks, wave) for wave in merge.waves),
+            )
+        elif isinstance(step, Gather):
+            ranks = specs[step.grid].lane_ranks
+            grid = slots[step.grid]
+            tables[pos] = _Hop(
+                exchange=_exchange(ranks, step.transfers, grid),
+                moves=tuple(
+                    _index([getattr(t, field) for t in step.transfers])
+                    for field in ("src_lane", "dst_lane", "seg")
+                ),
+            )
+            moved = [grid[t.src_lane][t.seg] for t in step.transfers]
+            for transfer, length in zip(step.transfers, moved):
+                grid[transfer.dst_lane][transfer.seg] = length
+    return tables
 
 
 def _value(codec: WireCodec, slot: Any) -> Any:
@@ -542,6 +646,20 @@ class LaneStackedExecutor(_PlanExecutor):
 
     name = "batched"
 
+    def __init__(self) -> None:
+        # id(plan) -> (weak reference to the plan, its compiled hops); an
+        # entry leaves with its plan.
+        self._hops: dict[int, tuple[weakref.ref, dict[int, _Hop]]] = {}
+
+    def _hops_for(self, plan: SyncPlan) -> dict[int, _Hop]:
+        cached = self._hops.get(id(plan))
+        if cached is not None and cached[0]() is plan:
+            return cached[1]
+        tables = _compile_hops(plan)
+        self._hops[id(plan)] = (weakref.ref(plan), tables)
+        weakref.finalize(plan, self._hops.pop, id(plan), None)
+        return tables
+
     def run_one_bit(
         self,
         plan: SyncPlan,
@@ -552,7 +670,7 @@ class LaneStackedExecutor(_PlanExecutor):
     ) -> PackedBits:
         from repro.allreduce.ring import PackedLaneGrid
 
-        specs = {spec.name: spec for spec in plan.grids}
+        tables = self._hops_for(plan)
         grids: dict[str, PackedLaneGrid] = {}
         steps = plan.steps
         pos = 0
@@ -584,15 +702,12 @@ class LaneStackedExecutor(_PlanExecutor):
                 merge = steps[pos + 1]
                 assert isinstance(merge, MergeSign)
                 self._reduce_hop(
-                    cluster, specs[step.grid], grids[step.grid], step, merge,
-                    rngs,
+                    cluster, tables[pos], grids[step.grid], step, merge, rngs
                 )
                 pos += 2
                 continue
             elif isinstance(step, Gather):
-                self._gather_hop(
-                    cluster, specs[step.grid], grids[step.grid], step
-                )
+                self._gather_hop(cluster, tables[pos], grids[step.grid], step)
             else:
                 raise TypeError(
                     f"unexpected step {type(step).__name__} in a one-bit plan"
@@ -603,110 +718,63 @@ class LaneStackedExecutor(_PlanExecutor):
     def _reduce_hop(
         self,
         cluster: Cluster,
-        spec: GridSpec,
+        hop: _Hop,
         grid,
         send: SendRecv,
         merge: MergeSign,
         rngs: Sequence[np.random.Generator],
     ) -> None:
-        """One fused hop: batched merges first (payload sizes are read
-        pre-merge), then the bulk exchange — the lockstep ordering."""
-        ranks = spec.lane_ranks
+        """One fused hop: batched merges first, then the bulk exchange (its
+        byte table is compiled from the pre-merge sizes) — the lockstep
+        ordering."""
         metrics = cluster.obs.metrics
         faults = cluster.faults
         flips = faults is not None and faults.flips_active
-        exchange = _link_bytes(
-            ranks,
-            send.transfers,
-            [
-                (grid.lengths[transfer.src_lane, transfer.seg] + 7) // 8
-                for transfer in send.transfers
-            ],
-        )
-        for wave in merge.waves:
-            dst = np.fromiter(
-                (entry.dst_lane for entry in wave), dtype=np.int64,
-                count=len(wave),
-            )
-            src = np.fromiter(
-                (entry.src_lane for entry in wave), dtype=np.int64,
-                count=len(wave),
-            )
-            seg = np.fromiter(
-                (entry.seg for entry in wave), dtype=np.int64, count=len(wave)
-            )
+        for wave in hop.waves:
+            src, dst, seg = wave.src, wave.dst, wave.seg
+            lengths = grid.lengths[dst, seg]
             received = PackedBitsBatch._trusted(
                 grid.words[src, seg], grid.lengths[src, seg]
             )
-            local = PackedBitsBatch._trusted(
-                grid.words[dst, seg], grid.lengths[dst, seg]
-            )
+            local = PackedBitsBatch._trusted(grid.words[dst, seg], lengths)
             if flips:
                 # Same per-(tag, link) masks the scalar engine draws; the
                 # fancy-indexed gather above copies, so XOR-ing rows here
                 # never touches the grid's own storage.
-                for row, entry in enumerate(wave):
+                for row, (src_rank, dst_rank) in enumerate(wave.links):
                     mask = faults.flip_mask(
-                        send.tag,
-                        ranks[entry.src_lane],
-                        ranks[entry.dst_lane],
-                        int(received.lengths[row]),
+                        send.tag, src_rank, dst_rank, int(received.lengths[row])
                     )
                     if mask is not None:
                         received.words[row, : mask.words.size] ^= mask.words
             transient = transient_vector_batch(
                 local,
-                received_weights=np.fromiter(
-                    (entry.received_weight for entry in wave),
-                    dtype=np.int64,
-                    count=len(wave),
-                ),
-                local_weights=np.fromiter(
-                    (entry.local_weight for entry in wave),
-                    dtype=np.int64,
-                    count=len(wave),
-                ),
-                rngs=[rngs[ranks[entry.dst_lane]] for entry in wave],
+                received_weights=wave.received_weights,
+                local_weights=wave.local_weights,
+                rngs=[rngs[rank] for rank in wave.ranks],
             )
             if metrics is not None:
                 # Same statistic as the scalar path, batched over lanes.
                 metrics.counter("marsit.transient_draws").inc(
                     int((received ^ local).popcounts().sum())
                 )
-                metrics.counter("marsit.merged_bits").inc(
-                    int(local.lengths.sum())
-                )
-            merged = merge_sign_bits_batch(received, local, transient)
-            grid.words[dst, seg] = merged.words
-            grid.lengths[dst, seg] = merged.lengths
-        elapsed = cluster.exchange(exchange, tag=send.tag)
+                metrics.counter("marsit.merged_bits").inc(int(lengths.sum()))
+            # The merge checks received and local lengths agree, so the
+            # grid's lengths stand.
+            grid.words[dst, seg] = merge_sign_bits_batch(
+                received, local, transient
+            ).words
+        elapsed = cluster.exchange(hop.exchange, tag=send.tag)
         self._charge_hop(cluster, merge, elapsed)
 
-    def _gather_hop(
-        self, cluster: Cluster, spec: GridSpec, grid, step: Gather
-    ) -> None:
-        ranks = spec.lane_ranks
-        src = np.fromiter(
-            (t.src_lane for t in step.transfers), dtype=np.int64,
-            count=len(step.transfers),
-        )
-        dst = np.fromiter(
-            (t.dst_lane for t in step.transfers), dtype=np.int64,
-            count=len(step.transfers),
-        )
-        seg = np.fromiter(
-            (t.seg for t in step.transfers), dtype=np.int64,
-            count=len(step.transfers),
-        )
+    def _gather_hop(self, cluster: Cluster, hop: _Hop, grid, step: Gather) -> None:
+        src, dst, seg = hop.moves
         # Fancy indexing copies, so overlapping src/dst slots are safe.
         moved_words = grid.words[src, seg]
         moved_lengths = grid.lengths[src, seg]
         grid.words[dst, seg] = moved_words
         grid.lengths[dst, seg] = moved_lengths
-        cluster.exchange(
-            _link_bytes(ranks, step.transfers, (moved_lengths + 7) // 8),
-            tag=step.tag,
-        )
+        cluster.exchange(hop.exchange, tag=step.tag)
 
     def _collect(
         self, plan: SyncPlan, grids: dict, verify_consensus: bool

@@ -176,3 +176,34 @@ def test_one_message_per_link_per_step():
         ).synchronize(cluster, updates, 1)
         assert cluster.total_messages == fp.total_messages
         assert cluster.total_bytes == 224
+
+
+def test_batched_hops_compile_once_per_plan_and_leave_with_it():
+    import gc
+
+    from repro.sched import LaneStackedExecutor
+    from repro.sched.executor import pack_grids
+    from repro.sched.plan import CompileContext
+
+    executor = LaneStackedExecutor()
+    entry = get_topology("torus")
+    plan = entry.compile_one_bit(
+        CompileContext(
+            num_workers=6, dimension=101, meta={"rows": 2, "cols": 3}
+        )
+    )
+    matrix = np.random.default_rng(0).standard_normal((6, 101))
+    outputs = []
+    for _ in range(2):
+        cluster = Cluster(entry.build(6, rows=2, cols=3))
+        rngs = [np.random.default_rng(rank) for rank in range(6)]
+        outputs.append(
+            executor.run_one_bit(plan, cluster, pack_grids(plan, matrix), rngs)
+        )
+        assert len(executor._hops) == 1
+    assert outputs[0].equals(outputs[1])
+    tables = executor._hops_for(plan)
+    assert executor._hops_for(plan) is tables
+    del plan, tables
+    gc.collect()
+    assert not executor._hops
