@@ -1,7 +1,7 @@
 """Golden fingerprints of every registered collective.
 
 Each case runs one collective — the registered FP mean, the integer sign
-sum, the Elias-coded ring sign sum, the segmented ring sum, or the scalar
+sum, the Elias-coded sign sum, the segmented ring sum, or the scalar
 all-gather — on a fixed topology with seeded inputs, and records what a bit-for-bit refactor must
 preserve: a sha256 over the outputs (dtype, shape and bytes), the total
 bytes and messages, the bytes on every link, the simulated seconds per
@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.allreduce import get_topology
-from repro.allreduce.ring import signsum_ring_allreduce
+from repro.allreduce.codec import SignSumCodec, allreduce_sum, checked_signs
 from repro.allreduce.segmented import segmented_ring_allreduce
 from repro.comm.cluster import Cluster
 from repro.faults import (
@@ -70,7 +70,8 @@ def _signsum(cluster, name, num, rng):
 
 
 def _elias_signsum(cluster, name, num, rng):
-    return signsum_ring_allreduce(cluster, _signs(rng, num), elias_coded=True)
+    signs = checked_signs(cluster, _signs(rng, num), charge_compression=True)
+    return allreduce_sum(cluster, signs, SignSumCodec(elias_coded=True), name)
 
 
 def _segmented(cluster, name, num, rng):
@@ -119,13 +120,18 @@ CASES = {
     "torus_2x3_allgather": ("torus_2x3", _allgather, None),
     "torus_4x4_mean": ("torus_4x4", _mean, None),
     "torus_4x4_signsum": ("torus_4x4", _signsum, None),
+    "torus_4x4_signsum_elias": ("torus_4x4", _elias_signsum, None),
     "torus_4x4_allgather": ("torus_4x4", _allgather, None),
     "ring_m6_segmented_40": ("ring_m6", _segmented, None),
     "tree_m7_a2_mean": ("tree_m7_a2", _mean, None),
     "tree_m7_a2_signsum": ("tree_m7_a2", _signsum, None),
+    "tree_m7_a2_signsum_elias": ("tree_m7_a2", _elias_signsum, None),
     "tree_m13_a3_mean": ("tree_m13_a3", _mean, None),
     "halving_doubling_m8_mean": ("halving_doubling_m8", _mean, None),
     "halving_doubling_m8_signsum": ("halving_doubling_m8", _signsum, None),
+    "halving_doubling_m8_signsum_elias": (
+        "halving_doubling_m8", _elias_signsum, None,
+    ),
     "halving_doubling_m8_faulty_round": (
         "halving_doubling_m8", _faulty_sums, 3,
     ),
