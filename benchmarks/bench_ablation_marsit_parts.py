@@ -23,7 +23,8 @@
 import numpy as np
 
 from repro.bench import WORKLOADS, calibrate_global_lr, format_table, save_report
-from repro.comm.bits import elias_gamma_encode, signed_int_bit_width
+from repro.allreduce.codec import elias_sum_bits
+from repro.comm.bits import signed_int_bit_width
 from repro.core.marsit import MarsitConfig
 from repro.core.sign_ops import merge_sign_bits, transient_vector
 from repro.train import DistributedTrainer, MarsitStrategy, TrainConfig
@@ -94,13 +95,7 @@ def _elias_bits_per_element(num_workers=8, dimension=20_000, seed=0):
         rng.standard_normal((num_workers, dimension)) >= 0, 1, -1
     )
     sums = signs.sum(axis=0)  # in {-M..M}, step 2
-    # Re-index by half-steps from the binomial mode (see signsum ring) so
-    # common values get the short gamma codes, then zigzag to positives.
-    half_steps = (sums + num_workers) // 2 - num_workers // 2
-    zigzag = np.where(
-        half_steps >= 0, 2 * half_steps + 1, -2 * half_steps
-    ).astype(np.int64)
-    _, elias_bits = elias_gamma_encode(zigzag)
+    elias_bits = elias_sum_bits(sums, num_workers)
     fixed_bits = signed_int_bit_width(num_workers) * dimension
     return elias_bits / dimension, fixed_bits / dimension
 

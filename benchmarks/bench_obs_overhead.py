@@ -9,9 +9,10 @@ instrumentation is *off* — the default for every benchmark and training run.
 To keep the comparison machine-independent the baseline is rebuilt in
 process: ``BareCluster`` overrides the accounting methods with their
 pre-observability bodies (no ``_obs_on`` checks, no per-step message
-counter), so instrumented-off and bare rounds run back to back on the same
-interpreter and the delta is the instrumentation alone, not run-to-run
-variance against a recorded number.  Tracing-enabled rounds are also timed,
+counter).  One synchronizer runs the bare, instrumented-off and tracing
+clusters round by round, in an order that rotates every round, so the
+delta is the instrumentation alone, not run order or run-to-run variance
+against a recorded number.  Tracing-enabled rounds are timed
 informationally (spans and metrics are expected to cost real time).
 
 Results go to ``benchmarks/results/obs_overhead.txt`` and machine-readable
@@ -121,11 +122,18 @@ class BareCluster(Cluster):
         self.timeline.add(phase, seconds)
 
 
-def _time_rounds(
-    cluster: Cluster, num_workers: int, dimension: int, updates: np.ndarray,
-    rounds: int,
-) -> float:
-    """Best per-round seconds of the batched one-bit engine on ``cluster``."""
+def _time_interleaved(
+    clusters: dict[str, Cluster], num_workers: int, dimension: int,
+    updates: np.ndarray, rounds: int,
+) -> dict[str, float]:
+    """Best per-round seconds of the batched one-bit engine on each cluster.
+
+    One synchronizer serves every cluster: each round times one
+    ``synchronize`` per cluster, starting one cluster later than the round
+    before, after one untimed warm-up round.  A traced round's metrics read
+    ``c`` and so apply the pending ``g_t``; reading it untimed after every
+    round gives each timed round the same starting state.
+    """
     sync = MarsitSynchronizer(
         MarsitConfig(
             global_lr=0.01, seed=_SEED, engine="batched",
@@ -134,11 +142,19 @@ def _time_rounds(
         num_workers,
         dimension,
     )
-    best = float("inf")
-    for round_idx in range(1, rounds + 1):
-        start = time.perf_counter()
-        sync.synchronize(cluster, updates, round_idx)
-        best = min(best, time.perf_counter() - start)
+    names = list(clusters)
+    round_idx = 1
+    sync.synchronize(clusters[names[0]], updates, round_idx)
+    sync.state.compensation
+    best = dict.fromkeys(names, float("inf"))
+    for turn in range(rounds):
+        shift = turn % len(names)
+        for name in names[shift:] + names[:shift]:
+            round_idx += 1
+            start = time.perf_counter()
+            sync.synchronize(clusters[name], updates, round_idx)
+            best[name] = min(best[name], time.perf_counter() - start)
+            sync.state.compensation
     return best
 
 
@@ -151,16 +167,15 @@ def run_rounds(
     for num_workers in workers:
         updates = rng.standard_normal((num_workers, dimension))
         topology = ring_topology(num_workers)
-        bare_s = _time_rounds(
-            BareCluster(topology), num_workers, dimension, updates, rounds
+        clusters = {
+            "bare": BareCluster(topology),
+            "off": Cluster(topology),
+            "traced": Cluster(topology, obs=Observability.tracing()),
+        }
+        best = _time_interleaved(
+            clusters, num_workers, dimension, updates, rounds
         )
-        off_s = _time_rounds(
-            Cluster(topology), num_workers, dimension, updates, rounds
-        )
-        traced_s = _time_rounds(
-            Cluster(topology, obs=Observability.tracing()),
-            num_workers, dimension, updates, rounds,
-        )
+        bare_s, off_s, traced_s = best["bare"], best["off"], best["traced"]
         results[str(num_workers)] = {
             "bare_s": bare_s,
             "off_s": off_s,

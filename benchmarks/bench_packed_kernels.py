@@ -7,16 +7,18 @@ Measures the PR-over-seed speedups of the 64-elements-per-op fast path:
   round-trip, frozen inline (:func:`_seed_hop`) so later library speedups
   cannot leak into the reference.  New: ``transient_vector_packed`` +
   ``merge_sign_bits_packed`` on ``uint64`` words, no unpacking.
-- ``pack_unpack`` — signs -> packed -> signs round-trip
-  (:class:`BitVector` vs :class:`PackedBits`).
-- ``elias_gamma`` / ``elias_delta`` — encode + decode of zigzagged sign-sum
-  integers: per-bit reference writers/readers vs the vectorized
-  prefix-sum codecs.
+- ``pack_unpack`` — signs -> packed -> signs round-trip: the seed's
+  byte-level ``np.packbits``/``np.unpackbits`` round trip, frozen inline
+  (:func:`_seed_pack_unpack`), vs :class:`PackedBits`.
+- ``elias_gamma`` — the wire size of zigzagged sign-sum integers: the
+  seed's per-bit gamma writer, frozen inline (:func:`_seed_gamma_encode`),
+  vs :func:`~repro.comm.bits.elias_gamma_bits`, which sums code lengths
+  without building the stream.
 
-Every kernel's packed output is checked bit-identical to the library's
-unpacked reference before timing (for ``hop_merge``: ``transient_vector`` +
-``merge_sign_bits`` under the same seed; the frozen seed hop draws another
-stream and is only timed).  Results go to
+Every kernel's output is checked against its reference before timing (for
+``hop_merge``: ``transient_vector`` + ``merge_sign_bits`` under the same
+seed, the frozen seed hop drawing another stream and being only timed; for
+``elias_gamma``: equal bit counts).  Results go to
 ``benchmarks/results/packed_kernels.txt`` and machine-readable
 ``BENCH_packed_kernels.json`` at the repo root; only full mode writes them,
 so the tier-1 smoke run prints its table and leaves the committed full-size
@@ -42,19 +44,7 @@ import numpy as np
 import pytest
 
 from repro.bench import format_table, save_report
-from repro.comm.bits import (
-    BitVector,
-    PackedBits,
-    elias_delta_decode,
-    elias_delta_decode_reference,
-    elias_delta_encode,
-    elias_delta_encode_reference,
-    elias_gamma_decode,
-    elias_gamma_decode_reference,
-    elias_gamma_encode,
-    elias_gamma_encode_reference,
-    zigzag_encode,
-)
+from repro.comm.bits import PackedBits, elias_gamma_bits, zigzag_encode
 from repro.core.sign_ops import (
     merge_sign_bits,
     merge_sign_bits_packed,
@@ -97,8 +87,42 @@ def _seed_validate(bits: np.ndarray) -> np.ndarray:
     return bits.astype(np.uint8)
 
 
+def _seed_unpack(wire: np.ndarray, length: int) -> np.ndarray:
+    """The seed's byte-level unpack: LSB-first bits, trimmed and copied."""
+    return np.unpackbits(wire, bitorder="little")[:length].copy()
+
+
+def _seed_pack(bits: np.ndarray) -> bytes:
+    """The seed's byte-level pack: LSB-first, eight bits per byte."""
+    packed = np.packbits(bits.astype(np.uint8, copy=False), bitorder="little")
+    return packed.tobytes()
+
+
+def _seed_pack_unpack(signs: np.ndarray) -> np.ndarray:
+    """The seed's sign round trip: pack ``>= 0`` bytewise, unpack to floats."""
+    wire = np.frombuffer(_seed_pack((signs >= 0).astype(np.uint8)), np.uint8)
+    return _seed_unpack(wire, signs.size).astype(np.float64) * 2.0 - 1.0
+
+
+def _seed_gamma_encode(values: np.ndarray) -> tuple[bytes, int]:
+    """The seed's per-bit Elias-gamma writer, frozen: ``n`` zeros, then the
+    value's ``n + 1`` bits MSB-first, one list append per bit."""
+    bits: list[int] = []
+    for raw in values:
+        value = int(raw)
+        if value < 1:
+            raise ValueError("Elias gamma encodes positive integers only")
+        n = value.bit_length() - 1
+        for _ in range(n):
+            bits.append(0)
+        for shift in range(n, -1, -1):
+            bits.append((value >> shift) & 1)
+    payload = np.packbits(np.array(bits, dtype=np.uint8), bitorder="big")
+    return payload.tobytes(), len(bits)
+
+
 def _seed_hop(
-    received_wire: BitVector,
+    received_wire: np.ndarray,
     local_bits: np.ndarray,
     received_weight: int,
     local_weight: int,
@@ -106,7 +130,7 @@ def _seed_hop(
 ) -> np.ndarray:
     """The seed's per-hop work, frozen: unpack the wire payload, draw one
     float64 uniform per element, merge element-wise on uint8, repack."""
-    received = received_wire.to_bits()
+    received = _seed_unpack(received_wire, local_bits.size)
     local = _seed_validate(local_bits)
     keep_local = local_weight / (received_weight + local_weight)
     uniforms = rng.random(local.size)
@@ -116,17 +140,17 @@ def _seed_hop(
         _seed_validate(array) for array in (received, local, transient)
     )
     merged = (received & local) | ((received ^ local) & transient)
-    BitVector.from_bits(merged)
+    _seed_pack(merged)
     return merged
 
 
 def run_kernels(num_elems: int, reference_repeats: int = 1,
                 fast_repeats: int = 3) -> dict:
-    """Time all four kernels at ``num_elems`` elements; verify bit-identity."""
+    """Time all three kernels at ``num_elems`` elements; verify outputs."""
     rng = np.random.default_rng(7)
     received_bits = (rng.random(num_elems) < 0.5).astype(np.uint8)
     local_bits = (rng.random(num_elems) < 0.5).astype(np.uint8)
-    received_wire = BitVector.from_bits(received_bits)
+    received_wire = np.frombuffer(_seed_pack(received_bits), np.uint8)
     received_packed = PackedBits.from_bits(received_bits)
     local_packed = PackedBits.from_bits(local_bits)
 
@@ -141,7 +165,7 @@ def run_kernels(num_elems: int, reference_repeats: int = 1,
             local_bits, received_weight=3, local_weight=1,
             rng=np.random.default_rng(11),
         )
-        return merge_sign_bits(received_wire.to_bits(), local_bits, transient)
+        return merge_sign_bits(received_bits, local_bits, transient)
 
     def new_hop() -> PackedBits:
         transient = transient_vector_packed(
@@ -156,32 +180,22 @@ def run_kernels(num_elems: int, reference_repeats: int = 1,
     signs = np.where(rng.random(num_elems) < 0.5, 1.0, -1.0)
     if not np.array_equal(
         PackedBits.from_signs(signs).to_signs(),
-        BitVector.from_signs(signs).to_signs(),
+        _seed_pack_unpack(signs),
     ):
         raise AssertionError("packed sign round-trip diverged from reference")
 
     # Zigzagged sign-sums: the SSDM-under-MAR Elias workload (small values
-    # dominate, exactly where gamma/delta codes are short).
+    # dominate, exactly where gamma codes are short).
     sums = rng.integers(-8, 9, num_elems)
     values = zigzag_encode(sums)
-    gamma_ref = elias_gamma_encode_reference(values)
-    gamma_new = elias_gamma_encode(values)
-    if gamma_ref != gamma_new:
-        raise AssertionError("vectorized gamma encode diverged from reference")
-    if not np.array_equal(elias_gamma_decode(gamma_new[0], num_elems), values):
-        raise AssertionError("vectorized gamma decode diverged from reference")
-    delta_ref = elias_delta_encode_reference(values)
-    delta_new = elias_delta_encode(values)
-    if delta_ref != delta_new:
-        raise AssertionError("vectorized delta encode diverged from reference")
-    if not np.array_equal(elias_delta_decode(delta_new[0], num_elems), values):
-        raise AssertionError("vectorized delta decode diverged from reference")
+    if _seed_gamma_encode(values)[1] != elias_gamma_bits(values):
+        raise AssertionError("gamma code length diverged from the bit writer")
 
     results: dict = {}
     _measure("hop_merge", old_hop, new_hop, fast_repeats, fast_repeats, results)
     _measure(
         "pack_unpack",
-        lambda: BitVector.from_signs(signs).to_signs(),
+        lambda: _seed_pack_unpack(signs),
         lambda: PackedBits.from_signs(signs).to_signs(),
         fast_repeats,
         fast_repeats,
@@ -189,20 +203,8 @@ def run_kernels(num_elems: int, reference_repeats: int = 1,
     )
     _measure(
         "elias_gamma",
-        lambda: elias_gamma_decode_reference(
-            elias_gamma_encode_reference(values)[0], num_elems
-        ),
-        lambda: elias_gamma_decode(elias_gamma_encode(values)[0], num_elems),
-        reference_repeats,
-        fast_repeats,
-        results,
-    )
-    _measure(
-        "elias_delta",
-        lambda: elias_delta_decode_reference(
-            elias_delta_encode_reference(values)[0], num_elems
-        ),
-        lambda: elias_delta_decode(elias_delta_encode(values)[0], num_elems),
+        lambda: _seed_gamma_encode(values),
+        lambda: elias_gamma_bits(values),
         reference_repeats,
         fast_repeats,
         results,

@@ -20,7 +20,7 @@ from typing import Any, Sequence, Union
 
 import numpy as np
 
-from repro.comm.bits import elias_gamma_encode, signed_int_bit_width, zigzag_encode
+from repro.comm.bits import elias_gamma_bits, signed_int_bit_width, zigzag_encode
 from repro.comm.cluster import Cluster, SizedPayload
 from repro.comm.timing import Phase
 from repro.comm.topology import Topology
@@ -32,6 +32,7 @@ __all__ = [
     "SignSumCodec",
     "allreduce_sum",
     "checked_signs",
+    "elias_sum_bits",
     "mean_of",
     "signsum_collective",
     "sum_plan",
@@ -102,13 +103,8 @@ class SignSumCodec(_Codec):
         self, values: Any, contributors: int, rank: int = 0
     ) -> SizedPayload:
         values = self.cast(values)
-        if self.elias_coded and values.size:
-            # A sum of m iid signs lives on {-m, -m+2, ..., m} with a
-            # binomial peak at 0; re-index by half-steps from the mode so
-            # the common values get the short gamma codes.
-            half_steps = (values + contributors) // 2 - contributors // 2
-            _, coded_bits = elias_gamma_encode(zigzag_encode(half_steps))
-            nbytes = (coded_bits + 7) // 8
+        if self.elias_coded:
+            nbytes = (elias_sum_bits(values, contributors) + 7) // 8
         else:
             bits = signed_int_bit_width(contributors)
             nbytes = (bits * int(values.size) + 7) // 8
@@ -116,6 +112,18 @@ class SignSumCodec(_Codec):
 
     def value(self, payload: SizedPayload) -> np.ndarray:
         return payload.value
+
+
+def elias_sum_bits(sums: Any, contributors: int) -> int:
+    """Exact Elias-gamma bits of partial sign sums over ``contributors``.
+
+    A sum of ``m`` iid signs lives on ``{-m, -m+2, ..., m}`` with a binomial
+    peak at 0; re-indexing by half-steps from the mode and zigzagging gives
+    the common values the short gamma codes.
+    """
+    sums = np.asarray(sums, dtype=np.int64)
+    half_steps = (sums + contributors) // 2 - contributors // 2
+    return elias_gamma_bits(zigzag_encode(half_steps))
 
 
 WireCodec = Union[FloatCodec, SignSumCodec]

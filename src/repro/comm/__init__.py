@@ -2,7 +2,7 @@
 
 This package provides everything below the all-reduce layer:
 
-- :mod:`repro.comm.bits` — sign-bit packing and Elias integer codes.
+- :mod:`repro.comm.bits` — sign-bit packing and wire-size rules for sign sums.
 - :mod:`repro.comm.topology` — ring / 2D-torus / star / tree graphs.
 - :mod:`repro.comm.cluster` — an in-process simulated cluster whose workers
   exchange messages over explicit links, with byte accounting.
@@ -11,16 +11,10 @@ This package provides everything below the all-reduce layer:
 """
 
 from repro.comm.bits import (
-    BitVector,
     PackedBits,
     PackedBitsBatch,
-    elias_delta_decode,
-    elias_delta_encode,
-    elias_gamma_decode,
-    elias_gamma_encode,
-    pack_signs,
+    elias_gamma_bits,
     signed_int_bit_width,
-    unpack_signs,
 )
 from repro.comm.cluster import Cluster, Link, Message, Worker
 from repro.comm.timing import CostModel, Phase, TimeLine
@@ -34,7 +28,6 @@ from repro.comm.topology import (
 )
 
 __all__ = [
-    "BitVector",
     "Cluster",
     "CostModel",
     "Link",
@@ -45,16 +38,11 @@ __all__ = [
     "TimeLine",
     "Topology",
     "Worker",
-    "elias_delta_decode",
-    "elias_delta_encode",
-    "elias_gamma_decode",
-    "elias_gamma_encode",
+    "elias_gamma_bits",
     "fully_connected_topology",
-    "pack_signs",
     "ring_topology",
     "signed_int_bit_width",
     "star_topology",
     "torus_topology",
     "tree_topology",
-    "unpack_signs",
 ]

@@ -1,22 +1,21 @@
-"""Bit-level codecs used on the simulated wire.
+"""Bit containers and wire-size rules used on the simulated wire.
 
-Four codec families live here:
+Two things live here:
 
 1. **Sign-bit packing** — a sign vector over ``{-1, +1}`` (or the bit
-   convention ``{0, 1}`` with ``1 == +1``) is stored eight elements per byte.
-   This is the one-bit representation Marsit puts on the wire every hop.
-   :class:`BitVector` is the byte-level reference object;
-   :class:`PackedBits` is the word-level fast path (64 elements per machine
-   op) that the hot sign pipeline carries hop-to-hop.
-2. **Elias gamma/delta codes** — universal codes for positive integers.  The
-   paper's baselines compact multi-bit sign sums with Elias coding (Section 5,
-   "Baselines"), so SSDM-under-MAR messages can be entropy-coded here.  The
-   public codecs are fully vectorized (prefix-sum bit placement); the
-   original per-bit implementations survive as ``*_reference`` for property
-   tests and benchmarks.
-3. **Width accounting** — :func:`signed_int_bit_width` computes the fixed
-   number of bits needed for a partial sign sum after ``m`` hops, which models
-   the bit-length expansion of Section 3.1.
+   convention ``{0, 1}`` with ``1 == +1``) travels one bit per element.
+   :class:`PackedBits` stores it as little-endian ``uint64`` words (64
+   elements per machine op), the one-bit representation Marsit carries
+   hop to hop; :class:`PackedBitsBatch` stacks many such vectors so a whole
+   lockstep step is one numpy op.  Either charges ``ceil(length / 8)``
+   wire bytes.
+2. **Size rules for multi-bit sign sums** — :func:`signed_int_bit_width`
+   is the fixed width a partial sign sum over ``m`` hops needs (Section
+   3.1's bit-length expansion); :func:`elias_gamma_bits` is the exact
+   length of the Elias-gamma code the paper's baselines compact those sums
+   with (Section 5, "Baselines"), after :func:`zigzag_encode` maps them to
+   positive integers.  The simulator charges only the code length, so no
+   bitstream is ever built.
 """
 
 from __future__ import annotations
@@ -28,29 +27,11 @@ from typing import Sequence
 
 import numpy as np
 
-try:  # pragma: no cover - exercised indirectly via the decoders
-    from scipy.sparse import csr_matrix as _csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order as _breadth_first_order
-except ImportError:  # pragma: no cover
-    _csr_matrix = None
-    _breadth_first_order = None
-
 __all__ = [
-    "BitVector",
     "PackedBits",
     "PackedBitsBatch",
-    "elias_delta_decode",
-    "elias_delta_decode_reference",
-    "elias_delta_encode",
-    "elias_delta_encode_reference",
-    "elias_gamma_decode",
-    "elias_gamma_decode_reference",
-    "elias_gamma_encode",
-    "elias_gamma_encode_reference",
-    "pack_signs",
+    "elias_gamma_bits",
     "signed_int_bit_width",
-    "unpack_signs",
-    "zigzag_decode",
     "zigzag_encode",
 ]
 
@@ -68,87 +49,6 @@ def zigzag_encode(values: np.ndarray) -> np.ndarray:
     """
     values = np.asarray(values, dtype=np.int64)
     return np.where(values >= 0, 2 * values + 1, -2 * values)
-
-
-def zigzag_decode(values: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`zigzag_encode`."""
-    values = np.asarray(values, dtype=np.int64)
-    if values.size and values.min() < 1:
-        raise ValueError("zigzag codes are strictly positive")
-    return np.where(values % 2 == 1, (values - 1) // 2, -(values // 2))
-
-
-@dataclass(frozen=True)
-class BitVector:
-    """An immutable packed vector of bits.
-
-    ``data`` holds ``ceil(length / 8)`` bytes; bit ``j`` of the logical vector
-    is bit ``j % 8`` (LSB-first) of byte ``j // 8``.  The class exists so that
-    all-reduce code can move *exactly* the number of bytes a real
-    implementation would, and so tests can round-trip through the packed
-    representation.
-    """
-
-    data: bytes
-    length: int
-
-    def __post_init__(self) -> None:
-        expected = (self.length + 7) // 8
-        if len(self.data) != expected:
-            raise ValueError(
-                f"BitVector of length {self.length} needs {expected} bytes, "
-                f"got {len(self.data)}"
-            )
-
-    @property
-    def nbytes(self) -> int:
-        """Number of bytes this vector occupies on the wire."""
-        return len(self.data)
-
-    def to_bits(self) -> np.ndarray:
-        """Return the logical bits as a ``uint8`` array of 0/1 values."""
-        raw = np.frombuffer(self.data, dtype=np.uint8)
-        bits = np.unpackbits(raw, bitorder="little")
-        return bits[: self.length].copy()
-
-    def to_signs(self) -> np.ndarray:
-        """Return the vector as ``float64`` signs: bit 1 -> +1, bit 0 -> -1."""
-        return self.to_bits().astype(np.float64) * 2.0 - 1.0
-
-    @classmethod
-    def from_bits(cls, bits: np.ndarray) -> "BitVector":
-        """Pack an array of 0/1 values into a :class:`BitVector`.
-
-        ``uint8``/``bool`` inputs are trusted bit vectors (the internal hop
-        convention) and skip revalidation; other dtypes are checked.
-        """
-        bits = np.asarray(bits)
-        if bits.ndim != 1:
-            raise ValueError("from_bits expects a 1-D array")
-        if bits.size and not _is_trusted_bits(bits) and not _binary_valued(bits):
-            raise ValueError("from_bits expects only 0/1 values")
-        packed = np.packbits(bits.astype(np.uint8, copy=False), bitorder="little")
-        return cls(data=packed.tobytes(), length=int(bits.size))
-
-    @classmethod
-    def from_signs(cls, signs: np.ndarray) -> "BitVector":
-        """Pack a ``{-1, +1}`` vector; zero is treated as +1 (sign of 0)."""
-        signs = np.asarray(signs)
-        return cls.from_bits((signs >= 0).astype(np.uint8))
-
-
-def pack_signs(values: np.ndarray) -> BitVector:
-    """Compress ``values`` to one bit per element keeping only the sign.
-
-    Zeros map to +1, matching the convention ``sgn(0) = +1`` used throughout
-    the library so that every transmitted bit decodes to a nonzero sign.
-    """
-    return BitVector.from_signs(np.asarray(values, dtype=np.float64))
-
-
-def unpack_signs(vector: BitVector) -> np.ndarray:
-    """Inverse of :func:`pack_signs` up to magnitude: returns ``{-1, +1}``."""
-    return vector.to_signs()
 
 
 def _is_trusted_bits(array: np.ndarray) -> bool:
@@ -179,18 +79,18 @@ else:  # pragma: no cover - numpy < 2.0 fallback
 class PackedBits:
     """A bit vector stored as contiguous little-endian ``uint64`` words.
 
-    Logical bit ``j`` is bit ``j % 64`` of word ``j // 64`` — the same
-    little-endian bit-plane layout as :class:`BitVector`, widened from bytes
-    to machine words so the Marsit ``⊙`` merge, the Bernoulli transient and
-    the consensus checks all run 64 elements per numpy op instead of one.
+    Logical bit ``j`` is bit ``j % 64`` of word ``j // 64``, so the byte
+    view is ``np.packbits(bits, bitorder="little")`` widened from bytes to
+    machine words: the Marsit ``⊙`` merge, the Bernoulli transient and the
+    consensus checks all run 64 elements per numpy op instead of one.
 
     Invariants: ``words`` holds exactly ``ceil(length / 64)`` words and every
     padding bit past ``length`` is zero, so AND/OR/XOR/popcount need no tail
     masking.  Instances are immutable; all operators return new objects.
 
-    ``nbytes`` is the *wire* size (``ceil(length / 8)`` — identical to the
-    byte-packed :class:`BitVector`), not the in-memory word storage, so
-    traffic accounting is unchanged by the fast path.
+    ``nbytes`` is the *wire* size (``ceil(length / 8)``, the byte-packed
+    length), not the in-memory word storage, so word padding is never
+    charged.
     """
 
     words: np.ndarray = field(repr=False)
@@ -220,8 +120,8 @@ class PackedBits:
     def from_bits(cls, bits: np.ndarray) -> "PackedBits":
         """Pack an array of 0/1 values (this is the *only* packing step).
 
-        Like :meth:`BitVector.from_bits`, ``uint8``/``bool`` inputs are
-        trusted internal bit vectors and skip the value check.
+        ``uint8``/``bool`` inputs are trusted internal bit vectors and skip
+        the value check; other dtypes are checked.
         """
         bits = np.asarray(bits)
         if bits.ndim != 1:
@@ -237,19 +137,6 @@ class PackedBits:
         """Pack a float/sign vector; ``>= 0`` maps to bit 1 (``sgn(0)=+1``)."""
         return cls.from_bits(np.asarray(signs) >= 0)
 
-    @classmethod
-    def from_bitvector(cls, vector: BitVector) -> "PackedBits":
-        """Reinterpret a byte-packed :class:`BitVector` as words (no unpack)."""
-        raw = np.frombuffer(vector.data, dtype=np.uint8).copy()
-        tail = vector.length % 8
-        if raw.size and tail:
-            raw[-1] &= (1 << tail) - 1
-        return cls(words=_bytes_to_words(raw, vector.length), length=vector.length)
-
-    def to_bitvector(self) -> BitVector:
-        """Byte-packed view for the final decode; no bit-level work."""
-        data = self._byte_view()[: self.nbytes].tobytes()
-        return BitVector(data=data, length=self.length)
 
     def to_bits(self) -> np.ndarray:
         """Unpack to a 0/1 ``uint8`` array — the final decode step."""
@@ -278,7 +165,7 @@ class PackedBits:
     # ------------------------------------------------------------------
     @property
     def nbytes(self) -> int:
-        """Wire bytes: ``ceil(length / 8)``, same as :class:`BitVector`."""
+        """Wire bytes: ``ceil(length / 8)``."""
         return (self.length + 7) // 8
 
     def __len__(self) -> int:
@@ -672,120 +559,8 @@ def signed_int_bit_width(max_abs_value: int) -> int:
     return math.ceil(math.log2(max_abs_value + 1)) + 1
 
 
-class _BitWriter:
-    """Accumulates bits MSB-first into a byte string."""
-
-    def __init__(self) -> None:
-        self._bits: list[int] = []
-
-    def write(self, bit: int) -> None:
-        self._bits.append(bit & 1)
-
-    def write_int(self, value: int, width: int) -> None:
-        for shift in range(width - 1, -1, -1):
-            self.write((value >> shift) & 1)
-
-    def getvalue(self) -> bytes:
-        bits = np.array(self._bits, dtype=np.uint8)
-        return np.packbits(bits, bitorder="big").tobytes()
-
-    def __len__(self) -> int:
-        return len(self._bits)
-
-
-class _BitReader:
-    """Reads bits MSB-first from a byte string."""
-
-    def __init__(self, data: bytes) -> None:
-        raw = np.frombuffer(data, dtype=np.uint8)
-        self._bits = np.unpackbits(raw, bitorder="big")
-        self._pos = 0
-
-    def read(self) -> int:
-        if self._pos >= self._bits.size:
-            raise EOFError("bit stream exhausted")
-        bit = int(self._bits[self._pos])
-        self._pos += 1
-        return bit
-
-    def read_int(self, width: int) -> int:
-        value = 0
-        for _ in range(width):
-            value = (value << 1) | self.read()
-        return value
-
-    @property
-    def remaining(self) -> int:
-        return int(self._bits.size - self._pos)
-
-
-def _elias_gamma_write(writer: _BitWriter, value: int) -> None:
-    if value < 1:
-        raise ValueError("Elias gamma encodes positive integers only")
-    n = value.bit_length() - 1
-    for _ in range(n):
-        writer.write(0)
-    writer.write_int(value, n + 1)
-
-
-def _elias_gamma_read(reader: _BitReader) -> int:
-    n = 0
-    while reader.read() == 0:
-        n += 1
-    value = 1
-    for _ in range(n):
-        value = (value << 1) | reader.read()
-    return value
-
-
-def elias_gamma_encode_reference(
-    values: np.ndarray | list[int],
-) -> tuple[bytes, int]:
-    """Per-bit reference encoder (the original loop implementation)."""
-    writer = _BitWriter()
-    for value in np.asarray(values, dtype=np.int64):
-        _elias_gamma_write(writer, int(value))
-    return writer.getvalue(), len(writer)
-
-
-def elias_gamma_decode_reference(payload: bytes, count: int) -> np.ndarray:
-    """Per-bit reference decoder (the original loop implementation)."""
-    reader = _BitReader(payload)
-    return np.array([_elias_gamma_read(reader) for _ in range(count)], dtype=np.int64)
-
-
-def elias_delta_encode_reference(
-    values: np.ndarray | list[int],
-) -> tuple[bytes, int]:
-    """Per-bit reference encoder (the original loop implementation)."""
-    writer = _BitWriter()
-    for raw in np.asarray(values, dtype=np.int64):
-        value = int(raw)
-        if value < 1:
-            raise ValueError("Elias delta encodes positive integers only")
-        n = value.bit_length()
-        _elias_gamma_write(writer, n)
-        writer.write_int(value & ((1 << (n - 1)) - 1), n - 1)
-    return writer.getvalue(), len(writer)
-
-
-def elias_delta_decode_reference(payload: bytes, count: int) -> np.ndarray:
-    """Per-bit reference decoder (the original loop implementation)."""
-    reader = _BitReader(payload)
-    out = []
-    for _ in range(count):
-        n = _elias_gamma_read(reader)
-        value = 1
-        for _ in range(n - 1):
-            value = (value << 1) | reader.read()
-        out.append(value)
-    return np.array(out, dtype=np.int64)
-
-
-
-
 # ----------------------------------------------------------------------
-# vectorized Elias codecs
+# Elias-gamma code length
 # ----------------------------------------------------------------------
 def _bit_lengths(values: np.ndarray) -> np.ndarray:
     """Exact ``bit_length`` per element (positive ``int64`` inputs).
@@ -802,304 +577,17 @@ def _bit_lengths(values: np.ndarray) -> np.ndarray:
     return np.minimum(lengths, 63)
 
 
-def elias_gamma_encode(values: np.ndarray | list[int]) -> tuple[bytes, int]:
-    """Elias-gamma encode positive integers (fully vectorized).
+def elias_gamma_bits(values: np.ndarray | list[int]) -> int:
+    """Exact length in bits of the Elias-gamma code of positive integers.
 
-    Returns ``(payload, bit_count)``; ``bit_count`` is the exact number of
-    meaningful bits (the payload is padded to a byte boundary).  Output is
-    byte-identical to :func:`elias_gamma_encode_reference`.
-
-    A gamma code is the value written MSB-first in ``2n + 1`` bits, so bit
-    ``k`` of code ``i`` is bit ``lengths[i] - 1 - k`` of ``values[i]`` —
-    the whole stream assembles from ``np.repeat`` plus one shift, with no
-    scatter and no per-value loop.
+    A gamma code writes ``v`` MSB-first after ``bit_length(v) - 1`` zeros,
+    so the stream of ``values`` is ``sum(2 * bit_length(v) - 1)`` bits
+    long.  Only that length goes on the simulated wire, so it is computed
+    from the bit lengths alone.
     """
     values = np.asarray(values, dtype=np.int64).reshape(-1)
     if values.size == 0:
-        return b"", 0
+        return 0
     if values.min() < 1:
         raise ValueError("Elias gamma encodes positive integers only")
-    lengths = 2 * _bit_lengths(values) - 1
-    total_bits = int(lengths.sum())
-    ends = np.cumsum(lengths)
-    if total_bits < (1 << 31) and int(values.max()) < (1 << 31):
-        # 32-bit lanes halve memory traffic on the bitstream-sized arrays.
-        vals_rep = np.repeat(values.astype(np.int32), lengths)
-        shift = np.repeat((ends - 1).astype(np.int32), lengths)
-        shift -= np.arange(total_bits, dtype=np.int32)
-        np.minimum(shift, np.int32(31), out=shift)
-        bits_arr = ((vals_rep >> shift) & np.int32(1)).astype(np.uint8)
-    else:
-        vals_rep = np.repeat(values, lengths)
-        shift = np.repeat(ends - 1, lengths)
-        shift -= np.arange(total_bits, dtype=np.int64)
-        np.minimum(shift, np.int64(63), out=shift)
-        bits_arr = ((vals_rep >> shift) & np.int64(1)).astype(np.uint8)
-    return np.packbits(bits_arr, bitorder="big").tobytes(), total_bits
-
-
-def elias_delta_encode(values: np.ndarray | list[int]) -> tuple[bytes, int]:
-    """Elias-delta encode positive integers (fully vectorized).
-
-    Byte-identical to :func:`elias_delta_encode_reference`: a gamma-coded
-    ``bit_length`` prefix followed by the value's low ``n - 1`` bits.  The
-    two regions of every code are assembled with the same repeat-plus-shift
-    scheme as :func:`elias_gamma_encode` and selected per bit position.
-    """
-    values = np.asarray(values, dtype=np.int64).reshape(-1)
-    if values.size == 0:
-        return b"", 0
-    if values.min() < 1:
-        raise ValueError("Elias delta encodes positive integers only")
-    n = _bit_lengths(values)
-    ng = _bit_lengths(n) - 1
-    lengths = 2 * ng + n
-    total_bits = int(lengths.sum())
-    ends = np.cumsum(lengths)
-    offsets = ends - lengths
-    low = values - (np.int64(1) << (n - 1))
-    if total_bits < (1 << 31) and int(values.max()) < (1 << 31):
-        dtype, max_shift = np.int32, np.int32(31)
-    else:
-        dtype, max_shift = np.int64, np.int64(63)
-    positions = np.arange(total_bits, dtype=dtype)
-    # Bit k of code i reads n[i] while the gamma(n) prefix lasts, then the
-    # low bits of the value; both shifts are affine in k, so each is one
-    # repeat of its per-code base minus the global arange.
-    prefix_shift = np.repeat((offsets + 2 * ng).astype(dtype), lengths)
-    prefix_shift -= positions
-    low_shift = np.repeat((ends - 1).astype(dtype), lengths)
-    low_shift -= positions
-    np.minimum(low_shift, max_shift, out=low_shift)
-    in_prefix = prefix_shift >= 0
-    np.clip(prefix_shift, 0, max_shift, out=prefix_shift)
-    n_rep = np.repeat(n.astype(dtype), lengths)
-    low_rep = np.repeat(low.astype(dtype), lengths)
-    bits_arr = np.where(
-        in_prefix, n_rep >> prefix_shift, low_rep >> low_shift
-    ).astype(np.uint8)
-    bits_arr &= 1
-    return np.packbits(bits_arr, bitorder="big").tobytes(), total_bits
-
-
-def _next_one_table(bits_arr: np.ndarray) -> np.ndarray:
-    """``F[p]`` = position of the first 1-bit at or after ``p``.
-
-    Positions past the last 1-bit get the sentinel ``size``.  Built from the
-    1-bit positions with one ``np.repeat`` (streaming, no binary search).
-    """
-    size = bits_arr.size
-    dtype = np.int32 if size < (1 << 30) else np.int64
-    ones = np.flatnonzero(bits_arr)
-    table = np.empty(size, dtype=dtype)
-    if ones.size:
-        covered = int(ones[-1]) + 1
-        gaps = np.diff(ones, prepend=np.int64(-1))
-        table[:covered] = np.repeat(ones.astype(dtype), gaps)
-        table[covered:] = size
-    else:
-        table[:] = size
-    return table
-
-
-def _orbit(jump: np.ndarray, count: int) -> np.ndarray | None:
-    """First ``count`` positions of the cursor orbit ``0, j(0), j(j(0))…``.
-
-    ``jump`` is an ``int32`` next-code-start table whose values stay in
-    ``[p + 1, size - 1]``; a clamped stream therefore always funnels into
-    the fixed point at ``size - 1``.  Returns ``None`` when the orbit hits
-    that fixed point before yielding ``count`` positions — the sequential
-    cursor would have run off the stream, so the caller raises ``EOFError``.
-
-    Small counts walk the table in Python.  Large counts follow the chain
-    in one C-level pass: the table is a functional graph (out-degree one),
-    so a breadth-first order from position zero IS the orbit.  Without
-    scipy, fall back to composing ``jump`` with itself twice (near-monotone
-    gathers), walking the quarter-length orbit of ``jump^4``, and expanding
-    each anchor back to four consecutive starts vectorized.
-    """
-    size = jump.size
-    if count <= 4096:
-        walk = [0] * count
-        position = 0
-        view = memoryview(jump)
-        for index in range(count):
-            walk[index] = position
-            if position == size - 1 and index + 1 < count:
-                return None
-            position = view[position]
-        return np.array(walk, dtype=np.int32)
-    if _breadth_first_order is not None:
-        # float64 weights let csgraph's validate_graph reuse the matrix
-        # as-is; any other dtype triggers a full-stream cast copy per call.
-        graph = _csr_matrix(
-            (
-                np.broadcast_to(np.float64(1.0), size),
-                jump,
-                np.arange(size + 1, dtype=np.int32),
-            ),
-            shape=(size, size),
-            copy=False,
-        )
-        order = _breadth_first_order(
-            graph, 0, directed=True, return_predecessors=False
-        )
-        if order.size < count:
-            return None
-        return order[:count].astype(np.int32, copy=False)
-    stride = 4
-    power = jump[jump]
-    power = power[power]
-    anchors_needed = -(-count // stride)
-    walk = [0] * anchors_needed
-    position = 0
-    view = memoryview(power)
-    for index in range(anchors_needed):
-        walk[index] = position
-        position = view[position]
-    frontier = np.array(walk, dtype=np.int32)
-    expanded = np.empty((stride, anchors_needed), dtype=np.int32)
-    for step in range(stride):
-        expanded[step] = frontier
-        if step + 1 < stride:
-            frontier = jump[frontier]
-    starts = expanded.T.reshape(-1)[:count]
-    if count > 1 and starts[-1] == size - 1 and starts[-2] == size - 1:
-        return None
-    return starts
-
-
-def _read_bit_fields(
-    padded: np.ndarray, starts_bits: np.ndarray, widths: np.ndarray
-) -> np.ndarray:
-    """Read one MSB-first integer of ``widths[i]`` bits per start position.
-
-    Gathers a byte window per field from the padded payload (the pad lets
-    every window read full bytes) and shifts the field out of it; widths
-    must be in ``[1, 63]``.
-    """
-    base = starts_bits >> 3
-    max_width = int(widths.max())
-    if max_width <= 25:
-        # 32-bit lanes: a field plus its bit phase always fits four bytes.
-        window_bytes = (max_width + 14) // 8
-        window = np.zeros(starts_bits.shape, dtype=np.uint32)
-        for k in range(window_bytes):
-            window |= padded[base + k].astype(np.uint32) << np.uint32(
-                8 * (3 - k)
-            )
-        window <<= (starts_bits & 7).astype(np.uint32)
-        return (window >> (np.uint32(32) - widths.astype(np.uint32))).astype(
-            np.int64
-        )
-    phase = (starts_bits & 7).astype(np.uint64)
-    window_bytes = (max_width + 14) // 8
-    window = np.zeros(starts_bits.shape, dtype=np.uint64)
-    for k in range(min(window_bytes, 8)):
-        window |= padded[base + k].astype(np.uint64) << np.uint64(8 * (7 - k))
-    window <<= phase
-    if window_bytes > 8:
-        window |= padded[base + 8].astype(np.uint64) >> (np.uint64(8) - phase)
-    return (window >> (np.uint64(64) - widths.astype(np.uint64))).astype(
-        np.int64
-    )
-
-
-def elias_gamma_decode(payload: bytes, count: int) -> np.ndarray:
-    """Decode ``count`` Elias-gamma integers from ``payload`` (vectorized).
-
-    The sequential cursor of the reference reader becomes a jump table
-    ``next_start(p) = 2 * next_one(p) - p + 1`` whose orbit from zero is
-    resolved by :func:`_orbit`; the decoded boundaries then replay the
-    cursor exactly, so truncated or overrun streams raise ``EOFError``
-    precisely when the reference reader would.
-    """
-    if count == 0:
-        return np.zeros(0, dtype=np.int64)
-    data = np.frombuffer(payload, dtype=np.uint8)
-    bits_arr = np.unpackbits(data, bitorder="big")
-    size = bits_arr.size
-    if size == 0:
-        raise EOFError("bit stream exhausted")
-    dtype = np.int32 if size < (1 << 30) else np.int64
-    ones = np.flatnonzero(bits_arr)
-    # Unclamped next-start table: a gamma code starting at p ends exactly at
-    # 2 * next_one(p) - p + 1, so one table is both the jump function and
-    # the cursor replay that validation checks against.
-    raw_jump = np.empty(size, dtype=dtype)
-    if ones.size:
-        covered = int(ones[-1]) + 1
-        gaps = np.diff(ones, prepend=np.int64(-1))
-        head = np.repeat((2 * ones + 1).astype(dtype), gaps)
-        head -= np.arange(covered, dtype=dtype)
-        raw_jump[:covered] = head
-        raw_jump[covered:] = size + 1
-    else:
-        raw_jump[:] = size + 1
-    jump = np.minimum(raw_jump, dtype(size - 1))
-    starts = _orbit(jump, count)
-    if starts is None:
-        raise EOFError("bit stream exhausted")
-    ends = raw_jump[starts]
-    n = (ends - starts) >> 1
-    # Replay the sequential cursor exactly: each code's (unclamped) end must
-    # be the next code's start, and the last end must fit in the stream.
-    if (
-        (n > 62).any()
-        or int(ends[-1]) > size
-        or (ends[:-1] != starts[1:]).any()
-    ):
-        raise EOFError("bit stream exhausted")
-    padded = np.concatenate([data, np.zeros(16, dtype=np.uint8)])
-    return _read_bit_fields(padded, starts + n, n + 1)
-
-
-def elias_delta_decode(payload: bytes, count: int) -> np.ndarray:
-    """Decode ``count`` Elias-delta integers from ``payload`` (vectorized).
-
-    The jump table needs the gamma-decoded length ``n`` at every position;
-    since valid lengths keep ``n <= 63`` the gamma prefix spans at most 13
-    bits, so a seven-bit window gathered at each next-one position recovers
-    ``n`` everywhere at once.
-    """
-    if count == 0:
-        return np.zeros(0, dtype=np.int64)
-    data = np.frombuffer(payload, dtype=np.uint8)
-    bits_arr = np.unpackbits(data, bitorder="big")
-    size = bits_arr.size
-    if size == 0:
-        raise EOFError("bit stream exhausted")
-    padded = np.concatenate([data, np.zeros(16, dtype=np.uint8)])
-    next_one = _next_one_table(bits_arr)
-    dtype = next_one.dtype.type
-    positions = np.arange(size, dtype=next_one.dtype)
-    ng_capped = np.minimum(next_one - positions, dtype(6))
-    lead_byte = next_one >> 3
-    window = (padded[lead_byte].astype(next_one.dtype) << 8) | padded[
-        lead_byte + 1
-    ]
-    window = (window >> (dtype(9) - (next_one & dtype(7)))) & dtype(0x7F)
-    n_all = window >> (dtype(6) - ng_capped)
-    jump = (next_one << 1) - positions + n_all
-    np.minimum(jump, dtype(size - 1), out=jump)
-    starts = _orbit(jump, count)
-    if starts is None:
-        raise EOFError("bit stream exhausted")
-    lead = next_one[starts]
-    ng = lead - starts
-    n = n_all[starts]
-    # Replay the sequential cursor exactly (see elias_gamma_decode); ng <= 6
-    # bounds the prefix this decoder trusts, and n <= 63 the int64 range.
-    ends = (lead << 1) - starts + n
-    if (
-        (ng > 6).any()
-        or (n < 1).any()
-        or (n > 63).any()
-        or int(ends[-1]) > size
-        or (ends[:-1] != starts[1:]).any()
-    ):
-        raise EOFError("bit stream exhausted")
-    low_starts = starts + 2 * ng + np.int32(1)
-    low = _read_bit_fields(padded, low_starts, np.maximum(n - 1, 1))
-    n64 = n.astype(np.int64)
-    return (np.int64(1) << (n64 - 1)) + np.where(n64 > 1, low, 0)
+    return 2 * int(_bit_lengths(values).sum()) - int(values.size)

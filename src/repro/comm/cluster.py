@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.comm.bits import BitVector, PackedBits
+from repro.comm.bits import PackedBits
 from repro.comm.timing import CostModel, Phase, TimeLine
 from repro.comm.topology import Topology
 from repro.obs.tracer import NULL_OBS, Observability
@@ -35,7 +35,8 @@ class SizedPayload:
     Used when the in-memory representation is wider than the modelled wire
     format — e.g. an ``int64`` array of partial sign sums that a real
     implementation would pack at ``ceil(log2(m+1)) + 1`` bits per element
-    (Section 3.1's bit-length expansion), or an Elias-coded stream.
+    (Section 3.1's bit-length expansion), or the length of their Elias-gamma
+    code.
     """
 
     value: Any
@@ -49,16 +50,16 @@ class SizedPayload:
 def payload_nbytes(payload: Any) -> int:
     """Wire size in bytes of a message payload.
 
-    numpy arrays are charged their raw buffer size, :class:`BitVector` and
-    :class:`PackedBits` their packed wire size ``ceil(length / 8)`` (the
-    word-aligned in-memory tail padding is *not* charged), :class:`SizedPayload`
-    (and any object exposing an integer ``nbytes``) its declared size, and
-    containers the sum of their items.  Scalars are charged eight bytes (a
-    double / int64 on the wire).
+    numpy arrays are charged their raw buffer size, :class:`PackedBits` its
+    packed wire size ``ceil(length / 8)`` (the word-aligned in-memory tail
+    padding is *not* charged), :class:`SizedPayload` (and any object
+    exposing an integer ``nbytes``) its declared size, and containers the
+    sum of their items.  Scalars are charged eight bytes (a double / int64
+    on the wire).
     """
     if isinstance(payload, np.ndarray):
         return int(payload.nbytes)
-    if isinstance(payload, (BitVector, PackedBits)):
+    if isinstance(payload, PackedBits):
         return payload.nbytes
     if isinstance(payload, (bytes, bytearray)):
         return len(payload)

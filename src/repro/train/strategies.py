@@ -97,6 +97,11 @@ def _signsum_allreduce(
     return get_topology(cluster.topology.name).signsum_allreduce(cluster, signs)
 
 
+def _sign_sum_bits(num_workers: int) -> float:
+    """Reported bits/element of a sign sum over ``num_workers`` (Sec. 3.1)."""
+    return float(signed_int_bit_width(max(1, num_workers)))
+
+
 def _allgather_scalars(cluster: Cluster, values: list[float]) -> np.ndarray:
     """All-gather one float per worker; raises if the topology has none."""
     if cluster.num_workers == 1:
@@ -195,11 +200,8 @@ class SignSGDMajorityStrategy(SyncStrategy):
         update = self.lr * np.where(totals >= 0, 1.0, -1.0)
         return StepResult(
             updates=_shared_update(update, self.num_workers),
-            bits_per_element=self._expanded_bits(),
+            bits_per_element=_sign_sum_bits(self.num_workers),
         )
-
-    def _expanded_bits(self) -> float:
-        return float(signed_int_bit_width(max(1, self.num_workers)))
 
 
 class EFSignSGDStrategy(SyncStrategy):
@@ -242,7 +244,7 @@ class EFSignSGDStrategy(SyncStrategy):
         update = np.mean(messages, axis=0)
         return StepResult(
             updates=_shared_update(update, self.num_workers),
-            bits_per_element=float(self.num_workers.bit_length() + 1),
+            bits_per_element=_sign_sum_bits(self.num_workers),
         )
 
 
@@ -302,7 +304,7 @@ class SSDMStrategy(SyncStrategy):
         update = self.lr * np.mean(messages, axis=0)
         return StepResult(
             updates=_shared_update(update, self.num_workers),
-            bits_per_element=float(self.num_workers.bit_length() + 1),
+            bits_per_element=_sign_sum_bits(self.num_workers),
         )
 
 

@@ -86,3 +86,15 @@ class TestCalibration:
             spec.model_factory, train_set, 16, spec.local_lr
         )
         assert calibrated < 0.5 * init_scale
+
+
+class TestAblationEliasBits:
+    def test_elias_sign_sums_sit_between_one_bit_and_fixed_width(self):
+        from benchmarks.bench_ablation_marsit_parts import _elias_bits_per_element
+
+        elias_bits, fixed_bits = _elias_bits_per_element()
+        # The bench's own assertions, and the M=8 figures it records in
+        # benchmarks/results/ablation_marsit_parts.txt (3.04 vs 5.00).
+        assert elias_bits < fixed_bits
+        assert elias_bits > 1.5
+        assert (round(elias_bits, 2), fixed_bits) == (3.04, 5.0)

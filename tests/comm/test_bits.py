@@ -1,76 +1,11 @@
-"""Unit and property tests for bit-level codecs."""
+"""Unit and property tests for the wire-size rules of sign sums."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm.bits import (
-    BitVector,
-    elias_delta_decode,
-    elias_delta_encode,
-    elias_gamma_decode,
-    elias_gamma_encode,
-    pack_signs,
-    signed_int_bit_width,
-    unpack_signs,
-)
-
-
-class TestBitVector:
-    def test_roundtrip_bits(self):
-        bits = np.array([1, 0, 1, 1, 0, 0, 0, 1, 1, 0], dtype=np.uint8)
-        vector = BitVector.from_bits(bits)
-        assert np.array_equal(vector.to_bits(), bits)
-
-    def test_roundtrip_signs(self):
-        signs = np.array([1.0, -1.0, -1.0, 1.0, 1.0])
-        vector = BitVector.from_signs(signs)
-        assert np.array_equal(vector.to_signs(), signs)
-
-    def test_zero_maps_to_plus_one(self):
-        vector = BitVector.from_signs(np.array([0.0, -0.5, 2.0]))
-        assert np.array_equal(vector.to_signs(), [1.0, -1.0, 1.0])
-
-    def test_nbytes_is_ceil_div_8(self):
-        for length, expected in [(1, 1), (8, 1), (9, 2), (16, 2), (17, 3)]:
-            vector = BitVector.from_bits(np.zeros(length, dtype=np.uint8))
-            assert vector.nbytes == expected
-
-    def test_empty_vector(self):
-        vector = BitVector.from_bits(np.zeros(0, dtype=np.uint8))
-        assert vector.nbytes == 0
-        assert vector.to_bits().size == 0
-
-    def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            BitVector.from_bits(np.array([0, 2, 1]))
-
-    def test_rejects_wrong_byte_count(self):
-        with pytest.raises(ValueError):
-            BitVector(data=b"\x00\x00", length=3)
-
-    def test_rejects_2d(self):
-        with pytest.raises(ValueError):
-            BitVector.from_bits(np.zeros((2, 2), dtype=np.uint8))
-
-    @given(
-        st.lists(st.sampled_from([0, 1]), min_size=0, max_size=200)
-    )
-    def test_roundtrip_property(self, bits):
-        array = np.array(bits, dtype=np.uint8)
-        assert np.array_equal(BitVector.from_bits(array).to_bits(), array)
-
-
-class TestPackSigns:
-    def test_pack_unpack(self, rng):
-        values = rng.standard_normal(37)
-        expected = np.where(values >= 0, 1.0, -1.0)
-        assert np.array_equal(unpack_signs(pack_signs(values)), expected)
-
-    def test_one_bit_per_element(self, rng):
-        vector = pack_signs(rng.standard_normal(1000))
-        assert vector.nbytes == 125
+from repro.comm.bits import elias_gamma_bits, signed_int_bit_width
 
 
 class TestSignedIntBitWidth:
@@ -95,44 +30,39 @@ class TestSignedIntBitWidth:
             assert 2**width >= 2 * v + 1
 
 
-class TestEliasCodes:
-    def test_gamma_roundtrip(self):
-        values = [1, 2, 3, 10, 100, 1000, 65535]
-        payload, bit_count = elias_gamma_encode(values)
-        assert bit_count <= len(payload) * 8
-        assert np.array_equal(elias_gamma_decode(payload, len(values)), values)
+class TestEliasGammaBits:
+    EDGES = [
+        1, 2, 3,
+        2**31 - 1, 2**31,
+        2**53 - 1, 2**53, 2**53 + 1,
+        2**62, 2**63 - 1,
+    ]
 
-    def test_delta_roundtrip(self):
-        values = [1, 5, 17, 255, 4096]
-        payload, _ = elias_delta_encode(values)
-        assert np.array_equal(elias_delta_decode(payload, len(values)), values)
+    @staticmethod
+    def expected(values):
+        return sum(2 * int(v).bit_length() - 1 for v in values)
 
-    def test_gamma_rejects_zero(self):
+    def test_matches_bit_length_at_float_and_word_edges(self):
+        for value in self.EDGES:
+            assert elias_gamma_bits([value]) == self.expected([value]), value
+        values = np.array(self.EDGES, dtype=np.int64)
+        assert elias_gamma_bits(values) == self.expected(self.EDGES)
+
+    def test_one_is_one_bit(self):
+        assert elias_gamma_bits([1, 1, 1]) == 3
+
+    def test_empty_is_zero_bits(self):
+        assert elias_gamma_bits([]) == 0
+        assert elias_gamma_bits(np.zeros(0, dtype=np.int64)) == 0
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_rejects_non_positive(self, bad):
         with pytest.raises(ValueError):
-            elias_gamma_encode([0])
+            elias_gamma_bits(np.array([3, bad, 1]))
 
-    def test_delta_rejects_zero(self):
-        with pytest.raises(ValueError):
-            elias_delta_encode([0])
-
-    def test_gamma_length_of_one_is_one_bit(self):
-        _, bits = elias_gamma_encode([1, 1, 1])
-        assert bits == 3
-
-    def test_delta_shorter_than_gamma_for_large_ints(self):
-        values = [100000] * 10
-        _, gamma_bits = elias_gamma_encode(values)
-        _, delta_bits = elias_delta_encode(values)
-        assert delta_bits < gamma_bits
-
-    @given(st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=50))
-    @settings(max_examples=50)
-    def test_gamma_roundtrip_property(self, values):
-        payload, _ = elias_gamma_encode(values)
-        assert np.array_equal(elias_gamma_decode(payload, len(values)), values)
-
-    @given(st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=50))
-    @settings(max_examples=50)
-    def test_delta_roundtrip_property(self, values):
-        payload, _ = elias_delta_encode(values)
-        assert np.array_equal(elias_delta_decode(payload, len(values)), values)
+    @given(st.lists(st.integers(1, 2**63 - 1), min_size=0, max_size=300))
+    @settings(max_examples=100, deadline=None)
+    def test_property_matches_bit_length(self, values):
+        assert elias_gamma_bits(np.array(values, dtype=np.int64)) == (
+            self.expected(values)
+        )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.comm.bits import BitVector
+from repro.comm.bits import PackedBits
 from repro.comm.cluster import Cluster, SizedPayload, payload_nbytes
 from repro.comm.timing import CostModel, Phase
 from repro.comm.topology import ring_topology
@@ -18,8 +18,8 @@ class TestPayloadNbytes:
     def test_numpy_array(self):
         assert payload_nbytes(np.zeros(10, dtype=np.float32)) == 40
 
-    def test_bitvector(self):
-        assert payload_nbytes(BitVector.from_bits(np.zeros(9, dtype=np.uint8))) == 2
+    def test_packed_bits(self):
+        assert payload_nbytes(PackedBits.from_bits(np.zeros(9, dtype=np.uint8))) == 2
 
     def test_scalar(self):
         assert payload_nbytes(3.14) == 8

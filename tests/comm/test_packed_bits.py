@@ -1,9 +1,9 @@
-"""Property tests for :class:`PackedBits` and the vectorized Elias codecs.
+"""Property tests for :class:`PackedBits`, the one-bit wire container.
 
-The packed fast path must be *indistinguishable* from the seed's reference
-implementations: identical bits, identical bytes on the wire, identical
-exceptions on truncated streams.  Sizes deliberately straddle the 64-bit
-word boundary (0, 1, 63, 64, 65, and non-multiples of 64).
+Bits, signs, the byte layout and the wire size must survive packing
+exactly, and the word ops must match elementwise numpy.  Sizes deliberately
+straddle the 64-bit word boundary (0, 1, 63, 64, 65, and non-multiples of
+64).
 """
 
 import numpy as np
@@ -11,19 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm.bits import (
-    BitVector,
-    PackedBits,
-    elias_delta_decode,
-    elias_delta_decode_reference,
-    elias_delta_encode,
-    elias_delta_encode_reference,
-    elias_gamma_decode,
-    elias_gamma_decode_reference,
-    elias_gamma_encode,
-    elias_gamma_encode_reference,
-    zigzag_encode,
-)
+from repro.comm.bits import PackedBits
 
 BOUNDARY_SIZES = [0, 1, 7, 8, 9, 63, 64, 65, 100, 127, 128, 129, 1000]
 
@@ -47,17 +35,33 @@ class TestPackedBitsRoundtrip:
 
     @pytest.mark.parametrize("size", BOUNDARY_SIZES)
     def test_bitvector_interop(self, size):
+        """The byte view is the former byte-level ``BitVector`` layout:
+        ``np.packbits(bits, bitorder="little")``, then zero padding."""
         bits = random_bits(size, size + 2)
-        vector = BitVector.from_bits(bits)
-        packed = PackedBits.from_bitvector(vector)
-        assert np.array_equal(packed.to_bits(), bits)
-        back = packed.to_bitvector()
-        assert back.data == vector.data and back.length == vector.length
+        packed = PackedBits.from_bits(bits)
+        expected = np.packbits(bits, bitorder="little")
+        assert np.array_equal(packed.words.view(np.uint8)[: expected.size], expected)
+        assert not packed.words.view(np.uint8)[expected.size :].any()
 
     @pytest.mark.parametrize("size", BOUNDARY_SIZES)
     def test_wire_bytes_match_bitvector(self, size):
+        """Wire bytes are the byte-packed length, ``ceil(n / 8)``."""
         bits = random_bits(size, size + 3)
-        assert PackedBits.from_bits(bits).nbytes == BitVector.from_bits(bits).nbytes
+        assert PackedBits.from_bits(bits).nbytes == -(-size // 8)
+
+    def test_zero_maps_to_plus_one(self):
+        packed = PackedBits.from_signs(np.array([0.0, -0.5, 2.0, -0.0]))
+        assert np.array_equal(packed.to_signs(), [1.0, -1.0, 1.0, 1.0])
+
+    def test_rejects_bad_bits(self):
+        with pytest.raises(ValueError):
+            PackedBits.from_bits(np.array([0, 2, 1]))
+        with pytest.raises(ValueError):
+            PackedBits.from_bits(np.zeros((2, 2), dtype=np.uint8))
+        with pytest.raises(ValueError):
+            PackedBits(words=np.zeros(2, dtype=np.uint64), length=3)
+        with pytest.raises(ValueError):
+            PackedBits(words=np.array([8], dtype=np.uint64), length=3)
 
     def test_tail_bits_are_zero(self):
         packed = PackedBits.from_bits(np.ones(65, dtype=np.uint8))
@@ -99,82 +103,3 @@ class TestPackedBitsOps:
         packed = PackedBits.from_bits(bits)
         lo, hi = min(start, stop), max(start, stop)
         assert np.array_equal(packed.slice(lo, hi).to_bits(), bits[lo:hi])
-
-
-class TestVectorizedEliasMatchesReference:
-    @pytest.mark.parametrize("size", BOUNDARY_SIZES)
-    def test_gamma_byte_identical(self, size):
-        rng = np.random.default_rng(size + 40)
-        values = zigzag_encode(rng.integers(-8, 9, size))
-        assert elias_gamma_encode(values) == elias_gamma_encode_reference(values)
-
-    @pytest.mark.parametrize("size", BOUNDARY_SIZES)
-    def test_delta_byte_identical(self, size):
-        rng = np.random.default_rng(size + 41)
-        values = zigzag_encode(rng.integers(-8, 9, size))
-        assert elias_delta_encode(values) == elias_delta_encode_reference(values)
-
-    @given(st.lists(st.integers(1, 2**62), min_size=1, max_size=300))
-    @settings(max_examples=60, deadline=None)
-    def test_gamma_roundtrip_wide_values(self, values):
-        values = np.asarray(values, dtype=np.int64)
-        payload, total_bits = elias_gamma_encode(values)
-        ref_payload, ref_bits = elias_gamma_encode_reference(values)
-        assert payload == ref_payload and total_bits == ref_bits
-        assert np.array_equal(elias_gamma_decode(payload, values.size), values)
-
-    @given(st.lists(st.integers(1, 2**62), min_size=1, max_size=300))
-    @settings(max_examples=60, deadline=None)
-    def test_delta_roundtrip_wide_values(self, values):
-        values = np.asarray(values, dtype=np.int64)
-        payload, total_bits = elias_delta_encode(values)
-        ref_payload, ref_bits = elias_delta_encode_reference(values)
-        assert payload == ref_payload and total_bits == ref_bits
-        assert np.array_equal(elias_delta_decode(payload, values.size), values)
-
-    @pytest.mark.parametrize(
-        "encode", [elias_gamma_encode, elias_delta_encode]
-    )
-    def test_rejects_non_positive(self, encode):
-        with pytest.raises(ValueError):
-            encode(np.array([3, 0, 1]))
-
-
-class TestVectorizedEliasEOFParity:
-    """Truncated payloads raise EOFError exactly where the reference does."""
-
-    @pytest.mark.parametrize(
-        "encode,decode,decode_reference",
-        [
-            (elias_gamma_encode, elias_gamma_decode, elias_gamma_decode_reference),
-            (elias_delta_encode, elias_delta_decode, elias_delta_decode_reference),
-        ],
-        ids=["gamma", "delta"],
-    )
-    def test_every_truncation_point(self, encode, decode, decode_reference):
-        rng = np.random.default_rng(99)
-        values = zigzag_encode(rng.integers(-8, 9, 150))
-        payload, _ = encode(values)
-        for cut in range(len(payload) + 1):
-            truncated = payload[:cut]
-            try:
-                expected = decode_reference(truncated, values.size)
-            except EOFError:
-                expected = None
-            if expected is None:
-                with pytest.raises(EOFError):
-                    decode(truncated, values.size)
-            else:
-                assert np.array_equal(decode(truncated, values.size), expected)
-
-    @pytest.mark.parametrize(
-        "decode", [elias_gamma_decode, elias_delta_decode], ids=["gamma", "delta"]
-    )
-    def test_overcount_and_empty(self, decode):
-        values = np.array([1, 2, 3], dtype=np.int64)
-        payload, _ = elias_gamma_encode(values)
-        with pytest.raises(EOFError):
-            elias_gamma_decode(payload, 4)
-        for junk in (b"", b"\x00" * 64):
-            with pytest.raises(EOFError):
-                decode(junk, 2)

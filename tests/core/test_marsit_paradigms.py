@@ -146,11 +146,11 @@ class TestEliasSignSum:
 
 
 class TestZigzag:
-    def test_roundtrip(self):
-        from repro.comm.bits import zigzag_decode, zigzag_encode
+    def test_maps_small_values_in_order(self):
+        from repro.comm.bits import zigzag_encode
 
-        values = np.array([-10, -1, 0, 1, 2, 63])
-        assert np.array_equal(zigzag_decode(zigzag_encode(values)), values)
+        values = np.array([0, -1, 1, -2, 2])
+        assert np.array_equal(zigzag_encode(values), [1, 2, 3, 4, 5])
 
     def test_strictly_positive(self):
         from repro.comm.bits import zigzag_encode
@@ -159,9 +159,3 @@ class TestZigzag:
         encoded = zigzag_encode(values)
         assert encoded.min() >= 1
         assert len(set(encoded.tolist())) == len(values)
-
-    def test_decode_rejects_nonpositive(self):
-        from repro.comm.bits import zigzag_decode
-
-        with pytest.raises(ValueError):
-            zigzag_decode(np.array([0]))

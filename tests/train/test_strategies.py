@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.comm.bits import signed_int_bit_width
 from repro.comm.cluster import Cluster
 from repro.comm.topology import ring_topology, star_topology, torus_topology
 from repro.train.strategies import (
@@ -123,6 +124,20 @@ class TestSignSGDMajority:
         strategy = SignSGDMajorityStrategy(lr=0.01, num_workers=M)
         result = strategy.step(ring(), grads(rng), 0)
         assert result.bits_per_element > 1.0
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_sign_sum_schemes_report_one_width(self, rng, m):
+        schemes = [
+            SignSGDMajorityStrategy(lr=0.01, num_workers=m),
+            EFSignSGDStrategy(lr=0.01, num_workers=m),
+            SSDMStrategy(lr=0.01, num_workers=m),
+        ]
+        widths = {
+            scheme.step(Cluster(ring_topology(m)), grads(rng, m), 0)
+            .bits_per_element
+            for scheme in schemes
+        }
+        assert widths == {float(signed_int_bit_width(m))}
 
 
 class TestEFSignSGD:
