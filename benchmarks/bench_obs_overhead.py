@@ -10,9 +10,15 @@ To keep the comparison machine-independent the baseline is rebuilt in
 process: ``BareCluster`` overrides the accounting methods with their
 pre-observability bodies (no ``_obs_on`` checks, no per-step message
 counter).  One synchronizer runs the bare, instrumented-off and tracing
-clusters round by round, in an order that rotates every round, so the
-delta is the instrumentation alone, not run order or run-to-run variance
-against a recorded number.  Tracing-enabled rounds are timed
+clusters round by round.  A turn is bare, off, traced, then off, bare,
+traced: whichever of the compared pair runs right after a traced round
+runs about 15% slower (D = 1M on a 2-vCPU Xeon VM), and the swap puts
+each of them there once per turn.  The reported overhead is the median over turns of each
+turn's paired difference (the turn's off rounds against its bare
+rounds), so the delta is the instrumentation alone, not run order or
+run-to-run variance against a recorded number.  A best-of-N column
+compares two minima drawn from different rounds, and one lucky round
+swung it by ten points between runs.  Tracing-enabled rounds are timed
 informationally (spans and metrics are expected to cost real time).
 
 Results go to ``benchmarks/results/obs_overhead.txt`` and machine-readable
@@ -47,10 +53,10 @@ from repro.obs import Observability
 
 FULL_DIMENSION = 1_000_000
 FULL_WORKERS = (8, 32)
-FULL_ROUNDS = 7
+FULL_TURNS = 41
 CHECK_DIMENSION = 20_000
 CHECK_WORKERS = (4,)
-CHECK_ROUNDS = 2
+CHECK_TURNS = 2
 #: ISSUE acceptance ceiling, asserted in full mode only.
 MAX_OVERHEAD_PCT = 3.0
 _SEED = 7
@@ -124,15 +130,18 @@ class BareCluster(Cluster):
 
 def _time_interleaved(
     clusters: dict[str, Cluster], num_workers: int, dimension: int,
-    updates: np.ndarray, rounds: int,
-) -> dict[str, float]:
-    """Best per-round seconds of the batched one-bit engine on each cluster.
+    updates: np.ndarray, turns: int,
+) -> dict[str, list[float]]:
+    """Per-turn seconds (two rounds each) of the batched one-bit engine on
+    each cluster.
 
-    One synchronizer serves every cluster: each round times one
-    ``synchronize`` per cluster, starting one cluster later than the round
-    before, after one untimed warm-up round.  A traced round's metrics read
-    ``c`` and so apply the pending ``g_t``; reading it untimed after every
-    round gives each timed round the same starting state.
+    One synchronizer serves every cluster: after one untimed warm-up
+    round, each turn times two ``synchronize`` calls per cluster.  The
+    first two clusters (the compared pair) run in one order, the rest
+    follow, then the pair runs in the other order and the rest follow
+    again, so each of the pair runs first once per turn.  A traced round's
+    metrics read ``c`` and so apply the pending ``g_t``; reading it untimed
+    after every round gives each timed round the same starting state.
     """
     sync = MarsitSynchronizer(
         MarsitConfig(
@@ -146,22 +155,36 @@ def _time_interleaved(
     round_idx = 1
     sync.synchronize(clusters[names[0]], updates, round_idx)
     sync.state.compensation
-    best = dict.fromkeys(names, float("inf"))
-    for turn in range(rounds):
-        shift = turn % len(names)
-        for name in names[shift:] + names[:shift]:
-            round_idx += 1
-            start = time.perf_counter()
-            sync.synchronize(clusters[name], updates, round_idx)
-            best[name] = min(best[name], time.perf_counter() - start)
-            sync.state.compensation
-    return best
+    samples: dict[str, list[float]] = {name: [] for name in names}
+    for _ in range(turns):
+        spent = dict.fromkeys(names, 0.0)
+        for pair in (names[:2], names[1::-1]):
+            for name in pair + names[2:]:
+                round_idx += 1
+                start = time.perf_counter()
+                sync.synchronize(clusters[name], updates, round_idx)
+                spent[name] += time.perf_counter() - start
+                sync.state.compensation
+        for name in names:
+            samples[name].append(spent[name])
+    return samples
+
+
+def _paired_pct(slow: list[float], base: list[float]) -> float:
+    """Median over turns of ``slow``'s per-turn excess over ``base``, in %."""
+    return 100.0 * float(
+        np.median([(s - b) / max(b, 1e-12) for s, b in zip(slow, base)])
+    )
 
 
 def run_rounds(
-    dimension: int, workers: tuple[int, ...], rounds: int
+    dimension: int, workers: tuple[int, ...], turns: int
 ) -> dict:
-    """Bare vs instrumented-off vs tracing-on per-round time per M."""
+    """Bare vs instrumented-off vs tracing-on per-round time per M.
+
+    Seconds per round are per-variant medians over turns; the percentages
+    are the medians of per-turn paired differences against the bare rounds.
+    """
     results: dict = {}
     rng = np.random.default_rng(5)
     for num_workers in workers:
@@ -172,16 +195,17 @@ def run_rounds(
             "off": Cluster(topology),
             "traced": Cluster(topology, obs=Observability.tracing()),
         }
-        best = _time_interleaved(
-            clusters, num_workers, dimension, updates, rounds
+        samples = _time_interleaved(
+            clusters, num_workers, dimension, updates, turns
         )
-        bare_s, off_s, traced_s = best["bare"], best["off"], best["traced"]
+        bare, off, traced = samples["bare"], samples["off"], samples["traced"]
         results[str(num_workers)] = {
-            "bare_s": bare_s,
-            "off_s": off_s,
-            "traced_s": traced_s,
-            "overhead_pct": 100.0 * (off_s - bare_s) / max(bare_s, 1e-12),
-            "traced_pct": 100.0 * (traced_s - bare_s) / max(bare_s, 1e-12),
+            "turns": turns,
+            "bare_s": float(np.median(bare)) / 2,
+            "off_s": float(np.median(off)) / 2,
+            "traced_s": float(np.median(traced)) / 2,
+            "overhead_pct": _paired_pct(off, bare),
+            "traced_pct": _paired_pct(traced, bare),
         }
     return results
 
@@ -215,21 +239,24 @@ def _report(mode: str, dimension: int, workers: dict) -> str:
         ],
         rows,
     )
+    turns = next(iter(workers.values()))["turns"]
     return (
         f"Observability overhead, batched one-bit ring round "
-        f"({mode}, D={dimension})\n" + table
+        f"({mode}, D={dimension}; ms/round are medians over {turns} turns "
+        f"of two rounds each, percentages medians of per-turn paired "
+        f"differences)\n" + table
     )
 
 
 def run_mode(mode: str) -> dict:
     """Run ``'full'`` mode (persist JSON + text) or ``'check'`` (print only)."""
     if mode == "full":
-        dimension, workers, rounds = FULL_DIMENSION, FULL_WORKERS, FULL_ROUNDS
+        dimension, workers, turns = FULL_DIMENSION, FULL_WORKERS, FULL_TURNS
     else:
-        dimension, workers, rounds = (
-            CHECK_DIMENSION, CHECK_WORKERS, CHECK_ROUNDS,
+        dimension, workers, turns = (
+            CHECK_DIMENSION, CHECK_WORKERS, CHECK_TURNS,
         )
-    results = run_rounds(dimension, workers, rounds)
+    results = run_rounds(dimension, workers, turns)
     if mode == "full":
         _write_json(dimension, results)
         save_report("obs_overhead", _report(mode, dimension, results))

@@ -21,11 +21,11 @@ exactly the ring's messages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.allreduce.codec import allreduce_sum
+from repro.allreduce.codec import allreduce_sum, map_distinct
 from repro.comm.cluster import Cluster
 from repro.comm.timing import Phase
 from repro.compression.base import Compressor, Payload
@@ -43,8 +43,8 @@ class _Cascade:
     rngs: Sequence[np.random.Generator]
     op = ReduceOp(kind="cascade")
 
-    def cast(self, values: Any) -> np.ndarray:
-        return np.asarray(values, dtype=np.float64)
+    def partial_dtype(self, num_workers: int) -> np.dtype:
+        return np.dtype(np.float64)
 
     def encode(self, values: np.ndarray, contributors: int, rank: int) -> Payload:
         return self.compressor.compress(values, rng=self.rngs[rank])
@@ -78,7 +78,8 @@ def cascading_ring_allreduce(
 
     Returns:
         Per-worker decoded aggregation results, **divided by M** (the mean
-        estimate ``s_3`` of Appendix A).  All workers return the same value.
+        estimate ``s_3`` of Appendix A).  All workers hold one shared
+        read-only array.
     """
     num = cluster.num_workers
     if len(vectors) != num or len(rngs) != num:
@@ -99,4 +100,4 @@ def cascading_ring_allreduce(
         cluster.charge(
             Phase.COMPRESSION, model.decompress_time(segment_elems * num)
         )
-    return [result / num for result in results]
+    return map_distinct(lambda result: result / num, results)

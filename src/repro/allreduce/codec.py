@@ -5,18 +5,25 @@ A sum collective runs its topology's one-bit schedule re-typed as a sum
 turns a partial sum over ``contributors`` workers into a wire payload.
 :class:`FloatCodec` is the full-precision baseline (PSGD): ``wire_dtype``
 arrays, accumulated in that dtype.  :class:`SignSumCodec` is the
-MAR-extended sign baselines (signSGD, EF, SSDM): ``int64`` sign sums charged
+MAR-extended sign baselines (signSGD, EF, SSDM): integer sign sums, held in
+the narrowest signed dtype that fits ``-M..M`` and charged
 ``ceil(log2(m + 1)) + 1`` bits per element over ``m`` contributors (Section
 3.1's bit-length expansion), or the exact Elias-gamma size.
 :func:`allreduce_sum` compiles the plan once per (topology, M, D, op) and
 runs it; the FP mean is formed in one place, :func:`mean_of`.
+
+Every worker of a sum all-reduce holds the same aggregate, so results are
+shared: a collective returns one read-only array per distinct output (one
+for a ring, torus, tree, butterfly or star; one per ring of parallel
+rings), repeated for the ranks that hold it.  Copy an entry before
+modifying it.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Any, Sequence, Union
+from typing import Any, Callable, Sequence, Union
 
 import numpy as np
 
@@ -33,6 +40,7 @@ __all__ = [
     "allreduce_sum",
     "checked_signs",
     "elias_sum_bits",
+    "map_distinct",
     "mean_of",
     "signsum_collective",
     "sum_plan",
@@ -40,8 +48,8 @@ __all__ = [
 
 
 class _Codec:
-    """Shared codec steps.  A payload is the values cast to ``wire_dtype``
-    unless the codec sizes it in ``encode``; ``dtype`` is the result dtype."""
+    """Shared codec steps.  Partial sums are ``partial_dtype`` arrays, sent
+    as the payload ``encode`` makes of them; ``dtype`` is the result dtype."""
 
     wire_dtype: np.dtype
     dtype: np.dtype
@@ -51,13 +59,14 @@ class _Codec:
         """The reduce op a sum plan under this codec carries."""
         return ReduceOp(kind="sum", codec=self.name)
 
-    def cast(self, values: Any) -> np.ndarray:
-        return np.asarray(values, dtype=self.wire_dtype)
+    def partial_dtype(self, num_workers: int) -> np.dtype:
+        """The dtype partial sums over up to ``num_workers`` workers use."""
+        return self.wire_dtype
 
     def encode(self, values: Any, contributors: int, rank: int = 0) -> Any:
         """The payload worker ``rank`` sends for a partial sum over
         ``contributors`` workers."""
-        return self.cast(values)
+        return values
 
     def value(self, payload: Any) -> np.ndarray:
         return payload
@@ -87,22 +96,32 @@ class FloatCodec(_Codec):
 class SignSumCodec(_Codec):
     """Integer partial sign sums with bit-length expansion.
 
-    ``elias_coded`` charges each hop the exact Elias-gamma code of its
-    zigzagged partial sums (the Section 5 "Elias coding" baseline) instead
-    of the fixed width: shorter on average, still above one bit per element.
+    Partial sums live in the narrowest signed integer dtype that holds
+    ``-M..M`` (``int8`` up to M = 127); the charged size depends only on
+    the contributors and the element count, and :meth:`finish` widens the
+    result to ``int64``.  ``elias_coded`` charges each hop the exact
+    Elias-gamma code of its zigzagged partial sums (the Section 5 "Elias
+    coding" baseline) instead of the fixed width: shorter on average, still
+    above one bit per element.
     """
 
     elias_coded: bool = False
-    wire_dtype = dtype = np.dtype(np.int64)
+    dtype = np.dtype(np.int64)
 
     @property
     def name(self) -> str:
         return "signsum-elias" if self.elias_coded else "signsum"
 
+    def partial_dtype(self, num_workers: int) -> np.dtype:
+        for candidate in (np.int8, np.int16, np.int32):
+            if num_workers <= np.iinfo(candidate).max:
+                return np.dtype(candidate)
+        return np.dtype(np.int64)
+
     def encode(
         self, values: Any, contributors: int, rank: int = 0
     ) -> SizedPayload:
-        values = self.cast(values)
+        values = np.asarray(values)
         if self.elias_coded:
             nbytes = (elias_sum_bits(values, contributors) + 7) // 8
         else:
@@ -130,10 +149,27 @@ WireCodec = Union[FloatCodec, SignSumCodec]
 SIGN_SUM = SignSumCodec()
 
 
-def mean_of(sums: list[np.ndarray]) -> list[np.ndarray]:
-    """Per-worker FP means from per-worker sums: each times ``1 / M``."""
+def map_distinct(
+    make: Callable[[Any], np.ndarray], items: Sequence[Any]
+) -> list[np.ndarray]:
+    """``make(item)`` once per distinct object in ``items``, marked
+    read-only and repeated wherever that object appears."""
+    made: dict[int, np.ndarray] = {}
+    results = []
+    for item in items:
+        result = made.get(id(item))
+        if result is None:
+            result = made[id(item)] = make(item)
+            result.flags.writeable = False
+        results.append(result)
+    return results
+
+
+def mean_of(sums: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Per-worker FP means from per-worker sums: each distinct sum times
+    ``1 / M`` once, shared read-only by the ranks that hold it."""
     scale = 1.0 / len(sums)
-    return [total * scale for total in sums]
+    return map_distinct(lambda total: total * scale, sums)
 
 
 def checked_signs(
@@ -217,7 +253,8 @@ def allreduce_sum(
     segment_elems: int | None = None,
 ) -> list[np.ndarray]:
     """Per-worker sums of ``vectors`` over ``family``'s schedule under
-    ``codec`` (``codec.finish`` of each rank's reduced segments)."""
+    ``codec``: one read-only ``codec.finish`` per distinct output, shared
+    by the ranks that hold it."""
     from repro.sched import get_executor
 
     if cluster.topology.name != family:

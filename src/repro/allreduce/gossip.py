@@ -17,9 +17,9 @@ __all__ = ["gossip_average_round", "gossip_mixing_matrix"]
 
 
 def _require_symmetric(cluster: Cluster) -> None:
-    graph = cluster.topology.graph
-    for u, v in graph.edges:
-        if not graph.has_edge(v, u):
+    topology = cluster.topology
+    for u, v in topology.edges:
+        if not topology.has_edge(v, u):
             raise ValueError(
                 "gossip requires a symmetric topology (every link "
                 f"bidirectional); missing reverse of {u} -> {v}.  Use "
@@ -39,7 +39,7 @@ def gossip_mixing_matrix(cluster: Cluster) -> np.ndarray:
     _require_symmetric(cluster)
     num = cluster.num_workers
     undirected = {
-        frozenset((u, v)) for u, v in cluster.topology.graph.edges if u != v
+        frozenset((u, v)) for u, v in cluster.topology.edges if u != v
     }
     degree = [0] * num
     for pair in undirected:

@@ -14,7 +14,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.allreduce.codec import SIGN_SUM, WireCodec, checked_signs
+from repro.allreduce.codec import SIGN_SUM, WireCodec, checked_signs, map_distinct
 from repro.comm.cluster import Cluster
 
 __all__ = [
@@ -109,19 +109,21 @@ def star_allreduce_mean(
         [np.asarray(v, dtype=np.float32) for v in vectors],
         aggregate=lambda xs: np.mean(xs, axis=0),
     )
-    return [np.asarray(m, dtype=np.float64) for m in mean]
+    return map_distinct(lambda m: np.asarray(m, dtype=np.float64), mean)
 
 
 def _star_sum(cluster: Cluster, vectors: list, codec: WireCodec) -> list:
     """Sum through the server; the broadcast covers all ``M`` workers."""
     num = cluster.num_workers
+    dtype = codec.partial_dtype(num)
     totals = ps_allreduce(
         cluster,
-        [codec.encode(vector, 1) for vector in vectors],
+        [codec.encode(np.asarray(vector, dtype=dtype), 1) for vector in vectors],
         aggregate=lambda values: codec.encode(np.sum(values, axis=0), num),
         decode=codec.value,
     )
-    return [codec.finish([codec.value(total)]) for total in totals]
+    # The broadcast hands every worker the server's one payload.
+    return map_distinct(lambda total: codec.finish([codec.value(total)]), totals)
 
 
 def signsum_star_allreduce(

@@ -33,7 +33,7 @@ class SizedPayload:
     """A payload with an explicitly modelled wire size.
 
     Used when the in-memory representation is wider than the modelled wire
-    format — e.g. an ``int64`` array of partial sign sums that a real
+    format — e.g. an integer array of partial sign sums that a real
     implementation would pack at ``ceil(log2(m+1)) + 1`` bits per element
     (Section 3.1's bit-length expansion), or the length of their Elias-gamma
     code.
@@ -200,7 +200,7 @@ class Cluster:
                 raise ValueError("link speed factors must be positive")
         self.workers = [Worker(rank) for rank in range(topology.num_workers)]
         self.links: dict[tuple[int, int], Link] = {
-            (u, v): Link(u, v) for u, v in topology.graph.edges
+            (u, v): Link(u, v) for u, v in topology.edges
         }
         self.timeline = TimeLine()
         self.total_bytes = 0
@@ -453,7 +453,7 @@ class Cluster:
         topology.validate()
         self.topology = topology
         self.workers = [Worker(rank) for rank in range(topology.num_workers)]
-        self.links = {(u, v): Link(u, v) for u, v in topology.graph.edges}
+        self.links = {(u, v): Link(u, v) for u, v in topology.edges}
         self.link_speed_factors = {
             key: factor
             for key, factor in self.link_speed_factors.items()

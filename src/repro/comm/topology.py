@@ -1,16 +1,15 @@
 """Network topologies for multi-hop all-reduce.
 
-A :class:`Topology` wraps a directed :class:`networkx.DiGraph` whose nodes are
-worker ranks ``0..M-1``.  All-reduce algorithms query successor/predecessor
-relations rather than hard-coding ring arithmetic, so the same reduce code
-runs over a plain ring, each ring of a 2D torus, or a star.
+A :class:`Topology` is a directed graph over worker ranks ``0..M-1``, held
+as its edge list plus successor and predecessor tables.  All-reduce
+algorithms query successor/predecessor relations rather than hard-coding
+ring arithmetic, so the same reduce code runs over a plain ring, each ring
+of a 2D torus, or a star.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 __all__ = [
     "Topology",
@@ -28,31 +27,45 @@ class Topology:
     """A directed communication graph over worker ranks.
 
     Attributes:
-        graph: the underlying directed graph; an edge ``(u, v)`` means worker
-            ``u`` may send directly to worker ``v``.
+        num_workers: M; the ranks are ``0..M-1``.
+        edges: the ``(src, dst)`` links, ordered by source rank, then by
+            the order the constructor added each source's successors; an
+            edge means worker ``src`` may send directly to worker ``dst``.
+            Duplicates collapse onto their first occurrence.
         name: human-readable topology family (``"ring"``, ``"torus"``, ...).
         meta: topology-specific layout data (e.g. torus ``rows``/``cols``).
     """
 
-    graph: nx.DiGraph
+    num_workers: int
+    edges: tuple[tuple[int, int], ...]
     name: str
     meta: dict = field(default_factory=dict)
 
-    @property
-    def num_workers(self) -> int:
-        return self.graph.number_of_nodes()
+    def __post_init__(self) -> None:
+        succ: dict[int, dict[int, None]] = {}
+        pred: dict[int, dict[int, None]] = {}
+        for src, dst in self.edges:
+            succ.setdefault(src, {})[dst] = None
+            pred.setdefault(dst, {})[src] = None
+        ranks = sorted(set(range(self.num_workers)) | set(succ) | set(pred))
+        self.edges = tuple(
+            (src, dst) for src in ranks for dst in succ.get(src, ())
+        )
+        self._succ = {rank: sorted(succ.get(rank, ())) for rank in ranks}
+        self._pred = {rank: sorted(pred.get(rank, ())) for rank in ranks}
+        self._edge_set = frozenset(self.edges)
 
     def neighbors_out(self, rank: int) -> list[int]:
         """Ranks this worker may send to, sorted for determinism."""
-        return sorted(self.graph.successors(rank))
+        return list(self._succ[rank])
 
     def neighbors_in(self, rank: int) -> list[int]:
         """Ranks this worker may receive from, sorted for determinism."""
-        return sorted(self.graph.predecessors(rank))
+        return list(self._pred[rank])
 
     def successor(self, rank: int) -> int:
         """The unique out-neighbor; only valid for ring-like topologies."""
-        out = self.neighbors_out(rank)
+        out = self._succ[rank]
         if len(out) != 1:
             raise ValueError(
                 f"rank {rank} has {len(out)} out-neighbors; "
@@ -62,7 +75,7 @@ class Topology:
 
     def predecessor(self, rank: int) -> int:
         """The unique in-neighbor; only valid for ring-like topologies."""
-        incoming = self.neighbors_in(rank)
+        incoming = self._pred[rank]
         if len(incoming) != 1:
             raise ValueError(
                 f"rank {rank} has {len(incoming)} in-neighbors; "
@@ -71,16 +84,24 @@ class Topology:
         return incoming[0]
 
     def has_edge(self, src: int, dst: int) -> bool:
-        return self.graph.has_edge(src, dst)
+        return (src, dst) in self._edge_set
 
     def validate(self) -> None:
         """Check structural invariants; raises ``ValueError`` on violation."""
-        nodes = sorted(self.graph.nodes)
-        if nodes != list(range(len(nodes))):
-            raise ValueError("topology nodes must be contiguous ranks 0..M-1")
-        if len(nodes) < 1:
+        if self.num_workers < 1:
             raise ValueError("topology must contain at least one worker")
-        if not nx.is_weakly_connected(self.graph) and len(nodes) > 1:
+        if list(self._succ) != list(range(self.num_workers)):
+            raise ValueError("topology nodes must be contiguous ranks 0..M-1")
+        # Weak connectivity: a BFS over links taken in either direction.
+        seen = {0}
+        frontier = [0]
+        while frontier:
+            rank = frontier.pop()
+            for other in self._succ[rank] + self._pred[rank]:
+                if other not in seen:
+                    seen.add(other)
+                    frontier.append(other)
+        if len(seen) != self.num_workers:
             raise ValueError("topology must be connected")
 
 
@@ -92,14 +113,15 @@ def ring_topology(num_workers: int, bidirectional: bool = False) -> Topology:
     """
     if num_workers < 1:
         raise ValueError("num_workers must be >= 1")
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(num_workers))
+    edges = []
     for rank in range(num_workers):
         if num_workers > 1:
-            graph.add_edge(rank, (rank + 1) % num_workers)
+            edges.append((rank, (rank + 1) % num_workers))
             if bidirectional:
-                graph.add_edge((rank + 1) % num_workers, rank)
-    return Topology(graph=graph, name="ring", meta={"bidirectional": bidirectional})
+                edges.append(((rank + 1) % num_workers, rank))
+    return Topology(
+        num_workers, tuple(edges), "ring", {"bidirectional": bidirectional}
+    )
 
 
 def torus_topology(rows: int, cols: int) -> Topology:
@@ -111,17 +133,17 @@ def torus_topology(rows: int, cols: int) -> Topology:
     """
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be >= 1")
-    graph = nx.DiGraph()
-    num = rows * cols
-    graph.add_nodes_from(range(num))
+    edges = []
     for r in range(rows):
         for c in range(cols):
             rank = r * cols + c
             if cols > 1:
-                graph.add_edge(rank, r * cols + (c + 1) % cols, axis="row")
+                edges.append((rank, r * cols + (c + 1) % cols))
             if rows > 1:
-                graph.add_edge(rank, ((r + 1) % rows) * cols + c, axis="col")
-    return Topology(graph=graph, name="torus", meta={"rows": rows, "cols": cols})
+                edges.append((rank, ((r + 1) % rows) * cols + c))
+    return Topology(
+        rows * cols, tuple(edges), "torus", {"rows": rows, "cols": cols}
+    )
 
 
 def star_topology(num_workers: int, server: int = 0) -> Topology:
@@ -130,13 +152,11 @@ def star_topology(num_workers: int, server: int = 0) -> Topology:
         raise ValueError("star topology needs at least a server and a worker")
     if not 0 <= server < num_workers:
         raise ValueError("server rank out of range")
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(num_workers))
+    edges = []
     for rank in range(num_workers):
         if rank != server:
-            graph.add_edge(rank, server, role="up")
-            graph.add_edge(server, rank, role="down")
-    return Topology(graph=graph, name="star", meta={"server": server})
+            edges += [(rank, server), (server, rank)]
+    return Topology(num_workers, tuple(edges), "star", {"server": server})
 
 
 def tree_topology(num_workers: int, arity: int = 2) -> Topology:
@@ -145,13 +165,13 @@ def tree_topology(num_workers: int, arity: int = 2) -> Topology:
         raise ValueError("num_workers must be >= 1")
     if arity < 1:
         raise ValueError("arity must be >= 1")
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(num_workers))
+    edges = []
     for rank in range(1, num_workers):
         parent = (rank - 1) // arity
-        graph.add_edge(rank, parent, role="up")
-        graph.add_edge(parent, rank, role="down")
-    return Topology(graph=graph, name="tree", meta={"arity": arity, "root": 0})
+        edges += [(rank, parent), (parent, rank)]
+    return Topology(
+        num_workers, tuple(edges), "tree", {"arity": arity, "root": 0}
+    )
 
 
 def halving_doubling_topology(num_workers: int) -> Topology:
@@ -168,24 +188,22 @@ def halving_doubling_topology(num_workers: int) -> Topology:
             f"got {num_workers}"
         )
     order = num_workers.bit_length() - 1
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(num_workers))
-    for rank in range(num_workers):
-        for step in range(order):
-            graph.add_edge(rank, rank ^ (1 << step), bit=step)
-    return Topology(
-        graph=graph, name="halving_doubling", meta={"order": order}
+    edges = tuple(
+        (rank, rank ^ (1 << step))
+        for rank in range(num_workers)
+        for step in range(order)
     )
+    return Topology(num_workers, edges, "halving_doubling", {"order": order})
 
 
 def fully_connected_topology(num_workers: int) -> Topology:
     """Complete digraph; used by gossip and by PS-style direct exchange."""
     if num_workers < 1:
         raise ValueError("num_workers must be >= 1")
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(num_workers))
-    for src in range(num_workers):
-        for dst in range(num_workers):
-            if src != dst:
-                graph.add_edge(src, dst)
-    return Topology(graph=graph, name="full")
+    edges = tuple(
+        (src, dst)
+        for src in range(num_workers)
+        for dst in range(num_workers)
+        if src != dst
+    )
+    return Topology(num_workers, edges, "full")

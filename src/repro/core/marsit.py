@@ -221,9 +221,11 @@ class SyncReport:
     """What one :meth:`MarsitSynchronizer.synchronize` call did.
 
     ``global_updates[m]`` is the vector worker ``m`` subtracts from its
-    model.  On one-bit rounds every entry is the *same* read-only array
-    (``writeable=False``): consensus makes per-worker copies redundant, so
-    copy an entry before modifying it.
+    model.  Entries are read-only (``writeable=False``) and shared: on
+    one-bit rounds every entry is the *same* array, and on full-precision
+    rounds every rank that holds the same all-reduce output (all of them,
+    unless faults split it) shares one array.  Consensus makes per-worker
+    copies redundant, so copy an entry before modifying it.
     """
 
     round_idx: int
@@ -302,10 +304,10 @@ class MarsitSynchronizer:
 
         Returns:
             A :class:`SyncReport` whose ``global_updates[m]`` is the vector
-            worker ``m`` subtracts from its model.  On one-bit rounds all
-            entries are one shared read-only array (consensus); on
-            full-precision rounds they are identical up to FP32 wire
-            rounding.
+            worker ``m`` subtracts from its model, read-only.  On one-bit
+            rounds all entries are one shared array (consensus); on
+            full-precision rounds ranks share the mean all-reduce's one
+            array per distinct output.
 
         ``self.state.compensation`` is updated in place; after a one-bit
         round it holds ``g_t`` pending (see :class:`MarsitState`), and
@@ -385,7 +387,7 @@ class MarsitSynchronizer:
                 if degraded:
                     # Dead ranks get the consensus update so trainer-side
                     # indexing (``updates[0]``) stays valid either way.
-                    global_updates = [outputs[0].copy()] * self.num_workers
+                    global_updates = [outputs[0]] * self.num_workers
                     for pos, rank in enumerate(active):
                         global_updates[rank] = outputs[pos]
                 else:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = [
     "ArrayDataset",
@@ -52,6 +51,40 @@ class ArrayDataset:
         )
 
 
+def _gaussian_kernel(sigma: float) -> np.ndarray:
+    """The normalized Gaussian taps ``w[-r..r]``, radius ``int(4 sigma + 0.5)``."""
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x**2)
+    return phi / phi.sum()
+
+
+def _blur_axis(array: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
+    """Correlate ``array`` with the symmetric ``weights`` along ``axis``.
+
+    Boundaries reflect about the edge (``dcba|abcd|dcba``), repeating with
+    period ``2 n`` when the radius exceeds the side ``n``.  The sum runs as
+    ``x[i] w_0``, then ``+= (x[i - j] + x[i + j]) w_j`` from the outermost
+    tap inwards: the float operations of ``scipy.ndimage``'s symmetric
+    correlation, so the result matches ``gaussian_filter`` bit for bit.
+    """
+    side = array.shape[axis]
+    radius = len(weights) // 2
+    index = np.arange(-radius, side + radius) % (2 * side)
+    index = np.where(index < side, index, 2 * side - 1 - index)
+    padded = np.take(array, index, axis=axis)
+
+    def tap(offset: int) -> np.ndarray:
+        window = [slice(None)] * array.ndim
+        window[axis] = slice(radius + offset, radius + offset + side)
+        return padded[tuple(window)]
+
+    out = tap(0) * weights[radius]
+    for j in range(radius, 0, -1):
+        out += (tap(-j) + tap(j)) * weights[radius - j]
+    return out
+
+
 def _smooth_prototypes(
     rng: np.random.Generator,
     num_classes: int,
@@ -61,10 +94,10 @@ def _smooth_prototypes(
 ) -> np.ndarray:
     """Smoothed random fields: one (C, H, W) prototype per class."""
     raw = rng.standard_normal((num_classes, channels, size, size))
-    smoothed = ndimage.gaussian_filter(
-        raw, sigma=(0, 0, smoothness, smoothness)
-    )
-    # Normalize each prototype to unit RMS so noise levels are comparable.
+    weights = _gaussian_kernel(smoothness)
+    smoothed = _blur_axis(_blur_axis(raw, weights, 2), weights, 3)
+    # Normalize each prototype to unit RMS so noise levels are comparable;
+    # the sum runs in C order, so the blur must return a C-contiguous array.
     rms = np.sqrt((smoothed**2).mean(axis=(1, 2, 3), keepdims=True))
     return smoothed / np.maximum(rms, 1e-8)
 

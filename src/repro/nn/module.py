@@ -113,12 +113,16 @@ class Module:
         for param in self.parameters():
             param.zero_grad()
 
-    def flatten_grads(self) -> np.ndarray:
-        """Concatenate all parameter gradients into one vector."""
+    def flatten_grads(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Concatenate all parameter gradients into one vector.
+
+        ``out``, a float64 vector of :meth:`num_parameters` elements, is
+        written in place and returned instead of a fresh array.
+        """
         params = self.parameters()
         if not params:
-            return np.zeros(0)
-        return np.concatenate([param.grad.reshape(-1) for param in params])
+            return np.zeros(0) if out is None else out
+        return np.concatenate([param.grad.reshape(-1) for param in params], out=out)
 
     def flatten_params(self) -> np.ndarray:
         """Concatenate all parameter values into one vector."""

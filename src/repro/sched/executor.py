@@ -17,7 +17,10 @@ Sum plans (:func:`~repro.sched.plan.as_sum_plan`: the FP32 mean, the
 integer sign sum, cascading compression) run once, in the shared base
 (:meth:`_PlanExecutor.run_sum`), message by message through
 ``Cluster.send``/``recv`` under a wire codec, so both engines return the
-same sums and a terminal loss raises ``LookupError`` on either.
+same sums and a terminal loss raises ``LookupError`` on either.  Gathers
+forward payloads verbatim, so ranks end up holding the same segment
+arrays; each distinct set of output segments is finished once, into one
+read-only array that every rank holding it shares.
 
 Neither packs: the caller hands ``run_one_bit`` one
 :class:`~repro.allreduce.ring.PackedLaneGrid` per ``Pack`` step (the
@@ -310,7 +313,8 @@ class _PlanExecutor:
         self, plan: SyncPlan, cluster: Cluster, vectors: Sequence[np.ndarray]
     ) -> list[np.ndarray]:
         """The K-sync round: run the FP32 sum ``plan`` inside an
-        ``fp-allreduce`` span; returns per-worker means."""
+        ``fp-allreduce`` span; returns per-worker means (shared read-only
+        arrays, one per distinct output)."""
         from repro.allreduce.codec import FloatCodec, mean_of
 
         tracer = cluster.obs.tracer
@@ -328,16 +332,30 @@ class _PlanExecutor:
     ) -> list[np.ndarray]:
         """Execute a sum plan under ``codec``; returns per-rank results.
 
-        Each lane's slot holds its partial sum until the slot is first
-        sent: the sender encodes it for the workers it covers (the sum of
-        the merge weights that formed it) and keeps the payload, which
-        gathers then forward verbatim.  A merge adds the decoded payload to
-        the local partial sum.  ``codec.finish`` concatenates each rank's
-        output segments.
+        Each lane's slot holds its partial sum (``codec.partial_dtype`` of
+        the plan's worker count) until the slot is first sent: the sender
+        encodes it for the workers it covers (the sum of the merge weights
+        that formed it) and keeps the payload, which gathers then forward
+        verbatim.  A merge adds the decoded payload to the local partial
+        sum.  Ranks whose output segments decode to the same arrays share
+        one read-only ``codec.finish`` of them.
         """
         specs = {spec.name: spec for spec in plan.grids}
         slots: dict[str, list[list[Any]]] = {}
         weights: dict[str, list[list[int]]] = {}
+        # Payload object -> its decoded value, so a payload many ranks hold
+        # decodes once and every holder sees the same array.
+        decoded: dict[int, tuple[Any, np.ndarray]] = {}
+
+        def value_of(slot: Any) -> np.ndarray:
+            if isinstance(slot, np.ndarray):
+                return slot
+            entry = decoded.get(id(slot))
+            if entry is None:
+                entry = decoded[id(slot)] = (slot, codec.value(slot))
+            return entry[1]
+
+        dtype = codec.partial_dtype(plan.num_workers)
         steps = plan.steps
         pos = 0
         while pos < len(steps):
@@ -350,7 +368,10 @@ class _PlanExecutor:
                 # the slots that still need it.
                 slots[step.grid] = [
                     np.array_split(
-                        codec.cast(np.asarray(vectors[rank])[step.start : step.stop]),
+                        np.asarray(
+                            np.asarray(vectors[rank])[step.start : step.stop],
+                            dtype=dtype,
+                        ),
                         spec.num_segments,
                     )
                     for rank in spec.lane_ranks
@@ -362,7 +383,7 @@ class _PlanExecutor:
                 source = slots[step.src_grid]
                 counts = weights[step.src_grid]
                 slots[step.grid] = [
-                    np.array_split(_value(codec, source[lane][seg]), step.parts)
+                    np.array_split(value_of(source[lane][seg]), step.parts)
                     for lane, seg in step.sources
                 ]
                 weights[step.grid] = [
@@ -371,10 +392,14 @@ class _PlanExecutor:
             elif isinstance(step, Unstack):
                 source = slots[step.src_grid]
                 counts = weights[step.src_grid]
+                # Lanes that gathered the same payloads share one join.
+                joined: dict[tuple[int, ...], np.ndarray] = {}
                 for lane, (dst_lane, dst_seg) in enumerate(step.targets):
-                    slots[step.grid][dst_lane][dst_seg] = np.concatenate(
-                        [_value(codec, part) for part in source[lane]]
-                    )
+                    parts = [value_of(part) for part in source[lane]]
+                    key = tuple(map(id, parts))
+                    if key not in joined:
+                        joined[key] = np.concatenate(parts)
+                    slots[step.grid][dst_lane][dst_seg] = joined[key]
                     weights[step.grid][dst_lane][dst_seg] = counts[lane][0]
             elif isinstance(step, SendRecv):
                 merge = steps[pos + 1]
@@ -399,14 +424,24 @@ class _PlanExecutor:
                     f"unexpected step {type(step).__name__} in a sum plan"
                 )
             pos += 1
-        held: dict[int, list[Any]] = {}
+        held: dict[int, list[np.ndarray]] = {}
         for out in plan.outputs:
             for lane, rank in enumerate(specs[out.grid].lane_ranks):
-                held.setdefault(rank, []).extend(slots[out.grid][lane])
-        return [
-            codec.finish([_value(codec, slot) for slot in held[rank]])
-            for rank in range(len(held))
-        ]
+                held.setdefault(rank, []).extend(
+                    value_of(slot) for slot in slots[out.grid][lane]
+                )
+        # One finish per distinct tuple of output arrays (``held`` keeps
+        # them alive, so their ids stay unique).
+        finished: dict[tuple[int, ...], np.ndarray] = {}
+        results = []
+        for rank in range(len(held)):
+            key = tuple(map(id, held[rank]))
+            result = finished.get(key)
+            if result is None:
+                result = finished[key] = codec.finish(held[rank])
+                result.flags.writeable = False
+            results.append(result)
+        return results
 
     @staticmethod
     def _send_sums(

@@ -60,8 +60,10 @@ __all__ = [
 class StepResult:
     """Per-round outcome: updates to subtract, and what went on the wire.
 
-    Schemes that end in exact consensus repeat one read-only array in
-    ``updates``; copy an entry before modifying it.
+    Entries are read-only and shared: schemes that end in exact consensus
+    repeat one array, and Marsit's full-precision rounds repeat the mean
+    all-reduce's one array per distinct output.  Copy an entry before
+    modifying it.
 
     ``plan_digest``/``num_plan_steps`` identify the compiled
     :class:`~repro.sched.plan.SyncPlan` for strategies that run one (Marsit);

@@ -205,58 +205,66 @@ class DistributedTrainer:
         self._flops_per_example = float(
             getattr(self.model, "flops_per_example", 6.0 * self.model.num_parameters())
         )
+        dimension = self.model.num_parameters()
+        self._grads = np.empty((config.num_workers, dimension))
+        self._step_grad = np.empty(dimension) if config.local_steps > 1 else None
 
-    def _one_gradient(self, iterator: WorkerBatchIterator) -> tuple[np.ndarray, float]:
+    def _one_gradient(self, iterator: WorkerBatchIterator, out: np.ndarray) -> float:
+        """One batch's forward/backward; the gradient lands in ``out``."""
         x, y = iterator.next_batch()
         self.model.zero_grad()
         logits = self.model(x)
         loss = self.loss_fn(logits, y)
         self.model.backward(self.loss_fn.backward())
-        return self.model.flatten_grads(), loss
+        self.model.flatten_grads(out=out)
+        return loss
 
-    def _worker_gradients(self) -> tuple[list[np.ndarray], float]:
+    def _worker_gradients(self) -> tuple[np.ndarray, float]:
         """Per-worker (accumulated) gradients, plus the mean train loss.
 
-        With ``local_steps > 1`` each worker walks a short local-SGD
-        trajectory from the shared parameters and reports the mean gradient
-        along it; parameters are restored between workers so every walk
-        starts from consensus.
+        Worker ``m``'s gradient is row ``m`` of one ``(M, D)`` matrix that
+        every round overwrites, so strategies must not keep the rows past
+        their ``step``.  With ``local_steps > 1`` each worker walks a short
+        local-SGD trajectory from the shared parameters and reports the mean
+        gradient along it; parameters are restored between workers so every
+        walk starts from consensus.
         """
-        grads = []
+        grads = self._grads
         losses = []
         local_steps = self.config.local_steps
         faults = self.cluster.faults
         dead = faults.dead_workers if faults is not None else frozenset()
         shared = self.model.flatten_params() if local_steps > 1 else None
         for worker, iterator in enumerate(self.iterators):
+            row = grads[worker]
             if worker in dead:
-                # Crashed workers contribute nothing: a zero placeholder
-                # keeps the gradient list M-long (the synchronizer indexes
-                # by original rank) without touching the loss mean.
-                grads.append(np.zeros(self.model.num_parameters()))
+                # Crashed workers contribute nothing: a zero row keeps the
+                # matrix M rows tall (the synchronizer indexes by original
+                # rank) without touching the loss mean.
+                row.fill(0.0)
                 continue
             if local_steps == 1:
-                grad, loss = self._one_gradient(iterator)
+                loss = self._one_gradient(iterator, row)
             else:
                 self.model.set_flat_params(shared)
-                step_grads = []
                 loss = 0.0
-                for _ in range(local_steps):
-                    step_grad, step_loss = self._one_gradient(iterator)
-                    step_grads.append(step_grad)
-                    loss += step_loss / local_steps
+                for step in range(local_steps):
+                    step_grad = row if step == 0 else self._step_grad
+                    loss += self._one_gradient(iterator, step_grad) / local_steps
                     self.model.add_flat_update(
                         self.config.local_step_lr * step_grad, scale=-1.0
                     )
-                grad = np.mean(step_grads, axis=0)
+                    if step:
+                        row += step_grad
+                # The sum in step order, then one division: np.mean's floats.
+                row /= local_steps
             losses.append(loss)
             if self.config.clip_grad_norm is not None:
-                norm = float(np.linalg.norm(grad))
+                norm = float(np.linalg.norm(row))
                 if norm > self.config.clip_grad_norm:
-                    grad = grad * (self.config.clip_grad_norm / norm)
+                    row *= self.config.clip_grad_norm / norm
             if worker < self.config.byzantine_workers:
-                grad = -10.0 * grad
-            grads.append(grad)
+                row *= -10.0
         if shared is not None:
             self.model.set_flat_params(shared)
         # Workers compute in parallel: charge one worker's forward+backward.
@@ -287,7 +295,7 @@ class DistributedTrainer:
                 result.diverged = True
                 result.rounds_run = round_idx
                 break
-            step = self.strategy.step(self.cluster, grads, round_idx)
+            step = self.strategy.step(self.cluster, list(grads), round_idx)
             self.callbacks.on_sync_done(
                 round_idx, step, cluster=self.cluster, trainer=self
             )

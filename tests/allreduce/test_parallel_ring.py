@@ -71,6 +71,19 @@ class TestParallelRing:
                 )
         cluster.assert_drained()
 
+    def test_one_shared_array_per_ring(self, rng):
+        # Each ring gathers its own segments: its ranks share one read-only
+        # result, and the two rings' results are distinct arrays.
+        cluster = Cluster(torus_topology(2, 3))
+        vectors = [rng.standard_normal(9) for _ in range(6)]
+        out = ScalarExecutor().run_sum(
+            _cycles_plan(2, 3, 9), cluster, vectors, CODEC
+        )
+        assert out[0] is out[1] is out[2]
+        assert out[3] is out[4] is out[5]
+        assert out[0] is not out[3]
+        assert not out[0].flags.writeable and not out[3].flags.writeable
+
     def test_lockstep_charges_one_latency_per_step(self, rng):
         # Two concurrent 3-cycles: still only (3-1) reduce steps of latency.
         cluster = Cluster(torus_topology(2, 3))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.comm.topology import (
+    Topology,
     fully_connected_topology,
     ring_topology,
     star_topology,
@@ -21,7 +22,7 @@ class TestRing:
     def test_single_worker_has_no_edges(self):
         topo = ring_topology(1)
         assert topo.num_workers == 1
-        assert topo.graph.number_of_edges() == 0
+        assert len(topo.edges) == 0
 
     def test_bidirectional_adds_reverse_links(self):
         topo = ring_topology(4, bidirectional=True)
@@ -106,7 +107,7 @@ class TestTree:
 class TestFullyConnected:
     def test_complete(self):
         topo = fully_connected_topology(4)
-        assert topo.graph.number_of_edges() == 12
+        assert len(topo.edges) == 12
 
     def test_successor_raises_with_many_neighbors(self):
         with pytest.raises(ValueError):
@@ -115,12 +116,35 @@ class TestFullyConnected:
 
 class TestValidate:
     def test_rejects_noncontiguous_ranks(self):
-        import networkx as nx
+        # An edge to rank 2 in a two-worker topology: ranks are {0, 1, 2}.
+        with pytest.raises(ValueError, match="contiguous"):
+            Topology(2, ((0, 2),), "bad").validate()
 
-        from repro.comm.topology import Topology
+    def test_rejects_negative_rank(self):
+        with pytest.raises(ValueError, match="contiguous"):
+            Topology(2, ((0, 1), (-1, 0)), "bad").validate()
 
-        graph = nx.DiGraph()
-        graph.add_nodes_from([0, 2])
-        graph.add_edge(0, 2)
+    def test_rejects_disconnected(self):
+        # Two 2-rings that share no link.
+        edges = ((0, 1), (1, 0), (2, 3), (3, 2))
+        with pytest.raises(ValueError, match="connected"):
+            Topology(4, edges, "bad").validate()
+
+    def test_rejects_isolated_rank(self):
+        with pytest.raises(ValueError, match="connected"):
+            Topology(3, ((0, 1),), "bad").validate()
+
+    def test_weak_connectivity_suffices(self):
+        # A directed path is weakly connected: every rank reached ignoring
+        # link direction.
+        Topology(3, ((0, 1), (2, 1)), "path").validate()
+
+    def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            Topology(graph=graph, name="bad").validate()
+            Topology(0, (), "empty").validate()
+
+    def test_duplicate_edges_collapse_in_source_order(self):
+        topo = Topology(3, ((1, 2), (0, 1), (1, 0), (0, 1), (2, 0)), "dup")
+        assert topo.edges == ((0, 1), (1, 2), (1, 0), (2, 0))
+        assert topo.neighbors_out(1) == [0, 2]
+        assert topo.neighbors_in(0) == [1, 2]

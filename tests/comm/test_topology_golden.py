@@ -39,7 +39,7 @@ CASES = {
 
 
 def _edges(topology) -> list[list[int]]:
-    return [[src, dst] for src, dst in topology.graph.edges]
+    return [[src, dst] for src, dst in topology.edges]
 
 
 def test_edge_order_matches_golden(update_golden):

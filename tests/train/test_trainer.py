@@ -6,9 +6,14 @@ import pytest
 from repro.data import mnist_like, train_test_split
 from repro.nn.zoo import mlp
 from repro.train import (
+    CascadingSSDMStrategy,
     DistributedTrainer,
+    EFSignSGDStrategy,
     MarsitStrategy,
+    PowerSGDStrategy,
     PSGDStrategy,
+    SignSGDMajorityStrategy,
+    SSDMStrategy,
     TrainConfig,
     make_cluster,
 )
@@ -263,3 +268,66 @@ class TestLocalSteps:
             TrainConfig(num_workers=2, rounds=1, local_steps=0)
         with pytest.raises(ValueError):
             TrainConfig(num_workers=2, rounds=1, local_step_lr=0.0)
+
+
+class TestGradientMatrix:
+    """Gradients land in one ``(M, D)`` matrix that every round reuses."""
+
+    def test_rows_are_views_of_one_reused_matrix(self, tiny_data):
+        train, test = tiny_data
+        config = TrainConfig(num_workers=3, rounds=1, batch_size=16, seed=0)
+        trainer = DistributedTrainer(
+            factory, train, test, PSGDStrategy(lr=0.05, num_workers=3), config
+        )
+        first, _ = trainer._worker_gradients()
+        before = first.copy()
+        second, _ = trainer._worker_gradients()
+        assert second is first
+        assert first.shape == (3, trainer.model.num_parameters())
+        assert not np.array_equal(first, before)  # overwritten in place
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda dim: PSGDStrategy(lr=0.05, num_workers=3),
+            lambda dim: SignSGDMajorityStrategy(lr=0.002, num_workers=3),
+            lambda dim: EFSignSGDStrategy(lr=0.05, num_workers=3),
+            lambda dim: SSDMStrategy(lr=0.03, num_workers=3),
+            lambda dim: CascadingSSDMStrategy(lr=0.03, num_workers=3),
+            lambda dim: PowerSGDStrategy(lr=0.05, num_workers=3),
+            lambda dim: MarsitStrategy(
+                0.05, 4e-3, 3, dim, full_precision_every=2
+            ),
+        ],
+        ids=["psgd", "signsgd", "ef", "ssdm", "cascading", "powersgd", "marsit"],
+    )
+    def test_no_strategy_keeps_the_rows_past_step(self, tiny_data, make):
+        import gc
+        import weakref
+
+        from repro.obs.hooks import TrainerCallback
+
+        train, test = tiny_data
+        strategy = make(factory().num_parameters())
+        refs = []
+        step = strategy.step
+
+        def watched(cluster, grads, round_idx):
+            refs[:] = [weakref.ref(grad) for grad in grads]
+            return step(cluster, grads, round_idx)
+
+        strategy.step = watched
+        alive = []
+
+        class Probe(TrainerCallback):
+            def on_sync_done(self, round_idx, step, **context):
+                gc.collect()
+                alive.append(sum(ref() is not None for ref in refs))
+
+        config = TrainConfig(num_workers=3, rounds=4, batch_size=16,
+                             eval_every=4, seed=0)
+        DistributedTrainer(
+            factory, train, test, strategy, config, callbacks=[Probe()]
+        ).run()
+        assert alive == [0, 0, 0, 0]
+
