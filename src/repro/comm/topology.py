@@ -93,14 +93,13 @@ class Topology:
         if list(self._succ) != list(range(self.num_workers)):
             raise ValueError("topology nodes must be contiguous ranks 0..M-1")
         # Weak connectivity: a BFS over links taken in either direction.
+        reached = [0]
         seen = {0}
-        frontier = [0]
-        while frontier:
-            rank = frontier.pop()
+        for rank in reached:
             for other in self._succ[rank] + self._pred[rank]:
                 if other not in seen:
                     seen.add(other)
-                    frontier.append(other)
+                    reached.append(other)
         if len(seen) != self.num_workers:
             raise ValueError("topology must be connected")
 

@@ -33,11 +33,22 @@ def _run(code: str) -> str:
 
 
 def test_import_repro_does_not_load_scipy_sparse():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
     probe = (
         "import sys, repro; "
         "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
     )
-    assert _run(probe) == "[]"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]", result.stdout
 
 
 def test_import_repro_loads_neither_scipy_nor_networkx():
