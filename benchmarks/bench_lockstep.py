@@ -8,7 +8,7 @@ stops scaling with worker count at the interpreter level.
 
 This bench times one Marsit one-bit ring round old-vs-new at
 M in {8, 16, 32, 64} workers, D = 1M elements.  Both engines consume
-identical per-rank RNG streams, so before timing the bench asserts their
+one transient table drawn by the synchronizer, so before timing the bench asserts their
 global updates, total bytes and total messages are exactly equal.  Results
 go to ``benchmarks/results/lockstep.txt`` and machine-readable
 ``BENCH_lockstep.json`` at the repo root; only full mode writes them, and
@@ -69,7 +69,7 @@ from repro.comm.topology import ring_topology
 from repro.core.marsit import MarsitConfig, MarsitSynchronizer
 from repro.core.sign_ops import merge_sign_bits_batch, transient_vector_batch
 from repro.sched import get_executor
-from repro.sched.executor import pack_grids
+from repro.sched.executor import draw_transients, pack_grids
 from repro.sched.plan import CompileContext
 
 FULL_DIMENSION = 1_000_000
@@ -307,9 +307,14 @@ def run_plan_guard(
         cluster = Cluster(ring_topology(num_workers))
         rngs = _make_rngs(num_workers)
         start = time.perf_counter()
-        # Pack inside the timed region, as the hand-coded round does.
+        # Pack and draw inside the timed region, as the hand-coded round
+        # does.
         final = executor.run_one_bit(
-            plan, cluster, pack_grids(plan, matrix), rngs, verify_consensus=False
+            plan,
+            cluster,
+            pack_grids(plan, matrix),
+            draw_transients(plan, rngs),
+            verify_consensus=False,
         )
         return time.perf_counter() - start, final, cluster
 

@@ -143,18 +143,19 @@ class PackedBits:
         raw = self._byte_view()[: self.nbytes]
         return np.unpackbits(raw, bitorder="little")[: self.length].copy()
 
-    def to_signs(self) -> np.ndarray:
-        """Unpack to ``{-1, +1}`` floats — the final decode step.
+    def to_signs(self, scale: float = 1.0) -> np.ndarray:
+        """Unpack to ``{-scale, +scale}`` floats — the final decode step.
 
-        ``2 b - 1`` is formed in ``int8`` on the unpacked bits, so the one
-        ``float64`` array is the result.
+        ``2 b - 1`` is formed in ``int8`` on the unpacked bits, and one
+        multiply writes the ``float64`` result.  ``±1.0 * scale`` is exact,
+        so this equals ``scale * to_signs()`` bit for bit in one sweep.
         """
         signs = np.unpackbits(
             self._byte_view(), count=self.length, bitorder="little"
         ).view(np.int8)
         signs += signs
         signs -= 1
-        return signs.astype(np.float64)
+        return np.multiply(signs, scale, dtype=np.float64)
 
     def _byte_view(self) -> np.ndarray:
         """The words reinterpreted as the little-endian byte stream."""

@@ -32,15 +32,31 @@ The compensation updates run in place, so a round allocates no ``(M, D)``
 matrix of its own; the one-bit global update is one read-only vector shared
 by every worker's report entry (and kept as the pending ``g_t``).
 
+The transient draw overlaps that pass.  ``B`` depends only on the plan and
+the workers' generators (paper Section 1: ``r`` is "computable in parallel
+with reception"), so the round's whole table of ``B`` words
+(:func:`~repro.sched.executor.draw_transients`) is drawn on the calling
+thread while one helper thread runs pass blocks; then both run the blocks
+that are left.  numpy releases the GIL in both, so on a host with two or
+more CPUs the draw costs about nothing beyond the memory-bound pass.  The
+helper is used only when the pass covers at least ``_HELPER_MIN_BYTES`` of
+``c`` and the process may run on two CPUs; it runs pass blocks and nothing
+else (no traced or wrapped library function runs off the calling thread),
+and it is always joined before the pass returns or raises.  A round that
+is voided afterwards (a terminal loss) has consumed all of its draws, as a
+worker that draws before reception would.
+
 The topology knowledge lives in the per-topology compilers registered in
-:mod:`repro.allreduce`; the hop semantics, RNG streams, metrics, and the
-Section 4.1.1 overlap charges live in the two :mod:`repro.sched` executors.
-This module only owns the algorithm state (compensation, RNGs, LR schedule),
-the compensation pass and the plan cache.
+:mod:`repro.allreduce`; the hop semantics, metrics, and the Section 4.1.1
+overlap charges live in the two :mod:`repro.sched` executors, which consume
+the round's transient table and own no generator.  This module owns the
+algorithm state (compensation, RNGs, LR schedule), the compensation pass
+with the draw it overlaps, and the plan cache.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -48,9 +64,12 @@ import numpy as np
 
 from repro.comm.cluster import Cluster
 from repro.sched import executor_names, get_executor
+from repro.sched.executor import draw_transients
 from repro.sched.plan import CompileContext, Pack, SyncPlan
 
 if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
     from repro.allreduce.ring import PackedLaneGrid
 
 __all__ = ["MarsitConfig", "MarsitState", "MarsitSynchronizer", "SyncReport"]
@@ -60,6 +79,35 @@ __all__ = ["MarsitConfig", "MarsitState", "MarsitSynchronizer", "SyncReport"]
 #: pack run out of one core's L2 cache.
 _BLOCK_BYTES = 1 << 20
 _WORD_BITS = 64
+#: Bytes of ``c`` a pass must cover before the helper thread takes blocks.
+#: At 10.9 MB (M = 16, D = 85,002) the handoff and the GIL traffic of the
+#: draw's small calls ate the overlap (7.4 vs 7.1 ms per round), and the
+#: helper raised peak resident memory; at 128 MB (D = 1M) it saved 12.5 ms.
+_HELPER_MIN_BYTES = 32 << 20
+
+#: The one helper thread of the compensation pass, created on first use.
+_HELPER: ThreadPoolExecutor | None = None
+
+
+def _helper() -> ThreadPoolExecutor:
+    global _HELPER
+    if _HELPER is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _HELPER = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="marsit-pass"
+        )
+    return _HELPER
+
+
+def _forget_helper() -> None:
+    # A forked child inherits the pool object but not its thread.
+    global _HELPER
+    _HELPER = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
 
 
 @dataclass
@@ -88,8 +136,8 @@ class MarsitConfig:
             ``"batched"`` (default) runs the lane-stacked lockstep path —
             every synchronous step's merges and transfers execute as one
             numpy op over all lanes; ``"scalar"`` keeps the per-message
-            reference path.  Both consume identical per-rank RNG streams, so
-            results are bit-for-bit equal.
+            reference path.  Both consume one transient table drawn by the
+            synchronizer, so results are bit-for-bit equal.
         verify_consensus: assert after every one-bit round that all workers
             hold identical bits.  The check costs O(M * D) per round, so
             benchmarks turn it off.
@@ -267,10 +315,11 @@ class MarsitSynchronizer:
         seeds = np.random.SeedSequence(config.seed).spawn(num_workers)
         self.rngs = [np.random.default_rng(seed) for seed in seeds]
         self._plans: dict[tuple, tuple[SyncPlan, str]] = {}
-        # (id(plan), rows, block width) -> (plan, grids, blocks): the
-        # compensation pass's layout, and the grids it packs into, reused
-        # every round (each round rewrites every word the plan reads).  An
-        # entry holds its plan, so the id cannot be reused while it lives.
+        # (id(plan), rows, block width) -> [plan, grids, blocks, table]:
+        # the compensation pass's layout, the grids it packs into and the
+        # transient table drawn beside it, reused every round (each round
+        # rewrites every word the plan reads).  An entry holds its plan, so
+        # the id cannot be reused while it lives.
         self._passes: dict[tuple, tuple] = {}
         # Crash recovery state: the original ranks still participating, and
         # whether the next round must resync in full precision.
@@ -311,11 +360,11 @@ class MarsitSynchronizer:
 
         ``self.state.compensation`` is updated in place; after a one-bit
         round it holds ``g_t`` pending (see :class:`MarsitState`), and
-        reading it applies that.  If the sync itself raises (a terminal
-        fault, after which the caller voids the round with
-        :meth:`~repro.comm.cluster.Cluster.abort_step`), this round's updates
-        are subtracted back out, so the buffer returns to ``c`` up to float64
-        rounding.
+        reading it applies that.  If the transient draw or the sync itself
+        raises (a terminal fault, after which the caller voids the round
+        with :meth:`~repro.comm.cluster.Cluster.abort_step`), this round's
+        updates are subtracted back out, so the buffer returns to ``c`` up
+        to float64 rounding.
         """
         faults = cluster.faults
         recovered = False
@@ -350,15 +399,19 @@ class MarsitSynchronizer:
             engine=self.config.engine,
             full_precision=full_precision,
         ):
-            compiled = None
+            compiled = plan = rngs = None
             if not full_precision and len(active) > 1:
                 compiled = self._plan_for(cluster, "one_bit")
+                plan = compiled[0]
+                rngs = self.rngs
+                if degraded:
+                    # Survivors keep their original streams.
+                    rngs = [self.rngs[rank] for rank in active]
             # Line 1 of Algorithm 1, in place, fused with the pending line
             # 10 and the plan's Pack steps: the buffer becomes every
-            # worker's compensated update.
-            packed = self._compensate(
-                updates, rows, None if compiled is None else compiled[0]
-            )
+            # worker's compensated update.  The round's transient words are
+            # drawn meanwhile.
+            packed, transients = self._compensate(updates, rows, plan, rngs)
             compensated = state.compensation
             vectors = None
             if full_precision or metrics is not None:
@@ -369,15 +422,13 @@ class MarsitSynchronizer:
                         self._full_precision_sync(cluster, vectors)
                     )
                 else:
+                    lr = self.config.effective_global_lr(round_idx)
                     result, plan_digest, num_plan_steps = self._one_bit_sync(
-                        cluster, compiled, packed
+                        cluster, compiled, packed, transients, lr
                     )
             except BaseException:
                 # A voided round must not leave its updates in the buffer.
-                for rank in active:
-                    compensated[rank] -= np.asarray(
-                        updates[rank], dtype=np.float64
-                    )
+                self._void(updates, active)
                 raise
             if full_precision:
                 outputs = result
@@ -402,15 +453,15 @@ class MarsitSynchronizer:
                     recovered=recovered,
                 )
             else:
-                consensus_signs = result
+                global_update = result
                 if metrics is not None:
                     # Live Figure-1b statistic: how often the one-bit
                     # consensus matches the sign of the exact full-precision
                     # mean update.  Read before line 10 applies to ``c``.
-                    mean_sign = np.where(vectors.mean(axis=0) >= 0, 1.0, -1.0)
-                    sign_agreement = float(np.mean(consensus_signs == mean_sign))
-                global_update = consensus_signs
-                global_update *= self.config.effective_global_lr(round_idx)
+                    positive = np.signbit(global_update) == np.signbit(lr)
+                    sign_agreement = float(
+                        np.mean(positive == (vectors.mean(axis=0) >= 0))
+                    )
                 global_update.flags.writeable = False
                 if self.config.use_compensation:
                     # Line 10, c <- g - g_t: pending until the next pass.
@@ -456,18 +507,29 @@ class MarsitSynchronizer:
         updates: np.ndarray | Sequence[np.ndarray],
         rows: list[int] | None,
         plan: SyncPlan | None,
-    ) -> dict[str, "PackedLaneGrid"]:
-        """Line 1, the pending line 10 and the ``Pack`` steps in one pass.
+        rngs: Sequence[np.random.Generator] | None = None,
+    ) -> tuple[dict[str, "PackedLaneGrid"], list[np.ndarray] | None]:
+        """Line 1, the pending line 10 and the ``Pack`` steps in one pass,
+        overlapped with the round's transient draw.
 
         The pass walks the buffer in column blocks of about
         ``_BLOCK_BYTES``.  Each block of ``rows`` (every row when ``None``)
         subtracts the pending ``g_t``, adds ``updates`` and, when ``plan``
         is given, packs its ``>= 0`` signs into the grid segment its
-        ``Pack`` step declares.  Returns those grids by name.  One
-        ``(M, D)`` float64 array adds a 2-D slice per block; other inputs
-        (a sequence of vectors, or the survivors' rows after a crash) are
-        folded and added row by row first, and the blocks only pack.
-        Neither allocates an ``(M, D)`` temporary or writes to the input.
+        ``Pack`` step declares.  One ``(M, D)`` float64 array adds a 2-D
+        slice per block; other inputs (a sequence of vectors, or the
+        survivors' rows after a crash) are folded and added row by row
+        first, and the blocks only pack.  Neither allocates an ``(M, D)``
+        temporary or writes to the input.
+
+        With ``rngs`` (one generator per plan rank), the plan's transient
+        table is drawn on this thread while the helper thread takes blocks
+        from the same iterator; this thread then joins the block loop.  The
+        blocks write disjoint columns and whole words of the grids, so the
+        split changes no result.  The pass runs to its end even when the
+        draw raises, and the helper is joined before this returns or raises.
+
+        Returns the grids by name and the table (``None`` without ``rngs``).
         """
         ranks = range(self.num_workers) if rows is None else rows
         width = max(
@@ -477,11 +539,12 @@ class MarsitSynchronizer:
         key = (id(plan), None if rows is None else tuple(rows), width)
         cached = self._passes.get(key)
         if cached is None:
-            cached = self._passes[key] = (
+            cached = self._passes[key] = [
                 plan,
                 *_pass_blocks(plan, self.dimension, len(ranks), width),
-            )
-        _, grids, blocks = cached
+                None,
+            ]
+        _, grids, blocks, table = cached
         buffer, pending = self.state.take_pending(rows)
         whole = (
             rows is None
@@ -496,23 +559,56 @@ class MarsitSynchronizer:
                 if pending is not None:
                     row -= pending
                 row += np.asarray(updates[rank], dtype=np.float64)
-        bits = np.empty((len(ranks), width), dtype=bool)
-        for start, stop, out, lanes in blocks:
-            if whole:
-                block = buffer[:, start:stop]
-                if pending is not None:
-                    block -= pending[start:stop]
-                block += updates[:, start:stop]
-            if out is None:
-                continue
-            if rows is None:
-                block = buffer[:, start:stop]
-            else:
-                block = buffer[rows, start:stop]
-            signs = np.greater_equal(block, 0.0, out=bits[:, : stop - start])
-            words = np.packbits(signs, axis=1, bitorder="little")
-            out[...] = words if lanes is None else words[lanes]
-        return dict(grids)
+
+        def run(work, bits: np.ndarray) -> None:
+            for start, stop, out, lanes in work:
+                if whole:
+                    block = buffer[:, start:stop]
+                    if pending is not None:
+                        block -= pending[start:stop]
+                    block += updates[:, start:stop]
+                if out is None:
+                    continue
+                if rows is None:
+                    block = buffer[:, start:stop]
+                else:
+                    block = buffer[rows, start:stop]
+                signs = np.greater_equal(block, 0.0, out=bits[:, : stop - start])
+                words = np.packbits(signs, axis=1, bitorder="little")
+                out[...] = words if lanes is None else words[lanes]
+
+        # Each thread packs through its own scratch, both allocated on this
+        # thread: the helper allocates only a block's packbits output, so
+        # it grows no heap arena of its own.
+        work = iter(blocks)
+        shape = (len(ranks), width)
+        helper = None
+        if len(ranks) * self.dimension * 8 >= _HELPER_MIN_BYTES and _cpus() >= 2:
+            helper = _helper().submit(run, work, np.empty(shape, dtype=bool))
+        failure = None
+        try:
+            if rngs is not None:
+                table = cached[3] = draw_transients(plan, rngs, table)
+        except BaseException as error:
+            failure = error
+        try:
+            run(work, np.empty(shape, dtype=bool))
+        finally:
+            if helper is not None:
+                helper.result()
+        if failure is not None:
+            # The pass has run to its end: void it, as a failed sync is.
+            self._void(updates, ranks)
+            raise failure
+        return dict(grids), table if rngs is not None else None
+
+    def _void(
+        self, updates: np.ndarray | Sequence[np.ndarray], ranks
+    ) -> None:
+        """Subtract this round's ``updates`` from ``ranks``' rows again."""
+        buffer = self.state.compensation
+        for rank in ranks:
+            buffer[rank] -= np.asarray(updates[rank], dtype=np.float64)
 
     # ------------------------------------------------------------------
     # crash recovery
@@ -593,34 +689,33 @@ class MarsitSynchronizer:
         cluster: Cluster,
         compiled: tuple[SyncPlan, str] | None,
         packed: dict[str, "PackedLaneGrid"],
+        transients: list[np.ndarray] | None,
+        scale: float,
     ) -> tuple[np.ndarray, str | None, int]:
-        """Plan-driven sign aggregation; returns the consensus ``{-1,+1}``.
+        """Plan-driven sign aggregation; returns the consensus as
+        ``{-scale, +scale}`` (line 9's ``g_t`` for ``scale = eta_s``).
 
-        ``compiled`` is :meth:`_plan_for`'s ``(plan, digest)``, and
-        ``packed`` holds one grid per ``Pack`` step of the plan, lanes in
-        cluster-rank order over the *active* workers.  The executor merges
-        into the grids, which the next round's pass packs over.  With one
-        active worker there is no plan: its own signs are the result.
-        Survivors keep their original RNG streams across a recovery.
+        ``compiled`` is :meth:`_plan_for`'s ``(plan, digest)``, ``packed``
+        holds one grid per ``Pack`` step of the plan, lanes in cluster-rank
+        order over the *active* workers, and ``transients`` is the round's
+        table (:func:`~repro.sched.executor.draw_transients`).  The executor
+        merges into the grids, which the next round's pass packs over.  With
+        one active worker there is no plan: its own signs are the result.
         """
         if compiled is None:
             row = self.state.compensation[self._active[0]]
-            return np.where(row >= 0, 1.0, -1.0), None, 0
+            return np.where(row >= 0, scale, -scale), None, 0
         plan, digest = compiled
         executor = get_executor(self.config.engine)
-        if len(self._active) == self.num_workers:
-            rngs = self.rngs
-        else:
-            rngs = [self.rngs[rank] for rank in self._active]
         final = executor.run_one_bit(
             plan,
             cluster,
             packed,
-            rngs,
+            transients,
             verify_consensus=self.config.verify_consensus,
         )
-        # The single unpack of the whole pipeline: words -> {-1, +1} floats.
-        return final.to_signs(), digest, plan.num_steps
+        # The single unpack of the whole pipeline: words -> ±scale floats.
+        return final.to_signs(scale), digest, plan.num_steps
 
     # ------------------------------------------------------------------
     # full-precision path
@@ -635,6 +730,14 @@ class MarsitSynchronizer:
         executor = get_executor(self.config.engine)
         outputs = executor.run_full_precision(plan, cluster, vectors)
         return outputs, digest, plan.num_steps
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
 
 def _pass_blocks(

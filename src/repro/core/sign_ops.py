@@ -62,6 +62,12 @@ runs a whole synchronous step — one lane per (cycle, position) pair — over a
 function of its own length, its weights and its own draws only, never of the
 batch it sits in, so all three tiers are bit-for-bit interchangeable under
 per-rank generators with a shared seed.
+
+Because ``B`` never depends on ``v`` or ``v*``, it can be drawn before the
+hop runs.  The synchronizer draws a whole round's ``B`` words up front
+(:func:`repro.sched.executor.draw_transients`), and both executors consume
+that one table: they pass each wave's words as ``draw=`` and only the
+``r = ¬(v* ⊕ B)`` step runs inside the hop.
 """
 
 from __future__ import annotations
@@ -186,12 +192,14 @@ def _bernoulli_words(
     received_weights: np.ndarray,
     local_weights: np.ndarray,
     rngs: Sequence[np.random.Generator],
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Bit ``j`` of lane ``i`` is i.i.d. ``Bernoulli(T_i / 2^53)``.
 
     ``T_i = ceil(b_i 2^53 / (a_i + b_i))``.  The result is a ``(lanes,
-    width)`` word matrix whose row ``i`` holds lane ``i``'s ``lengths[i]``
-    bits; bits past them are unspecified (callers mask them).  Lane ``i``
+    width)`` word matrix (``out`` when given) whose row ``i`` holds lane
+    ``i``'s ``lengths[i]`` bits; bits past them are unspecified (callers
+    mask them).  Lane ``i``
     reads ``depth_i * ceil(lengths[i] / 64)`` raw words from ``rngs[i]``,
     then one more per element still tied after ``_PLANE_DEPTH`` levels, in
     element order.  All main draws happen before any tie-break draw, so the
@@ -205,8 +213,10 @@ def _bernoulli_words(
     )
     depth = schedule.depth
     max_depth = max(depth, default=0)
+    below = np.empty((lanes, width), dtype=np.uint64) if out is None else out
     if not width or not max_depth:
-        return np.zeros((lanes, width), dtype=np.uint64)
+        below.fill(0)
+        return below
     num_words = (lengths + _WORD_BITS - 1) // _WORD_BITS
     # Level l of lane i sits at planes[l, i, :num_words[i]]: one copy per
     # lane, and every level one contiguous (lanes, width) plane.  Entries
@@ -223,23 +233,25 @@ def _bernoulli_words(
     # The drawn integer is k = T xor W, W the raw bits: uniform because W
     # is.  B is the XOR of the prefix ORs P_l over the levels after which
     # T's bit turns (see the module docstring); P_l overwrites level l.
-    below = None
+    first = True
     prefix = planes[0]
     for level, turn in enumerate(schedule.turns):
         if level:
             prefix = np.bitwise_or(prefix, planes[level], out=planes[level])
         if turn is None:
             continue
-        if turn is True:
-            term = prefix
+        if first:
+            if turn is True:
+                np.copyto(below, prefix)
+            else:
+                np.bitwise_and(prefix, turn, out=below)
+            first = False
+        elif turn is True:
+            below ^= prefix
         else:
-            term = prefix & turn
-        if below is None:
-            below = term.copy() if term is prefix else term
-        else:
-            below ^= term
-    if below is None:
-        below = np.zeros((lanes, width), dtype=np.uint64)
+            below ^= prefix & turn
+    if first:
+        below.fill(0)
 
     # Exact lanes are finished: a tie through T's lowest set bit means
     # k >= T.  The rest all read _PLANE_DEPTH levels, so prefix is their
@@ -341,20 +353,26 @@ def merge_sign_bits(
 
 def transient_vector_packed(
     local_bits: PackedBits,
-    received_weight: int,
-    local_weight: int,
-    rng: np.random.Generator,
+    received_weight: int | None = None,
+    local_weight: int | None = None,
+    rng: np.random.Generator | None = None,
+    *,
+    draw: np.ndarray | None = None,
 ) -> PackedBits:
     """Packed-word :func:`transient_vector`: ``r = ¬v* ⊕ B``, 64 bits per op.
 
     It is the one-lane :func:`transient_vector_batch`, so the result is
     bit-for-bit equal to the unpacked reference and to a lane of the batch
     under a shared seed.  ``B`` depends on ``v*``'s length, not its values,
-    so the draw can run before reception.
+    so the draw can run before reception: pass it as ``draw``, ``v*``'s
+    words of ``B`` (overwritten with ``r``), instead of the weights and
+    ``rng``.
     """
     lane = PackedBitsBatch._trusted(
         local_bits.words[None, :], np.array([len(local_bits)], dtype=np.int64)
     )
+    if draw is not None:
+        return transient_vector_batch(lane, draw=draw[None, :]).row(0)
     return transient_vector_batch(lane, received_weight, local_weight, [rng]).row(0)
 
 
@@ -373,9 +391,11 @@ def merge_sign_bits_packed(
 
 def transient_vector_batch(
     local_bits: PackedBitsBatch,
-    received_weights: int | np.ndarray,
-    local_weights: int | np.ndarray,
-    rngs: Sequence[np.random.Generator],
+    received_weights: int | np.ndarray | None = None,
+    local_weights: int | np.ndarray | None = None,
+    rngs: Sequence[np.random.Generator] | None = None,
+    *,
+    draw: np.ndarray | None = None,
 ) -> PackedBitsBatch:
     """Lane-stacked :func:`transient_vector_packed` for a whole synchronous
     step: every lane's words are drawn first, then one word-parallel
@@ -388,24 +408,33 @@ def transient_vector_batch(
     and scalar engines stay bit-for-bit interchangeable under a shared seed.
     Weights may be scalars (every lane at the same hop, the ring schedules)
     or per-lane arrays (the tree reduce, where subtree sizes differ).
+
+    ``draw`` takes ``B`` already drawn, one ``local_bits``-shaped word
+    matrix (:func:`repro.sched.executor.draw_transients`), in place of the
+    weights and generators; it is overwritten with ``r`` and returned.
     """
     lanes = local_bits.num_lanes
-    if len(rngs) != lanes:
-        raise ValueError("one generator per lane required")
-    if len({id(rng) for rng in rngs}) != lanes:
-        raise ValueError("lanes must not share a generator")
-    received = np.broadcast_to(
-        np.asarray(received_weights, dtype=np.int64), (lanes,)
-    )
-    local_w = np.broadcast_to(np.asarray(local_weights, dtype=np.int64), (lanes,))
+    if draw is None:
+        if len(rngs) != lanes:
+            raise ValueError("one generator per lane required")
+        if len({id(rng) for rng in rngs}) != lanes:
+            raise ValueError("lanes must not share a generator")
+        received = np.broadcast_to(
+            np.asarray(received_weights, dtype=np.int64), (lanes,)
+        )
+        local_w = np.broadcast_to(
+            np.asarray(local_weights, dtype=np.int64), (lanes,)
+        )
+        draw = _bernoulli_words(
+            local_bits.lengths, local_bits.width, received, local_w, rngs
+        )
+    elif draw.shape != local_bits.words.shape or draw.dtype != np.uint64:
+        raise ValueError("draw must match the local words' shape and dtype")
     # r = not(v*) xor B = not(v* xor B), padding re-zeroed.
-    transient = _bernoulli_words(
-        local_bits.lengths, local_bits.width, received, local_w, rngs
-    )
-    np.bitwise_xor(transient, local_bits.words, out=transient)
-    np.invert(transient, out=transient)
-    _mask_row_padding(transient, local_bits.lengths)
-    return PackedBitsBatch._trusted(transient, local_bits.lengths)
+    np.bitwise_xor(draw, local_bits.words, out=draw)
+    np.invert(draw, out=draw)
+    _mask_row_padding(draw, local_bits.lengths)
+    return PackedBitsBatch._trusted(draw, local_bits.lengths)
 
 
 def merge_sign_bits_batch(

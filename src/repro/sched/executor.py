@@ -29,11 +29,13 @@ the reference packer), and a ``Pack`` step only takes its grid in.  The
 batched engine merges into that grid in place; the scalar engine reads it
 through zero-copy :meth:`~repro.allreduce.ring.PackedLaneGrid.row` views.
 
-Both consume identical per-rank RNG streams (a plan's merge *waves* pin the
-draw order), apply identical cost-model charges, and emit identical traffic
-and wire metrics, so the engines stay bit-for-bit interchangeable — the
-invariant ``tests/sched/test_engine_identity.py`` enforces for every
-registered topology.  A step's transfers on one link travel as one message
+Neither draws either: both consume one table drawn by the synchronizer
+(:func:`draw_transients`: each merge *wave*'s ``B`` words, in plan order,
+from the receiving ranks' generators), apply identical cost-model charges,
+and emit identical traffic and wire metrics, so the engines stay
+bit-for-bit interchangeable — the invariant
+``tests/sched/test_engine_identity.py`` enforces for every registered
+topology.  A step's transfers on one link travel as one message
 on both engines, sized as the sum of their segments.
 
 Cost accounting per one-bit reduce hop (Section 4.1.1's overlap claim): the
@@ -48,7 +50,7 @@ here would close the cycle.
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,6 +58,7 @@ from repro.comm.bits import PackedBits, PackedBitsBatch
 from repro.comm.cluster import Cluster
 from repro.comm.timing import Phase
 from repro.core.sign_ops import (
+    _bernoulli_words,
     merge_sign_bits_batch,
     merge_sign_bits_packed,
     transient_vector_batch,
@@ -80,7 +83,9 @@ if TYPE_CHECKING:
     from repro.allreduce.codec import WireCodec
     from repro.allreduce.ring import PackedLaneGrid
 
-__all__ = ["LaneStackedExecutor", "ScalarExecutor", "pack_grids"]
+__all__ = ["LaneStackedExecutor", "ScalarExecutor", "draw_transients", "pack_grids"]
+
+_WORD_BITS = 64
 
 
 def pack_grids(plan: SyncPlan, matrix: np.ndarray) -> dict[str, PackedLaneGrid]:
@@ -157,6 +162,9 @@ class _Wave(NamedTuple):
     ranks: tuple[int, ...]
     #: ``(src rank, dst rank)`` per row: the link a flip mask is keyed by.
     links: tuple[tuple[int, int], ...]
+    #: bits per row (the merged segments' length) and the grid's word width.
+    lengths: np.ndarray
+    width: int
 
 
 class _Hop(NamedTuple):
@@ -178,7 +186,12 @@ def _index(values) -> np.ndarray:
     return array
 
 
-def _wave(ranks: Sequence[int], merges: Sequence[Merge]) -> _Wave:
+def _wave(
+    ranks: Sequence[int],
+    merges: Sequence[Merge],
+    slots: list[list[int]],
+    width: int,
+) -> _Wave:
     return _Wave(
         dst=_index([merge.dst_lane for merge in merges]),
         src=_index([merge.src_lane for merge in merges]),
@@ -189,6 +202,8 @@ def _wave(ranks: Sequence[int], merges: Sequence[Merge]) -> _Wave:
         links=tuple(
             (ranks[merge.src_lane], ranks[merge.dst_lane]) for merge in merges
         ),
+        lengths=_index([slots[merge.dst_lane][merge.seg] for merge in merges]),
+        width=width,
     )
 
 
@@ -211,24 +226,32 @@ def _compile_hops(plan: SyncPlan) -> dict[int, _Hop]:
     Segment lengths are a function of the plan alone: ``Pack`` and
     ``Restack`` cut with ``numpy.array_split`` boundaries, ``Unstack``
     concatenates, and hops move or merge equal-length segments.  So the
-    per-link byte tables are compiled with the index arrays.
+    per-link byte tables and each wave's lengths are compiled with the
+    index arrays, and so is each grid's word width, which ``Pack`` and
+    ``Restack`` fix from their longest segment.
     """
     specs = {spec.name: spec for spec in plan.grids}
     slots: dict[str, list[list[int]]] = {}
+    widths: dict[str, int] = {}
     tables: dict[int, _Hop] = {}
     for pos, step in enumerate(plan.steps):
-        if isinstance(step, Pack):
-            spec = specs[step.grid]
-            slots[step.grid] = [
-                plan_segment_lengths(step.stop - step.start, spec.num_segments)
-                for _ in spec.lane_ranks
-            ]
-        elif isinstance(step, Restack):
-            source = slots[step.src_grid]
-            slots[step.grid] = [
-                plan_segment_lengths(source[lane][seg], step.parts)
-                for lane, seg in step.sources
-            ]
+        if isinstance(step, (Pack, Restack)):
+            if isinstance(step, Pack):
+                spec = specs[step.grid]
+                slots[step.grid] = [
+                    plan_segment_lengths(
+                        step.stop - step.start, spec.num_segments
+                    )
+                    for _ in spec.lane_ranks
+                ]
+            else:
+                source = slots[step.src_grid]
+                slots[step.grid] = [
+                    plan_segment_lengths(source[lane][seg], step.parts)
+                    for lane, seg in step.sources
+                ]
+            longest = max(max(row, default=0) for row in slots[step.grid])
+            widths[step.grid] = -(-longest // _WORD_BITS)
         elif isinstance(step, Unstack):
             source = slots[step.src_grid]
             for lane, (dst_lane, dst_seg) in enumerate(step.targets):
@@ -236,9 +259,13 @@ def _compile_hops(plan: SyncPlan) -> dict[int, _Hop]:
         elif isinstance(step, SendRecv):
             ranks = specs[step.grid].lane_ranks
             merge = plan.steps[pos + 1]
+            grid = slots[step.grid]
             tables[pos] = _Hop(
-                exchange=_exchange(ranks, step.transfers, slots[step.grid]),
-                waves=tuple(_wave(ranks, wave) for wave in merge.waves),
+                exchange=_exchange(ranks, step.transfers, grid),
+                waves=tuple(
+                    _wave(ranks, wave, grid, widths[step.grid])
+                    for wave in merge.waves
+                ),
             )
         elif isinstance(step, Gather):
             ranks = specs[step.grid].lane_ranks
@@ -254,6 +281,54 @@ def _compile_hops(plan: SyncPlan) -> dict[int, _Hop]:
             for transfer, length in zip(step.transfers, moved):
                 grid[transfer.dst_lane][transfer.seg] = length
     return tables
+
+
+#: id(plan) -> (weak reference to the plan, its compiled hops); an entry
+#: leaves with its plan.
+_HOPS: dict[int, tuple[weakref.ref, dict[int, _Hop]]] = {}
+
+
+def _hops_for(plan: SyncPlan) -> dict[int, _Hop]:
+    cached = _HOPS.get(id(plan))
+    if cached is not None and cached[0]() is plan:
+        return cached[1]
+    tables = _compile_hops(plan)
+    _HOPS[id(plan)] = (weakref.ref(plan), tables)
+    weakref.finalize(plan, _HOPS.pop, id(plan), None)
+    return tables
+
+
+def draw_transients(
+    plan: SyncPlan,
+    rngs: Sequence[np.random.Generator],
+    out: Sequence[np.ndarray] | None = None,
+) -> list[np.ndarray]:
+    """Draw a one-bit round's ``B`` words before any hop runs.
+
+    Returns one ``(lanes, width)`` ``uint64`` matrix per ``MergeSign``
+    wave, in plan order: row ``i`` is entry ``i``'s ``B`` (bits past its
+    segment unspecified), drawn from ``rngs[rank]`` of the receiving rank
+    (``rngs`` is indexed by cluster rank).  ``B`` depends only on the
+    weights and segment lengths, which the plan fixes, so this is the draw
+    both executors used to make hop by hop: waves run in the same order and
+    a rank appears at most once per wave, so every rank's stream is
+    unchanged.  ``run_one_bit`` consumes the table (overwrites it); pass
+    a consumed table of the same plan as ``out`` to draw into it again.
+    """
+    waves = [wave for hop in _hops_for(plan).values() for wave in hop.waves]
+    if out is None:
+        out = [None] * len(waves)
+    return [
+        _bernoulli_words(
+            wave.lengths,
+            wave.width,
+            wave.received_weights,
+            wave.local_weights,
+            [rngs[rank] for rank in wave.ranks],
+            words,
+        )
+        for wave, words in zip(waves, out)
+    ]
 
 
 def _value(codec: WireCodec, slot: Any) -> Any:
@@ -287,6 +362,20 @@ class _PlanExecutor:
             tracer.end()
         else:
             raise ValueError(f"unknown barrier kind {step.kind!r}")
+
+    @staticmethod
+    def _table(plan: SyncPlan, transients: Sequence[np.ndarray]):
+        """An iterator over ``transients``, checked to hold one matrix per
+        ``MergeSign`` wave of ``plan``."""
+        waves = sum(
+            len(step.waves) for step in plan.steps if isinstance(step, MergeSign)
+        )
+        if len(transients) != waves:
+            raise ValueError(
+                f"transient table holds {len(transients)} waves, "
+                f"the plan runs {waves}"
+            )
+        return iter(transients)
 
     def _charge_hop(
         self, cluster: Cluster, merge: MergeSign, transfer: float
@@ -526,10 +615,11 @@ class ScalarExecutor(_PlanExecutor):
         plan: SyncPlan,
         cluster: Cluster,
         packed: Mapping[str, PackedLaneGrid],
-        rngs: Sequence[np.random.Generator],
+        transients: Sequence[np.ndarray],
         verify_consensus: bool = True,
     ) -> PackedBits:
         specs = {spec.name: spec for spec in plan.grids}
+        table = self._table(plan, transients)
         segs: dict[str, list[list[PackedBits]]] = {}
         steps = plan.steps
         pos = 0
@@ -558,7 +648,7 @@ class ScalarExecutor(_PlanExecutor):
                 assert isinstance(merge, MergeSign)
                 self._reduce_hop(
                     cluster, specs[step.grid], segs[step.grid], step, merge,
-                    rngs,
+                    table,
                 )
                 pos += 2
                 continue
@@ -578,9 +668,10 @@ class ScalarExecutor(_PlanExecutor):
         rows: list[list[PackedBits]],
         send: SendRecv,
         merge: MergeSign,
-        rngs: Sequence[np.random.Generator],
+        table: Iterator[np.ndarray],
     ) -> None:
-        """One fused SendRecv + MergeSign hop, one synchronous step."""
+        """One fused SendRecv + MergeSign hop, one synchronous step: entry
+        ``i`` of a wave takes row ``i`` of the wave's ``B`` matrix."""
         ranks = spec.lane_ranks
         metrics = cluster.obs.metrics
         faults = cluster.faults
@@ -596,7 +687,8 @@ class ScalarExecutor(_PlanExecutor):
             )
         inbox: dict[tuple[int, int], dict[int, Any]] = {}
         for wave in merge.waves:
-            for entry in wave:
+            draw = next(table)
+            for row, entry in enumerate(wave):
                 rank = ranks[entry.dst_lane]
                 received: PackedBits = _receive(
                     cluster, ranks, links, inbox,
@@ -613,10 +705,7 @@ class ScalarExecutor(_PlanExecutor):
                         received = received ^ mask
                 local = rows[entry.dst_lane][entry.seg]
                 transient = transient_vector_packed(
-                    local,
-                    received_weight=entry.received_weight,
-                    local_weight=entry.local_weight,
-                    rng=rngs[rank],
+                    local, draw=draw[row, : local.words.size]
                 )
                 if metrics is not None:
                     # Disagreeing coordinates are exactly the ones the
@@ -681,31 +770,18 @@ class LaneStackedExecutor(_PlanExecutor):
 
     name = "batched"
 
-    def __init__(self) -> None:
-        # id(plan) -> (weak reference to the plan, its compiled hops); an
-        # entry leaves with its plan.
-        self._hops: dict[int, tuple[weakref.ref, dict[int, _Hop]]] = {}
-
-    def _hops_for(self, plan: SyncPlan) -> dict[int, _Hop]:
-        cached = self._hops.get(id(plan))
-        if cached is not None and cached[0]() is plan:
-            return cached[1]
-        tables = _compile_hops(plan)
-        self._hops[id(plan)] = (weakref.ref(plan), tables)
-        weakref.finalize(plan, self._hops.pop, id(plan), None)
-        return tables
-
     def run_one_bit(
         self,
         plan: SyncPlan,
         cluster: Cluster,
         packed: Mapping[str, PackedLaneGrid],
-        rngs: Sequence[np.random.Generator],
+        transients: Sequence[np.ndarray],
         verify_consensus: bool = True,
     ) -> PackedBits:
         from repro.allreduce.ring import PackedLaneGrid
 
-        tables = self._hops_for(plan)
+        tables = _hops_for(plan)
+        table = self._table(plan, transients)
         grids: dict[str, PackedLaneGrid] = {}
         steps = plan.steps
         pos = 0
@@ -737,7 +813,7 @@ class LaneStackedExecutor(_PlanExecutor):
                 merge = steps[pos + 1]
                 assert isinstance(merge, MergeSign)
                 self._reduce_hop(
-                    cluster, tables[pos], grids[step.grid], step, merge, rngs
+                    cluster, tables[pos], grids[step.grid], step, merge, table
                 )
                 pos += 2
                 continue
@@ -757,7 +833,7 @@ class LaneStackedExecutor(_PlanExecutor):
         grid,
         send: SendRecv,
         merge: MergeSign,
-        rngs: Sequence[np.random.Generator],
+        table: Iterator[np.ndarray],
     ) -> None:
         """One fused hop: batched merges first, then the bulk exchange (its
         byte table is compiled from the pre-merge sizes) — the lockstep
@@ -782,12 +858,7 @@ class LaneStackedExecutor(_PlanExecutor):
                     )
                     if mask is not None:
                         received.words[row, : mask.words.size] ^= mask.words
-            transient = transient_vector_batch(
-                local,
-                received_weights=wave.received_weights,
-                local_weights=wave.local_weights,
-                rngs=[rngs[rank] for rank in wave.ranks],
-            )
+            transient = transient_vector_batch(local, draw=next(table))
             if metrics is not None:
                 # Same statistic as the scalar path, batched over lanes.
                 metrics.counter("marsit.transient_draws").inc(

@@ -96,7 +96,7 @@ def test_fused_grids_match_reference_packer(
     before = _with_pending(cluster, sync, rng)
     plan, _ = sync._plan_for(cluster, "one_bit")
     updates = rng.standard_normal((num_workers, dimension))
-    grids = sync._compensate(updates, None, plan)
+    grids, _ = sync._compensate(updates, None, plan)
     compensation = sync.state.compensation
     assert compensation.tobytes() == (before + updates).tobytes()
     _assert_matches_oracle(plan, grids, compensation)
@@ -111,7 +111,7 @@ def test_segment_spanning_several_default_blocks():
     before = _with_pending(cluster, sync, rng)
     plan, _ = sync._plan_for(cluster, "one_bit")
     updates = rng.standard_normal((num_workers, dimension))
-    grids = sync._compensate(updates, None, plan)
+    grids, _ = sync._compensate(updates, None, plan)
     assert sync.state.compensation.tobytes() == (before + updates).tobytes()
     _assert_matches_oracle(plan, grids, sync.state.compensation)
 
@@ -136,7 +136,7 @@ def test_other_input_forms_pack_the_same_words(monkeypatch, form):
         given = updates
         cluster = Cluster(get_topology("ring").build(len(rows)))
     plan, _ = sync._plan_for(cluster, "one_bit")
-    grids = sync._compensate(given, rows, plan)
+    grids, _ = sync._compensate(given, rows, plan)
     compensation = sync.state.compensation
     # With survivors only, the g_t pending over every row is applied to all
     # of them first; the dead row gets no update.
@@ -156,7 +156,7 @@ def test_signed_zeros_pack_as_plus_one():
     sync.state.compensation = start
     updates = np.where(start == 0.0, -0.0, 1e-3 * np.sign(start))
     plan, _ = sync._plan_for(cluster, "one_bit")
-    grids = sync._compensate(updates, None, plan)
+    grids, _ = sync._compensate(updates, None, plan)
     compensation = sync.state.compensation
     # +0.0 + -0.0 is +0.0 and -0.0 + -0.0 is -0.0: both zeros survive.
     assert not np.signbit(compensation[:, ::3]).any()
@@ -188,7 +188,7 @@ def test_permuted_lanes_and_uncovered_columns():
     cluster, sync = _synchronizer("ring", {}, num_workers, dimension)
     before = _with_pending(cluster, sync, rng)
     updates = rng.standard_normal((num_workers, dimension))
-    grids = sync._compensate(updates, None, plan)
+    grids, _ = sync._compensate(updates, None, plan)
     # Columns 500..700 belong to no Pack step and still get line 1.
     assert sync.state.compensation.tobytes() == (before + updates).tobytes()
     _assert_matches_oracle(plan, grids, sync.state.compensation)

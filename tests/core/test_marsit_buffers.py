@@ -20,7 +20,7 @@ from repro.comm.topology import ring_topology, torus_topology
 from repro.core.marsit import MarsitConfig, MarsitSynchronizer
 from repro.faults import FaultInjector, FaultPlan, MessageDrop, WorkerCrash
 from repro.obs import Observability
-from repro.sched.executor import pack_grids
+from repro.sched.executor import draw_transients, pack_grids
 
 
 class FreshArraySynchronizer(MarsitSynchronizer):
@@ -60,8 +60,11 @@ class FreshArraySynchronizer(MarsitSynchronizer):
                 signs = np.where(vectors[0] >= 0, 1.0, -1.0)
             else:
                 compiled = self._plan_for(cluster, "one_bit")
+                plan = compiled[0]
+                rngs = [self.rngs[rank] for rank in active]
                 signs, _, _ = self._one_bit_sync(
-                    cluster, compiled, pack_grids(compiled[0], vectors)
+                    cluster, compiled, pack_grids(plan, vectors),
+                    draw_transients(plan, rngs), 1.0,
                 )
             global_update = self.config.effective_global_lr(round_idx) * signs
             if self.config.use_compensation:

@@ -292,3 +292,150 @@ def test_zero_lanes():
         np.zeros((0, 0), dtype=np.uint64), np.zeros(0, dtype=np.int64)
     )
     assert transient_vector_batch(batch, 1, 1, []).words.shape == (0, 0)
+
+
+# ----------------------------------------------------------------------
+# Whole rounds: the synchronizer's one transient table per round against a
+# frozen per-wave loop, hop by hop in plan order.
+# ----------------------------------------------------------------------
+
+
+def _split_lengths(length, parts):
+    return [part.size for part in np.array_split(np.empty(length), parts)]
+
+
+def _frozen_round(plan, rngs):
+    """Each MergeSign wave's ``B`` words, drawn the way the executors drew
+    them hop by hop: segment lengths tracked step by step, one
+    ``_frozen_bernoulli_words`` call per wave over the receiving ranks'
+    generators (``rngs`` indexed by cluster rank)."""
+    specs = {spec.name: spec for spec in plan.grids}
+    lengths = {}
+    grid = None
+    words = []
+    for step in plan.steps:
+        name = type(step).__name__
+        if name == "Pack":
+            spec = specs[step.grid]
+            lengths[step.grid] = [
+                _split_lengths(step.stop - step.start, spec.num_segments)
+                for _ in spec.lane_ranks
+            ]
+        elif name == "Restack":
+            source = lengths[step.src_grid]
+            lengths[step.grid] = [
+                _split_lengths(source[lane][seg], step.parts)
+                for lane, seg in step.sources
+            ]
+        elif name == "Unstack":
+            source = lengths[step.src_grid]
+            for lane, (dst_lane, dst_seg) in enumerate(step.targets):
+                lengths[step.grid][dst_lane][dst_seg] = sum(source[lane])
+        elif name == "Gather":
+            slots = lengths[step.grid]
+            moved = [slots[t.src_lane][t.seg] for t in step.transfers]
+            for transfer, length in zip(step.transfers, moved):
+                slots[transfer.dst_lane][transfer.seg] = length
+        elif name == "SendRecv":
+            grid = step.grid
+        elif name == "MergeSign":
+            ranks = specs[grid].lane_ranks
+            for wave in step.waves:
+                sizes = np.array(
+                    [lengths[grid][m.dst_lane][m.seg] for m in wave],
+                    dtype=np.int64,
+                )
+                width = int(-(-sizes.max() // _WORD_BITS))
+                valid = np.full((len(wave), width), _ALL_ONES)
+                _frozen_mask_row_padding(valid, sizes)
+                words.append(
+                    (
+                        sizes,
+                        _frozen_bernoulli_words(
+                            valid,
+                            sizes,
+                            [m.received_weight for m in wave],
+                            [m.local_weight for m in wave],
+                            [rngs[ranks[m.dst_lane]] for m in wave],
+                        ),
+                    )
+                )
+    return words
+
+
+def _one_bit_plan(name, build_kwargs, num_workers, dimension, survivors=None):
+    from repro.faults.recovery import degraded_topology
+
+    entry = get_topology(name)
+    topology = entry.build(num_workers, **build_kwargs)
+    if survivors is not None:
+        topology = degraded_topology(topology, len(survivors))
+        entry = get_topology(topology.name)
+    return entry.compile_one_bit(
+        CompileContext(
+            num_workers=topology.num_workers,
+            dimension=dimension,
+            meta=dict(topology.meta),
+            segment_elems=None,
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "name, build_kwargs, num_workers, crashed",
+    [
+        ("ring", {}, 16, ()),
+        ("torus", {"rows": 4, "cols": 4}, 16, ()),
+        ("torus", {"rows": 2, "cols": 3}, 6, ()),
+        ("tree", {"arity": 2}, 7, ()),
+        ("tree", {"arity": 3}, 13, ()),
+        ("tree", {"arity": 2}, 16, ()),
+        ("halving_doubling", {}, 8, ()),
+        ("torus", {"rows": 4, "cols": 4}, 16, (1, 6, 11)),
+        ("halving_doubling", {}, 8, (0, 5, 6)),
+    ],
+    ids=[
+        "ring16", "torus4x4", "torus2x3", "tree2", "tree3", "tree2x16",
+        "hd8", "torus4x4-crashed", "hd8-crashed",
+    ],
+)
+@pytest.mark.parametrize("dimension", [1, 1000, 70_001])
+def test_whole_round_table(name, build_kwargs, num_workers, crashed, dimension):
+    """Words and generator states equal after each of three rounds; a
+    crash-degraded plan runs over the survivors' own generators."""
+    from repro.sched.executor import draw_transients
+
+    survivors = [rank for rank in range(num_workers) if rank not in crashed]
+    plan = _one_bit_plan(
+        name, build_kwargs, num_workers, dimension, survivors if crashed else None
+    )
+    new_rngs, old_rngs = _generators(num_workers, dimension)
+    new_rngs = [new_rngs[rank] for rank in survivors]
+    old_rngs = [old_rngs[rank] for rank in survivors]
+    assert plan.num_workers == len(survivors)
+    for _ in range(3):
+        table = draw_transients(plan, new_rngs)
+        frozen = _frozen_round(plan, old_rngs)
+        assert len(table) == len(frozen) > 0
+        for drawn, (sizes, expected) in zip(table, frozen):
+            assert drawn.dtype == np.uint64
+            drawn = drawn.copy()
+            _frozen_mask_row_padding(drawn, sizes)
+            assert np.array_equal(drawn[:, : expected.shape[1]], expected)
+            assert not drawn[:, expected.shape[1] :].any()
+        assert _states(new_rngs) == _states(old_rngs)
+
+
+def test_whole_round_table_covers_restack_and_per_lane_weights():
+    # So test_whole_round_table sees Restack/Unstack grids (torus) and
+    # waves whose lanes carry different weights (tree).
+    torus = _one_bit_plan("torus", {"rows": 4, "cols": 4}, 16, 1000)
+    kinds = {type(step).__name__ for step in torus.steps}
+    assert {"Restack", "Unstack"} <= kinds
+    tree = _one_bit_plan("tree", {"arity": 2}, 16, 1000)
+    assert any(
+        len({(m.received_weight, m.local_weight) for m in wave}) > 1
+        for step in tree.steps
+        if isinstance(step, MergeSign)
+        for wave in step.waves
+    )

@@ -182,7 +182,8 @@ def test_batched_hops_compile_once_per_plan_and_leave_with_it():
     import gc
 
     from repro.sched import LaneStackedExecutor
-    from repro.sched.executor import pack_grids
+    from repro.sched import executor as executor_module
+    from repro.sched.executor import draw_transients, pack_grids
     from repro.sched.plan import CompileContext
 
     executor = LaneStackedExecutor()
@@ -192,18 +193,21 @@ def test_batched_hops_compile_once_per_plan_and_leave_with_it():
             num_workers=6, dimension=101, meta={"rows": 2, "cols": 3}
         )
     )
+    key = id(plan)
     matrix = np.random.default_rng(0).standard_normal((6, 101))
     outputs = []
     for _ in range(2):
         cluster = Cluster(entry.build(6, rows=2, cols=3))
         rngs = [np.random.default_rng(rank) for rank in range(6)]
         outputs.append(
-            executor.run_one_bit(plan, cluster, pack_grids(plan, matrix), rngs)
+            executor.run_one_bit(
+                plan, cluster, pack_grids(plan, matrix),
+                draw_transients(plan, rngs),
+            )
         )
-        assert len(executor._hops) == 1
+        tables = executor_module._HOPS[key][1]
     assert outputs[0].equals(outputs[1])
-    tables = executor._hops_for(plan)
-    assert executor._hops_for(plan) is tables
+    assert executor_module._hops_for(plan) is tables
     del plan, tables
     gc.collect()
-    assert not executor._hops
+    assert key not in executor_module._HOPS
