@@ -50,6 +50,7 @@ class TopKErrorFeedbackStrategy(SyncStrategy):
         decoded = []
         total_bytes = 0
         for worker, grad in enumerate(grads):
+            # Written over ``grad``: a strategy consumes the gradients.
             direction = self._local.step(worker, grad)
             direction *= self.lr
             corrected = self._feedback.carry(worker, direction)

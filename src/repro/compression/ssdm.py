@@ -44,11 +44,14 @@ def stochastic_sign(
         blocks = padded.reshape(num_blocks, block_size)
         norms = np.linalg.norm(blocks, axis=1)
         safe = np.where(norms == 0.0, 1.0, norms)[:, None]
-    probs = 0.5 + blocks / (2.0 * safe)
+    probs = np.divide(blocks, 2.0 * safe)
+    probs += 0.5
     draws = rng.random(blocks.shape)
-    # 2·[draw < p] − 1 is exactly np.where(draw < p, 1, -1), and faster.
-    signs = (2.0 * (draws < probs) - 1.0).reshape(-1)[: vector.size]
-    return signs, norms
+    # 2·[draw < p] − 1 is exactly np.where(draw < p, 1, -1), and faster;
+    # the signs overwrite the draws, so no third vector is allocated.
+    np.multiply(draws < probs, 2.0, out=draws)
+    draws -= 1.0
+    return draws.reshape(-1)[: vector.size], norms
 
 
 @dataclass(frozen=True)

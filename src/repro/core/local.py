@@ -2,11 +2,14 @@
 
 Algorithm 2 and every Section 5 baseline apply a base optimizer on each
 worker before they sync, and the error-feedback schemes carry each worker's
-compression residual into its next round.  Each quantity here is one
-``(rows, D)`` float64 array, a row per worker (one row for a global
-optimizer such as PSGD's).  It is allocated on the first step, from the
-gradient's length, and then updated in place one row at a time, so a round
-allocates no ``(rows, D)`` temporary.
+compression residual into its next round.  Each such quantity (momentum,
+Adam's two moments, a residual) is one ``(rows, D)`` float64 array, a row
+per worker (one row for a global optimizer such as PSGD's).  It is
+allocated on the first step, from the gradient's length, and then updated
+in place one row at a time.  The optimizer keeps no output array: a step
+writes the worker's direction over the gradient it is handed, so the
+caller's gradient matrix doubles as the message buffer and a round
+allocates no ``(rows, D)`` array of its own.
 
 The recurrences keep the float operations, and their order, of the
 per-worker code they replaced, so every scheme's updates stay bit-identical.
@@ -21,10 +24,10 @@ import numpy as np
 __all__ = ["ErrorFeedback", "LocalOptimizer", "write_signs"]
 
 
-def _check_dimension(state: np.ndarray, vector: np.ndarray) -> None:
-    if vector.shape != state.shape[1:]:
+def _check_dimension(dimension: int, vector: np.ndarray) -> None:
+    if vector.shape != (dimension,):
         raise ValueError(
-            f"gradient dimension changed from {state.shape[1:]} to {vector.shape}"
+            f"gradient dimension changed from ({dimension},) to {vector.shape}"
         )
 
 
@@ -43,9 +46,10 @@ class LocalOptimizer:
     """Identity (``sgd``), heavy-ball ``momentum`` or ``adam``, per row.
 
     :meth:`step` advances one row's state and writes that row's direction
-    into :attr:`out`, the ``(rows, D)`` array a caller hands on (Marsit's
-    synchronizer takes all of it).  A caller may overwrite a row of ``out``
-    once it has used it: the optimizer state lives elsewhere.
+    over the gradient it is given, which the caller then hands on (Marsit's
+    synchronizer takes the whole gradient matrix).  The gradient is
+    consumed: the optimizer state lives elsewhere, so a caller may
+    overwrite the returned direction once it has used it.
     """
 
     def __init__(
@@ -65,45 +69,55 @@ class LocalOptimizer:
             raise ValueError("betas must be in [0, 1)")
         self.rows, self.kind, self.momentum = rows, kind, momentum
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        #: The directions :meth:`step` writes, one row per worker.
-        self.out: np.ndarray | None = None
+        #: The gradient length, fixed by the first step.
+        self.dimension: int | None = None
         self._steps = [0] * rows
 
     def step(self, row: int, grad: np.ndarray, scale: float = 1.0) -> np.ndarray:
-        """Feed ``grad`` to worker ``row``; returns ``out[row]``, which is
-        ``scale · grad`` (sgd), ``scale · b`` with ``b <- momentum · b +
-        grad`` (momentum), or ``(scale · m̂) / (√v̂ + ε)`` (Adam, with the
-        row's own bias-correction step count)."""
+        """Feed ``grad`` to worker ``row``; writes the direction over
+        ``grad`` and returns it: ``scale · grad`` (sgd), ``scale · b`` with
+        ``b <- momentum · b + grad`` (momentum), or ``(scale · m̂) / (√v̂ +
+        ε)`` (Adam, with the row's own bias-correction step count).
+
+        A float64 ``grad`` must be writable; any other input is converted
+        to a new float64 vector first, which is written and returned.
+        """
         grad = np.asarray(grad, dtype=np.float64)
-        if self.out is None:
-            self.out = np.empty((self.rows, grad.size))
+        if not grad.flags.writeable:
+            raise ValueError(
+                "LocalOptimizer.step writes the direction over its gradient; "
+                "pass a writable float64 array (copy a read-only one)"
+            )
+        if self.dimension is None:
+            self.dimension = grad.size
             if self.kind != "sgd":  # the momentum buffer, or Adam's m
-                self._first = np.zeros_like(self.out)
+                self._first = np.zeros((self.rows, grad.size))
             if self.kind == "adam":
-                self._second = np.zeros_like(self.out)
+                self._second = np.zeros((self.rows, grad.size))
                 self._scratch = np.empty(grad.size)
-        _check_dimension(self.out, grad)
-        out = self.out[row]
+        _check_dimension(self.dimension, grad)
         if self.kind == "sgd":
-            return np.multiply(grad, scale, out=out)
+            return np.multiply(grad, scale, out=grad)
         first = self._first[row]
         if self.kind == "momentum":
             first *= self.momentum
             first += grad
-            return np.multiply(first, scale, out=out)
+            return np.multiply(first, scale, out=grad)
         self._steps[row] += 1
         t = self._steps[row]
         second, scratch = self._second[row], self._scratch
         first *= self.beta1
-        first += np.multiply(grad, 1 - self.beta1, out=out)
+        first += np.multiply(grad, 1 - self.beta1, out=scratch)
         second *= self.beta2
-        second += np.multiply(np.square(grad, out=out), 1 - self.beta2, out=out)
-        np.divide(first, 1 - self.beta1**t, out=out)
-        out *= scale
+        np.square(grad, out=scratch)
+        second += np.multiply(scratch, 1 - self.beta2, out=scratch)
+        # The gradient is read for the last time above: it becomes the output.
+        np.divide(first, 1 - self.beta1**t, out=grad)
+        grad *= scale
         np.sqrt(np.divide(second, 1 - self.beta2**t, out=scratch), out=scratch)
         scratch += self.eps
-        out /= scratch
-        return out
+        grad /= scratch
+        return grad
 
 
 class ErrorFeedback:
@@ -128,7 +142,7 @@ class ErrorFeedback:
         if self.residual is None:
             self.residual = np.zeros((self.rows, vector.size))
             self._scratch = np.empty(vector.size)
-        _check_dimension(self.residual, vector)
+        _check_dimension(self.residual.shape[1], vector)
         corrected = self.residual[row]
         if self._empty[row]:
             self._empty[row] = False

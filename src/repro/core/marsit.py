@@ -71,6 +71,7 @@ if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
 
     from repro.allreduce.ring import PackedLaneGrid
+    from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["MarsitConfig", "MarsitState", "MarsitSynchronizer", "SyncReport"]
 
@@ -411,7 +412,9 @@ class MarsitSynchronizer:
             # 10 and the plan's Pack steps: the buffer becomes every
             # worker's compensated update.  The round's transient words are
             # drawn meanwhile.
-            packed, transients = self._compensate(updates, rows, plan, rngs)
+            packed, transients = self._compensate(
+                updates, rows, plan, rngs, metrics
+            )
             compensated = state.compensation
             vectors = None
             if full_precision or metrics is not None:
@@ -481,12 +484,15 @@ class MarsitSynchronizer:
                 )
         if metrics is not None:
             metrics.gauge("marsit.bits_per_element").set(report.bits_per_element)
-            # Reading the compensation applies the pending g_t.
+            # Reading the compensation applies the pending g_t.  Each row's
+            # norm is the pairwise sum ``np.linalg.norm(c, axis=1)`` runs
+            # per row, one row's square at a time.
             compensation = state.compensation
-            live = compensation[active] if degraded else compensation
-            metrics.gauge("marsit.comp_norm").set(
-                float(np.mean(np.linalg.norm(live, axis=1)))
-            )
+            norms = []
+            for rank in active:
+                row = compensation[rank]
+                norms.append(np.sqrt(np.add.reduce(row * row)))
+            metrics.gauge("marsit.comp_norm").set(float(np.mean(norms)))
             if sign_agreement is not None:
                 metrics.gauge("marsit.sign_agreement").set(sign_agreement)
         return report
@@ -508,6 +514,7 @@ class MarsitSynchronizer:
         rows: list[int] | None,
         plan: SyncPlan | None,
         rngs: Sequence[np.random.Generator] | None = None,
+        metrics: MetricsRegistry | None = None,
     ) -> tuple[dict[str, "PackedLaneGrid"], list[np.ndarray] | None]:
         """Line 1, the pending line 10 and the ``Pack`` steps in one pass,
         overlapped with the round's transient draw.
@@ -528,6 +535,9 @@ class MarsitSynchronizer:
         blocks write disjoint columns and whole words of the grids, so the
         split changes no result.  The pass runs to its end even when the
         draw raises, and the helper is joined before this returns or raises.
+        With ``metrics``, the ``marsit.pass_helper_share`` gauge records the
+        share of blocks the helper ran: 0 when it did not run, near 0 when
+        a busy host left it no core.
 
         Returns the grids by name and the table (``None`` without ``rngs``).
         """
@@ -560,8 +570,10 @@ class MarsitSynchronizer:
                     row -= pending
                 row += np.asarray(updates[rank], dtype=np.float64)
 
-        def run(work, bits: np.ndarray) -> None:
+        def run(work, bits: np.ndarray) -> int:
+            ran = 0
             for start, stop, out, lanes in work:
+                ran += 1
                 if whole:
                     block = buffer[:, start:stop]
                     if pending is not None:
@@ -576,6 +588,7 @@ class MarsitSynchronizer:
                 signs = np.greater_equal(block, 0.0, out=bits[:, : stop - start])
                 words = np.packbits(signs, axis=1, bitorder="little")
                 out[...] = words if lanes is None else words[lanes]
+            return ran
 
         # Each thread packs through its own scratch, both allocated on this
         # thread: the helper allocates only a block's packbits output, so
@@ -591,15 +604,19 @@ class MarsitSynchronizer:
                 table = cached[3] = draw_transients(plan, rngs, table)
         except BaseException as error:
             failure = error
+        helper_ran = 0
         try:
-            run(work, np.empty(shape, dtype=bool))
+            ran = run(work, np.empty(shape, dtype=bool))
         finally:
             if helper is not None:
-                helper.result()
+                helper_ran = helper.result()
         if failure is not None:
             # The pass has run to its end: void it, as a failed sync is.
             self._void(updates, ranks)
             raise failure
+        if metrics is not None:
+            share = helper_ran / (ran + helper_ran)
+            metrics.gauge("marsit.pass_helper_share").set(share)
         return dict(grids), table if rngs is not None else None
 
     def _void(

@@ -9,8 +9,9 @@ the same structure as 1-bit Adam — so the wire still carries one bit.
 
 The transforms are :class:`~repro.core.local.LocalOptimizer` rows, the
 per-worker state every baseline in :mod:`repro.train.strategies` shares.
-Each worker's update is written into one persistent ``(M, D)`` array, which
-is what :meth:`~repro.core.marsit.MarsitSynchronizer.synchronize` receives.
+Each worker's update is written over its gradient, so the trainer's
+``(M, D)`` gradient matrix is what
+:meth:`~repro.core.marsit.MarsitSynchronizer.synchronize` receives.
 
 These classes return per-worker update vectors; applying them to model
 parameters is the trainer's job (:mod:`repro.train`), keeping the optimizer
@@ -49,21 +50,27 @@ class MarsitSGD:
 
     def transform(self, rank: int, grad: np.ndarray) -> np.ndarray:
         """Worker ``rank``'s update ``eta_l ·`` (base-optimizer direction),
-        written into its row of the update array and returned as a view."""
+        written over ``grad`` and returned."""
         return self.local.step(rank, grad, scale=self.local_lr)
 
     def step(
         self,
         cluster: Cluster,
-        grads: list[np.ndarray],
+        grads: np.ndarray | list[np.ndarray],
         round_idx: int,
     ) -> SyncReport:
-        """One synchronization round; ``global_updates`` are to be subtracted."""
+        """One synchronization round; ``global_updates`` are to be subtracted.
+
+        ``grads`` is consumed: each worker's update is written over its
+        gradient.  An ``(M, D)`` float64 matrix goes to the synchronizer as
+        it is, which then adds it to the compensation a block at a time.
+        """
         if len(grads) != self.num_workers:
             raise ValueError("one gradient per worker required")
-        for rank, grad in enumerate(grads):
-            self.transform(rank, grad)
-        return self.synchronizer.synchronize(cluster, self.local.out, round_idx)
+        updates = [self.transform(rank, grad) for rank, grad in enumerate(grads)]
+        if isinstance(grads, np.ndarray) and grads.dtype == np.float64:
+            updates = grads
+        return self.synchronizer.synchronize(cluster, updates, round_idx)
 
 
 class MarsitMomentum(MarsitSGD):

@@ -16,6 +16,9 @@ Conventions used by the built-in instrumentation:
 - ``marsit.sign_agreement`` — consensus signs vs. the full-precision mean
   sign (the Figure 1b matching-rate statistic, measured live).
 - ``marsit.comp_norm`` — mean per-worker compensation L2 norm.
+- ``marsit.pass_helper_share`` — share of the compensation pass's blocks
+  the helper thread ran (0 without a helper; near 0 on a host too busy to
+  give it a core).
 - ``marsit.transient_draws`` / ``marsit.merged_bits`` — how often the
   ``⊙`` merge fell through to the transient vector.
 - ``marsit.bits_per_element`` — wire width per round (Figure 3's Bits).

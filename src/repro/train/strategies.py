@@ -10,9 +10,12 @@ in consensus).  Strategies own their optimizer state so the trainer stays
 scheme agnostic.  Every scheme's local base optimizer (identity, momentum
 or Adam; PSGD's global one is a single row) and every error-feedback
 residual (EF-signSGD, PowerSGD) is a :mod:`repro.core.local` object: one
-``(M, D)`` array per quantity, updated in place row by row.  A scheme
-writes each worker's message over that worker's row of the optimizer's
-output, so a round allocates no ``(M, D)`` array of its own.
+``(M, D)`` array per quantity, updated in place row by row.  A strategy
+consumes the gradients it is handed: it writes each worker's direction,
+then its message (signs, scaled signs), over that worker's gradient and
+passes those vectors to the collective.  The trainer's ``(M, D)`` gradient
+matrix is thus every scheme's message buffer, and a round allocates no
+``(M, D)`` array of its own (PowerSGD's padded matrix aside).
 
 Wire accounting notes for the MAR-extended sign baselines (signSGD-MV,
 EF-signSGD, SSDM): following Section 5 ("we extend them to MAR by
@@ -99,6 +102,16 @@ def _signsum_allreduce(
     return get_topology(cluster.topology.name).signsum_allreduce(cluster, signs)
 
 
+def _mean_rows(rows: list[np.ndarray]) -> np.ndarray:
+    """``np.mean(rows, axis=0)`` without stacking the rows: the same
+    row-by-row sum, then one division, so the floats are identical."""
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    total /= len(rows)
+    return total
+
+
 def _sign_sum_bits(num_workers: int) -> float:
     """Reported bits/element of a sign sum over ``num_workers`` (Sec. 3.1)."""
     return float(signed_int_bit_width(max(1, num_workers)))
@@ -125,9 +138,17 @@ class SyncStrategy(abc.ABC):
 
     @abc.abstractmethod
     def step(
-        self, cluster: Cluster, grads: list[np.ndarray], round_idx: int
+        self,
+        cluster: Cluster,
+        grads: np.ndarray | list[np.ndarray],
+        round_idx: int,
     ) -> StepResult:
-        """Aggregate this round's gradients into per-worker updates."""
+        """Aggregate this round's gradients into per-worker updates.
+
+        ``grads`` (an ``(M, D)`` matrix or ``M`` vectors) is consumed: a
+        scheme may write its directions and messages over it, so a caller
+        that needs the gradients afterwards hands over copies.
+        """
 
 
 class PSGDStrategy(SyncStrategy):
@@ -153,12 +174,17 @@ class PSGDStrategy(SyncStrategy):
         self.num_workers = num_workers
         self.base_optimizer = base_optimizer
         self._optimizer = LocalOptimizer(1, base_optimizer, momentum=momentum)
+        # The all-reduce result is read-only: the optimizer consumes a copy.
+        self._mean: np.ndarray | None = None
 
     def step(
         self, cluster: Cluster, grads: list[np.ndarray], round_idx: int
     ) -> StepResult:
         mean = _mean_allreduce(cluster, grads)[0]
-        update = self.lr * self._optimizer.step(0, mean)
+        if self._mean is None:
+            self._mean = np.empty_like(mean)
+        np.copyto(self._mean, mean)
+        update = self.lr * self._optimizer.step(0, self._mean)
         return StepResult(
             updates=_shared_update(update, self.num_workers),
             bits_per_element=32.0,
@@ -191,14 +217,14 @@ class SignSGDMajorityStrategy(SyncStrategy):
     def step(
         self, cluster: Cluster, grads: list[np.ndarray], round_idx: int
     ) -> StepResult:
+        signs = []
         for rank, grad in enumerate(grads):
             direction = self._local.step(rank, grad)
-            write_signs(direction, direction)
-        signs = self._local.out
+            signs.append(write_signs(direction, direction))
         if cluster.num_workers == 1:
             totals = signs[0]
         else:
-            totals = _signsum_allreduce(cluster, list(signs))[0]
+            totals = _signsum_allreduce(cluster, signs)[0]
         update = self.lr * np.where(totals >= 0, 1.0, -1.0)
         return StepResult(
             updates=_shared_update(update, self.num_workers),
@@ -233,17 +259,18 @@ class EFSignSGDStrategy(SyncStrategy):
     def step(
         self, cluster: Cluster, grads: list[np.ndarray], round_idx: int
     ) -> StepResult:
-        scales = []
+        scales, messages = [], []
         for rank, grad in enumerate(grads):
             direction = self._local.step(rank, grad)
             direction *= self.lr
             # The signs overwrite the direction once the residual holds it.
             scales.append(self._feedback.scaled_sign(rank, direction, direction))
-        messages = self._local.out
+            messages.append(direction)
         if cluster.num_workers > 1:
-            _signsum_allreduce(cluster, list(messages))
-        messages *= _allgather_scalars(cluster, scales)[:, None]
-        update = np.mean(messages, axis=0)
+            _signsum_allreduce(cluster, messages)
+        for message, scale in zip(messages, _allgather_scalars(cluster, scales)):
+            message *= scale
+        update = _mean_rows(messages)
         return StepResult(
             updates=_shared_update(update, self.num_workers),
             bits_per_element=_sign_sum_bits(self.num_workers),
@@ -291,19 +318,20 @@ class SSDMStrategy(SyncStrategy):
     def step(
         self, cluster: Cluster, grads: list[np.ndarray], round_idx: int
     ) -> StepResult:
-        norms = []
+        norms, messages = [], []
         for rank, grad in enumerate(grads):
             direction = self._local.step(rank, grad)
             if self.norm_scaled:
                 norms.append(float(np.linalg.norm(direction)))
             signs, _ = stochastic_sign(direction, self._rngs[rank], self.block_size)
             direction[...] = signs
-        messages = self._local.out
+            messages.append(direction)
         if cluster.num_workers > 1:
-            _signsum_allreduce(cluster, list(messages))
+            _signsum_allreduce(cluster, messages)
         if self.norm_scaled:
-            messages *= _allgather_scalars(cluster, norms)[:, None]
-        update = self.lr * np.mean(messages, axis=0)
+            for message, norm in zip(messages, _allgather_scalars(cluster, norms)):
+                message *= norm
+        update = self.lr * _mean_rows(messages)
         return StepResult(
             updates=_shared_update(update, self.num_workers),
             bits_per_element=_sign_sum_bits(self.num_workers),

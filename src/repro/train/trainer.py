@@ -208,26 +208,58 @@ class DistributedTrainer:
         dimension = self.model.num_parameters()
         self._grads = np.empty((config.num_workers, dimension))
         self._step_grad = np.empty(dimension) if config.local_steps > 1 else None
+        # Backward accumulates straight into the gradient rows: every
+        # parameter's ``grad`` is rebound to its slice of the row being
+        # computed (so after ``step`` it shows what the strategy wrote
+        # there).  A parameter registered twice (tied weights) owns two
+        # slices, so such a model is flattened after backward instead.
+        self._params = self.model.parameters()
+        self._row_views = self._step_views = None
+        if len({id(param) for param in self._params}) == len(self._params):
+            self._row_views = [self._slices(row) for row in self._grads]
+            if self._step_grad is not None:
+                self._step_views = self._slices(self._step_grad)
 
-    def _one_gradient(self, iterator: WorkerBatchIterator, out: np.ndarray) -> float:
-        """One batch's forward/backward; the gradient lands in ``out``."""
+    def _slices(self, vector: np.ndarray) -> list[np.ndarray]:
+        """Each parameter's gradient-shaped view of ``vector``, in layout order."""
+        views, offset = [], 0
+        for param in self._params:
+            views.append(vector[offset : offset + param.size].reshape(param.shape))
+            offset += param.size
+        return views
+
+    def _one_gradient(
+        self,
+        iterator: WorkerBatchIterator,
+        out: np.ndarray,
+        views: list[np.ndarray] | None,
+    ) -> float:
+        """One batch's forward/backward; the gradient lands in ``out``, whose
+        parameter slices are ``views`` (``None``: flatten after backward)."""
         x, y = iterator.next_batch()
-        self.model.zero_grad()
+        if views is None:
+            self.model.zero_grad()
+        else:
+            for param, view in zip(self._params, views):
+                param.grad = view
+            out.fill(0.0)
         logits = self.model(x)
         loss = self.loss_fn(logits, y)
         self.model.backward(self.loss_fn.backward())
-        self.model.flatten_grads(out=out)
+        if views is None:
+            self.model.flatten_grads(out=out)
         return loss
 
     def _worker_gradients(self) -> tuple[np.ndarray, float]:
         """Per-worker (accumulated) gradients, plus the mean train loss.
 
         Worker ``m``'s gradient is row ``m`` of one ``(M, D)`` matrix that
-        every round overwrites, so strategies must not keep the rows past
-        their ``step``.  With ``local_steps > 1`` each worker walks a short
-        local-SGD trajectory from the shared parameters and reports the mean
-        gradient along it; parameters are restored between workers so every
-        walk starts from consensus.
+        every round overwrites and every strategy writes its messages over,
+        so strategies must not keep the rows past their ``step``.  With
+        ``local_steps > 1`` each worker walks a short local-SGD trajectory
+        from the shared parameters and reports the mean gradient along it;
+        parameters are restored between workers so every walk starts from
+        consensus.
         """
         grads = self._grads
         losses = []
@@ -243,14 +275,19 @@ class DistributedTrainer:
                 # rank) without touching the loss mean.
                 row.fill(0.0)
                 continue
+            views = None if self._row_views is None else self._row_views[worker]
             if local_steps == 1:
-                loss = self._one_gradient(iterator, row)
+                loss = self._one_gradient(iterator, row, views)
             else:
                 self.model.set_flat_params(shared)
                 loss = 0.0
                 for step in range(local_steps):
                     step_grad = row if step == 0 else self._step_grad
-                    loss += self._one_gradient(iterator, step_grad) / local_steps
+                    if step:
+                        views = self._step_views
+                    loss += (
+                        self._one_gradient(iterator, step_grad, views) / local_steps
+                    )
                     self.model.add_flat_update(
                         self.config.local_step_lr * step_grad, scale=-1.0
                     )
@@ -295,7 +332,8 @@ class DistributedTrainer:
                 result.diverged = True
                 result.rounds_run = round_idx
                 break
-            step = self.strategy.step(self.cluster, list(grads), round_idx)
+            # The strategy consumes the matrix: its rows become the messages.
+            step = self.strategy.step(self.cluster, grads, round_idx)
             self.callbacks.on_sync_done(
                 round_idx, step, cluster=self.cluster, trainer=self
             )

@@ -362,10 +362,14 @@ def test_strategy_step_reports_the_recovery():
     )
     rng = np.random.default_rng(2)
     grads = [rng.standard_normal(64) for _ in range(6)]
-    assert not strategy.step(cluster, grads, 0).recovered
-    step = strategy.step(cluster, grads, 1)
+
+    def fresh():  # each step consumes its input
+        return [grad.copy() for grad in grads]
+
+    assert not strategy.step(cluster, fresh(), 0).recovered
+    step = strategy.step(cluster, fresh(), 1)
     assert step.recovered
-    assert not strategy.step(cluster, grads, 2).recovered
+    assert not strategy.step(cluster, fresh(), 2).recovered
 
 
 def test_training_tolerates_realistic_loss_rates():

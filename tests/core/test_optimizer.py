@@ -17,7 +17,8 @@ class TestMarsitSGD:
     def test_transform_scales_by_local_lr(self, rng):
         opt = MarsitSGD(MarsitConfig(global_lr=0.01), 0.5, 2, 8)
         grad = rng.standard_normal(8)
-        assert np.allclose(opt.transform(0, grad), 0.5 * grad)
+        # transform consumes its input: hand it a copy.
+        assert np.allclose(opt.transform(0, grad.copy()), 0.5 * grad)
 
     def test_step_returns_consensus(self, rng):
         m, d = 3, 24
@@ -50,9 +51,9 @@ class TestMarsitMomentum:
     def test_buffers_are_per_worker(self, rng):
         opt = MarsitMomentum(MarsitConfig(global_lr=0.01), 0.1, 2, 4)
         g = rng.standard_normal(4)
-        opt.transform(0, g)
+        opt.transform(0, g.copy())
         # Worker 1's buffer is untouched by worker 0's update.
-        assert np.allclose(opt.transform(1, g), 0.1 * g)
+        assert np.allclose(opt.transform(1, g.copy()), 0.1 * g)
 
     def test_rejects_bad_momentum(self):
         with pytest.raises(ValueError):

@@ -185,3 +185,47 @@ def test_helper_not_started(monkeypatch, num_workers, dimension, cpus):
         sync.synchronize(
             cluster, rng.standard_normal((num_workers, dimension)), round_idx
         )
+
+
+def _helper_shares(rounds=3):
+    """The ``marsit.pass_helper_share`` series of one-bit rounds at M = 4,
+    D = 60,001 (about 1.9 MB of ``c``, several pass blocks)."""
+    from repro.obs import Observability
+
+    cluster = Cluster(get_topology("ring").build(NUM_WORKERS))
+    cluster.attach_observability(Observability.metrics_only())
+    sync = MarsitSynchronizer(
+        MarsitConfig(global_lr=LR, seed=3), NUM_WORKERS, DIMENSION
+    )
+    for round_idx, updates in enumerate(_round_inputs(rounds), start=1):
+        sync.synchronize(cluster, updates, round_idx)
+    return cluster.obs.metrics.gauge("marsit.pass_helper_share").series
+
+
+@pytest.mark.parametrize(
+    "threshold, cpus",
+    [(None, 2), (marsit._BLOCK_BYTES, 1)],
+    ids=["below-threshold", "one-cpu"],
+)
+def test_pass_helper_share_is_zero_without_the_helper(monkeypatch, threshold, cpus):
+    monkeypatch.setattr(marsit, "_cpus", lambda: cpus)
+    if threshold is not None:
+        monkeypatch.setattr(marsit, "_HELPER_MIN_BYTES", threshold)
+    assert _helper_shares() == [0.0, 0.0, 0.0]
+
+
+def test_pass_helper_share_counts_the_helpers_blocks(helper_calls, monkeypatch):
+    import time
+
+    real = marsit.draw_transients
+
+    def slow_draw(*args):
+        # Hold the calling thread long enough for the helper to take blocks.
+        table = real(*args)
+        time.sleep(0.05)
+        return table
+
+    monkeypatch.setattr(marsit, "draw_transients", slow_draw)
+    shares = _helper_shares()
+    assert len(helper_calls) == 3
+    assert all(0.0 < share <= 1.0 for share in shares), shares

@@ -31,7 +31,8 @@ def test_topk_error_feedback_strategy_steps_on_a_ring():
     applied = np.zeros(dimension)
     for round_idx in range(3):
         grads = [rng.standard_normal(dimension) for _ in range(num)]
-        result = strategy.step(cluster, grads, round_idx)
+        # The strategy consumes its input; the reference below reads grads.
+        result = strategy.step(cluster, [g.copy() for g in grads], round_idx)
         assert len(result.updates) == num
         for update in result.updates:
             assert np.array_equal(update, result.updates[0])

@@ -1,4 +1,8 @@
-"""Tests for the six synchronization strategies."""
+"""Tests for the six synchronization strategies.
+
+A strategy consumes the gradients it is handed, so a test that reads its
+inputs after ``step`` hands over copies.
+"""
 
 import numpy as np
 import pytest
@@ -75,22 +79,22 @@ class TestPSGD:
     def test_sgd_update_is_lr_times_mean(self, rng):
         strategy = PSGDStrategy(lr=0.5, num_workers=M, base_optimizer="sgd")
         vectors = grads(rng)
-        result = strategy.step(ring(), vectors, 0)
+        result = strategy.step(ring(), [v.copy() for v in vectors], 0)
         assert np.allclose(result.updates[0], 0.5 * np.mean(vectors, axis=0),
                            atol=1e-5)
 
     def test_momentum_accumulates(self, rng):
         strategy = PSGDStrategy(lr=1.0, num_workers=M, momentum=0.5)
         vectors = grads(rng)
-        first = strategy.step(ring(), vectors, 0).updates[0]
-        second = strategy.step(ring(), vectors, 1).updates[0]
+        first = strategy.step(ring(), [v.copy() for v in vectors], 0).updates[0]
+        second = strategy.step(ring(), [v.copy() for v in vectors], 1).updates[0]
         assert np.allclose(second, 1.5 * first, atol=1e-4)
 
     def test_works_on_torus(self, rng):
         strategy = PSGDStrategy(lr=0.5, num_workers=4, base_optimizer="sgd")
         cluster = Cluster(torus_topology(2, 2))
         vectors = grads(rng)
-        result = strategy.step(cluster, vectors, 0)
+        result = strategy.step(cluster, [v.copy() for v in vectors], 0)
         assert np.allclose(result.updates[0], 0.5 * np.mean(vectors, axis=0),
                            atol=1e-5)
 
@@ -98,7 +102,7 @@ class TestPSGD:
         strategy = PSGDStrategy(lr=0.5, num_workers=4, base_optimizer="sgd")
         cluster = Cluster(star_topology(4, server=0))
         vectors = grads(rng)
-        result = strategy.step(cluster, vectors, 0)
+        result = strategy.step(cluster, [v.copy() for v in vectors], 0)
         assert np.allclose(result.updates[0], 0.5 * np.mean(vectors, axis=0),
                            atol=1e-4)
 
@@ -200,14 +204,14 @@ class TestCascading:
     def test_normalized_update_has_gradient_scale(self, rng):
         strategy = CascadingSSDMStrategy(lr=1.0, num_workers=M, normalize=True)
         vectors = grads(rng)
-        result = strategy.step(ring(), vectors, 0)
+        result = strategy.step(ring(), [v.copy() for v in vectors], 0)
         target = np.mean([np.linalg.norm(v) for v in vectors])
         assert np.linalg.norm(result.updates[0]) == pytest.approx(target, rel=1e-6)
 
     def test_unnormalized_explodes_with_ssdm(self, rng):
         strategy = CascadingSSDMStrategy(lr=1.0, num_workers=M, normalize=False)
         vectors = grads(rng)
-        result = strategy.step(ring(), vectors, 0)
+        result = strategy.step(ring(), [v.copy() for v in vectors], 0)
         # Theorem 3: the decoded norm is >> any worker's gradient norm.
         assert np.linalg.norm(result.updates[0]) > 10 * np.linalg.norm(vectors[0])
 

@@ -68,7 +68,8 @@ def test_scheme_runs_or_names_missing_collective(name, scheme):
         with pytest.raises(ValueError, match=f"{name!r}.*allgather_scalars"):
             strategy.step(cluster, grads, 0)
         return
-    result = strategy.step(cluster, grads, 0)
+    # The strategy consumes its input; the checks below read ``grads``.
+    result = strategy.step(cluster, [g.copy() for g in grads], 0)
     update = result.updates[0]
     assert update.shape == (D,)
     assert np.isfinite(update).all()

@@ -286,6 +286,63 @@ class TestGradientMatrix:
         assert first.shape == (3, trainer.model.num_parameters())
         assert not np.array_equal(first, before)  # overwritten in place
 
+    @pytest.mark.parametrize("local_steps", [1, 3])
+    def test_backward_accumulates_into_the_rows(self, tiny_data, local_steps):
+        # Parameter gradients are views of the row being computed; the rows
+        # must equal those of zero_grad + backward + flatten_grads.
+        train, test = tiny_data
+        config = TrainConfig(num_workers=3, rounds=1, batch_size=16, seed=0,
+                             local_steps=local_steps, clip_grad_norm=5.0)
+
+        def build():
+            return DistributedTrainer(
+                factory, train, test, PSGDStrategy(lr=0.05, num_workers=3), config
+            )
+
+        trainer, flattened = build(), build()
+        flattened._row_views = flattened._step_views = None
+        for _ in range(2):
+            rows, loss = trainer._worker_gradients()
+            want, want_loss = flattened._worker_gradients()
+            assert rows.tobytes() == want.tobytes()
+            assert loss == want_loss
+        last = trainer._grads[2] if local_steps == 1 else trainer._step_grad
+        for param in trainer.model.parameters():
+            assert np.shares_memory(param.grad, last)
+        for param in flattened.model.parameters():
+            assert not np.shares_memory(param.grad, flattened._grads)
+
+    def test_tied_parameters_fall_back_to_flattening(self, tiny_data):
+        from repro.nn.module import Module
+
+        class Tied(Module):
+            def __init__(self):
+                super().__init__()
+                self.body = factory()
+                self.alias = self.body.parameters()[1]  # registered twice
+
+            def forward(self, x):
+                return self.body(x)
+
+            def backward(self, grad):
+                return self.body.backward(grad)
+
+        train, test = tiny_data
+        config = TrainConfig(num_workers=2, rounds=1, batch_size=16, seed=0)
+        trainer = DistributedTrainer(
+            Tied, train, test, PSGDStrategy(lr=0.05, num_workers=2), config
+        )
+        assert trainer._row_views is None
+        rows, _ = trainer._worker_gradients()
+        alias = trainer.model.alias.size
+        offset = trainer.model.body.parameters()[0].size
+        # Both slices of the tied parameter carry its gradient.
+        for row in rows:
+            assert np.any(row[:alias] != 0.0)
+            assert row[:alias].tobytes() == row[
+                alias + offset : 2 * alias + offset
+            ].tobytes()
+
     @pytest.mark.parametrize(
         "make",
         [
@@ -303,31 +360,26 @@ class TestGradientMatrix:
     )
     def test_no_strategy_keeps_the_rows_past_step(self, tiny_data, make):
         import gc
-        import weakref
-
-        from repro.obs.hooks import TrainerCallback
+        import sys
 
         train, test = tiny_data
         strategy = make(factory().num_parameters())
-        refs = []
+        held = []
         step = strategy.step
 
         def watched(cluster, grads, round_idx):
-            refs[:] = [weakref.ref(grad) for grad in grads]
-            return step(cluster, grads, round_idx)
+            # The trainer hands over its matrix; a row view kept anywhere
+            # past ``step`` holds a reference to it.
+            assert isinstance(grads, np.ndarray) and grads.ndim == 2
+            before = sys.getrefcount(grads)
+            result = step(cluster, grads, round_idx)
+            gc.collect()
+            held.append(sys.getrefcount(grads) - before)
+            return result
 
         strategy.step = watched
-        alive = []
-
-        class Probe(TrainerCallback):
-            def on_sync_done(self, round_idx, step, **context):
-                gc.collect()
-                alive.append(sum(ref() is not None for ref in refs))
-
         config = TrainConfig(num_workers=3, rounds=4, batch_size=16,
                              eval_every=4, seed=0)
-        DistributedTrainer(
-            factory, train, test, strategy, config, callbacks=[Probe()]
-        ).run()
-        assert alive == [0, 0, 0, 0]
+        DistributedTrainer(factory, train, test, strategy, config).run()
+        assert held == [0, 0, 0, 0]
 
