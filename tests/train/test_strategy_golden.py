@@ -4,7 +4,9 @@ Each case steps one strategy for five rounds on a fresh cluster (a 4-worker
 ring, and a 2x3 torus where the scheme runs there) with seeded gradients.
 The gradients carry exact ``+0.0`` and ``-0.0`` entries, and one worker's
 gradient is all zeros, so sign ties, zero norms and signed-zero sums are
-pinned too.  Every round records what a bit-for-bit refactor must
+pinned too.  Cases run at ``D = 103``, which PowerSGD pads to a 10 x 11
+matrix; ``powersgd_square`` also runs at ``D = 121`` (11 x 11, no
+padding).  Every round records what a bit-for-bit refactor must
 preserve: a sha256 over the updates (dtype, shape and bytes), the
 ``bits_per_element`` the strategy reports, and the cluster's cumulative
 ``total_bytes`` and ``total_messages``.  Refresh intentionally with::
@@ -106,6 +108,10 @@ for _base in ("momentum", "adam", "sgd"):
     for _k in (3, None):
         SCHEMES[f"marsit_{_base}_k{_k}"] = (_marsit(_base, _k), BOTH)
 
+SCHEMES["powersgd_square"] = SCHEMES["powersgd"]
+# scheme -> gradient length, where it is not DIMENSION
+DIMENSIONS = {"powersgd_square": 121}
+
 CASES = {
     f"{scheme}_{topo}": (scheme, topo)
     for scheme, (_, topos) in SCHEMES.items()
@@ -113,13 +119,13 @@ CASES = {
 }
 
 
-def _gradients(rng, num: int) -> list[np.ndarray]:
+def _gradients(rng, num: int, dimension: int = DIMENSION) -> list[np.ndarray]:
     """One round's seeded gradients with exact signed zeros.
 
     Every worker gets some ``+0.0`` and ``-0.0`` entries, and the last
     worker's gradient is all zeros (alternating ``+0.0``/``-0.0``).
     """
-    grads = rng.standard_normal((num, DIMENSION)) * 0.1
+    grads = rng.standard_normal((num, dimension)) * 0.1
     grads[:, ::11] = 0.0
     grads[:, 5::13] = -0.0
     grads[-1] = 0.0
@@ -143,10 +149,11 @@ def fingerprint(case_name: str) -> dict:
     name, kwargs, num = TOPOLOGIES[topo_key]
     cluster = Cluster(get_topology(name).build(num, **kwargs))
     strategy = SCHEMES[scheme][0](num)
+    dimension = DIMENSIONS.get(scheme, DIMENSION)
     rng = np.random.default_rng(sum(map(ord, case_name)))
     rounds = []
     for round_idx in range(ROUNDS):
-        result = strategy.step(cluster, _gradients(rng, num), round_idx)
+        result = strategy.step(cluster, _gradients(rng, num, dimension), round_idx)
         rounds.append(
             {
                 "updates_sha256": _hash_updates(result.updates),
