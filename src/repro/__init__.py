@@ -7,7 +7,7 @@ as a self-contained simulation stack:
 - :mod:`repro.core` — Marsit itself (the ``⊙`` merge, Algorithm 1/2).
 - :mod:`repro.comm` — bit codecs, topologies, simulated cluster, timing.
 - :mod:`repro.allreduce` — ring/torus/PS/tree/gossip collectives.
-- :mod:`repro.compression` — signSGD/SSDM/EF/QSGD/... baselines.
+- :mod:`repro.compression` — SSDM/EF/mean-abs sign/top-k compressors.
 - :mod:`repro.nn` — a from-scratch numpy NN framework + model zoo.
 - :mod:`repro.data` — synthetic stand-ins for the paper's datasets.
 - :mod:`repro.train` — the M-worker distributed trainer and strategies.

@@ -1,59 +1,43 @@
-"""Gradient compressors: the paper's baselines and related-work schemes.
+"""Gradient compressors that the benches and schemes run.
 
 Every compressor maps a 1-D float vector to a :class:`Payload` that knows its
 wire size in bytes and can decode back to a float vector.  Schemes:
 
-- :class:`IdentityCompressor` — FP32 passthrough (PSGD baseline).
-- :class:`SignCompressor` — deterministic signSGD (Bernstein et al.).
 - :class:`SSDMCompressor` — stochastic sign with ``1/2 + v_j / (2 ||v||)``
   flip probability (Safaryan & Richtarik), the unbiased compressor whose
-  cascading use Section 3.2 dissects.
+  cascading use Section 3.2 dissects; :func:`stochastic_sign` is its draw.
 - :class:`EFSignCompressor` — error-feedback signSGD (Karimireddy et al.),
   scaled sign plus per-worker residual memory.
-- :class:`QSGDCompressor`, :class:`TernGradCompressor`,
-  :class:`TopKCompressor`, :class:`PowerSGDCompressor` — related-work
-  baselines (Section 2).
+- :class:`MeanAbsSignCompressor` — deterministic ``mean|v| * sign(v)``, the
+  norm-controlled sign the Table 1 cascading bench uses.
+- :class:`TopKCompressor` — top-k sparsification, a related-work baseline
+  (Section 2).
 - :func:`majority_vote` — the signSGD-with-majority-vote aggregation rule.
+
+PowerSGD runs as a synchronization scheme only
+(:class:`repro.train.strategies.PowerSGDStrategy`).
 """
 
-from repro.compression.base import (
-    Compressor,
-    DensePayload,
-    Payload,
-    ScaledSignPayload,
-    SignPayload,
-)
+from repro.compression.base import Compressor, Payload, ScaledSignPayload
 from repro.compression.ef import EFSignCompressor
-from repro.compression.powersgd import LowRankPayload, PowerSGDCompressor
-from repro.compression.qsgd import QSGDCompressor, QSGDPayload
-from repro.compression.signsgd import (
-    IdentityCompressor,
-    MeanAbsSignCompressor,
-    SignCompressor,
-    majority_vote,
+from repro.compression.signsgd import MeanAbsSignCompressor, majority_vote
+from repro.compression.ssdm import (
+    BlockScaledSignPayload,
+    SSDMCompressor,
+    stochastic_sign,
 )
-from repro.compression.ssdm import SSDMCompressor
-from repro.compression.terngrad import TernGradCompressor, TernaryPayload
 from repro.compression.topk import TopKCompressor, TopKPayload
 
 __all__ = [
+    "BlockScaledSignPayload",
     "Compressor",
-    "DensePayload",
     "EFSignCompressor",
-    "IdentityCompressor",
-    "LowRankPayload",
     "MeanAbsSignCompressor",
     "Payload",
-    "PowerSGDCompressor",
-    "QSGDCompressor",
-    "QSGDPayload",
     "SSDMCompressor",
     "ScaledSignPayload",
-    "SignCompressor",
-    "SignPayload",
-    "TernGradCompressor",
-    "TernaryPayload",
     "TopKCompressor",
     "TopKPayload",
     "majority_vote",
+    "stochastic_sign",
 ]

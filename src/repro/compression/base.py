@@ -15,14 +15,7 @@ import numpy as np
 
 from repro.comm.bits import PackedBits
 
-__all__ = [
-    "Compressor",
-    "DensePayload",
-    "Payload",
-    "ScaledSignPayload",
-    "SignPayload",
-    "as_vector",
-]
+__all__ = ["Compressor", "Payload", "ScaledSignPayload", "as_vector"]
 
 
 def as_vector(values: np.ndarray) -> np.ndarray:
@@ -49,34 +42,6 @@ class Payload(abc.ABC):
 
 
 @dataclass(frozen=True)
-class DensePayload(Payload):
-    """Uncompressed values; 4 bytes per element (FP32 on the wire)."""
-
-    values: np.ndarray
-
-    @property
-    def nbytes(self) -> int:
-        return 4 * int(self.values.size)
-
-    def decode(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64).copy()
-
-
-@dataclass(frozen=True)
-class SignPayload(Payload):
-    """Pure sign bits (:class:`PackedBits`); decodes to ``{-1, +1}``."""
-
-    bits: PackedBits
-
-    @property
-    def nbytes(self) -> int:
-        return self.bits.nbytes
-
-    def decode(self) -> np.ndarray:
-        return self.bits.to_signs()
-
-
-@dataclass(frozen=True)
 class ScaledSignPayload(Payload):
     """Sign bits plus one float scale; decodes to ``scale * signs``.
 
@@ -95,30 +60,11 @@ class ScaledSignPayload(Payload):
 
 
 class Compressor(abc.ABC):
-    """Stateless-by-default gradient compressor.
-
-    Subclasses that keep per-worker state (error feedback, PowerSGD warm
-    starts) document it and expose a ``reset()``.
-    """
-
-    #: short identifier used in reports and plots
-    name: str = "base"
-    #: whether E[decode(compress(v))] == v
-    unbiased: bool = False
+    """Gradient compressor; stateless unless a subclass documents state
+    (EF-signSGD's per-worker residual memory)."""
 
     @abc.abstractmethod
     def compress(
         self, vector: np.ndarray, rng: np.random.Generator | None = None
     ) -> Payload:
         """Encode ``vector``; stochastic schemes draw from ``rng``."""
-
-    def decompress(self, payload: Payload) -> np.ndarray:
-        """Decode a payload produced by this compressor."""
-        return payload.decode()
-
-    def nominal_bits_per_element(self) -> float:
-        """Bits per element of the main payload, ignoring O(1) headers."""
-        return 32.0
-
-    def reset(self) -> None:
-        """Clear any per-worker state; default is stateless no-op."""

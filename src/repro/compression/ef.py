@@ -29,9 +29,6 @@ class EFSignCompressor(Compressor):
     residual memory.
     """
 
-    name = "ef-signsgd"
-    unbiased = False
-
     def __init__(self) -> None:
         self._feedback = ErrorFeedback(1)
 
@@ -48,9 +45,3 @@ class EFSignCompressor(Compressor):
         signs = np.empty(vector.size)
         scale = self._feedback.scaled_sign(0, vector, signs)
         return ScaledSignPayload(bits=PackedBits.from_signs(signs), scale=scale)
-
-    def nominal_bits_per_element(self) -> float:
-        return 1.0
-
-    def reset(self) -> None:
-        self._feedback = ErrorFeedback(1)

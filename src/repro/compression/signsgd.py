@@ -1,4 +1,4 @@
-"""Deterministic signSGD and majority-vote aggregation.
+"""Deterministic scaled sign and signSGD's majority-vote aggregation.
 
 signSGD (Bernstein et al., ICML 2018) transmits ``sign(g)`` — one bit per
 element — and, in its fault-tolerant variant, the server aggregates worker
@@ -13,46 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comm.bits import PackedBits
-from repro.compression.base import (
-    Compressor,
-    DensePayload,
-    Payload,
-    ScaledSignPayload,
-    SignPayload,
-    as_vector,
-)
+from repro.compression.base import Compressor, Payload, ScaledSignPayload, as_vector
 
-__all__ = ["IdentityCompressor", "SignCompressor", "majority_vote"]
-
-
-class IdentityCompressor(Compressor):
-    """FP32 passthrough; the PSGD / non-compression baseline."""
-
-    name = "fp32"
-    unbiased = True
-
-    def compress(
-        self, vector: np.ndarray, rng: np.random.Generator | None = None
-    ) -> Payload:
-        return DensePayload(values=as_vector(vector).astype(np.float32))
-
-    def nominal_bits_per_element(self) -> float:
-        return 32.0
-
-
-class SignCompressor(Compressor):
-    """Deterministic sign: ``sgn(v)`` with ``sgn(0) = +1``."""
-
-    name = "signsgd"
-    unbiased = False
-
-    def compress(
-        self, vector: np.ndarray, rng: np.random.Generator | None = None
-    ) -> Payload:
-        return SignPayload(bits=PackedBits.from_signs(as_vector(vector)))
-
-    def nominal_bits_per_element(self) -> float:
-        return 1.0
+__all__ = ["MeanAbsSignCompressor", "majority_vote"]
 
 
 class MeanAbsSignCompressor(Compressor):
@@ -68,9 +31,6 @@ class MeanAbsSignCompressor(Compressor):
     EXPERIMENTS.md).
     """
 
-    name = "meanabs-sign"
-    unbiased = False
-
     def compress(
         self, vector: np.ndarray, rng: np.random.Generator | None = None
     ) -> Payload:
@@ -78,9 +38,6 @@ class MeanAbsSignCompressor(Compressor):
         scale = float(np.abs(vector).mean()) if vector.size else 0.0
         signs = np.where(vector >= 0, 1.0, -1.0)
         return ScaledSignPayload(bits=PackedBits.from_signs(signs), scale=scale)
-
-    def nominal_bits_per_element(self) -> float:
-        return 1.0
 
 
 def majority_vote(sign_vectors: list[np.ndarray]) -> np.ndarray:

@@ -85,9 +85,6 @@ class SSDMCompressor(Compressor):
     degrading with every extra hop.
     """
 
-    name = "ssdm"
-    unbiased = True
-
     def __init__(self, block_size: int | None = None) -> None:
         if block_size is not None and block_size < 1:
             raise ValueError("block_size must be >= 1 or None")
@@ -106,8 +103,3 @@ class SSDMCompressor(Compressor):
             scales=norms,
             block_size=self.block_size,
         )
-
-    def nominal_bits_per_element(self) -> float:
-        if self.block_size is None:
-            return 1.0
-        return 1.0 + 32.0 / self.block_size

@@ -39,9 +39,6 @@ class TopKPayload(Payload):
 class TopKCompressor(Compressor):
     """Keep the ``k`` largest-|.| coordinates (ties broken by index)."""
 
-    name = "topk"
-    unbiased = False
-
     def __init__(self, k: int) -> None:
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -60,6 +57,3 @@ class TopKCompressor(Compressor):
         return TopKPayload(
             indices=indices, values=vector[indices], dimension=int(vector.size)
         )
-
-    def nominal_bits_per_element(self) -> float:
-        return 64.0  # per *kept* element; density scales actual cost

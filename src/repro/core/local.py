@@ -1,10 +1,10 @@
 """Per-worker local state: the base optimizer and the error-feedback carry.
 
 Algorithm 2 and every Section 5 baseline apply a base optimizer on each
-worker before they sync, and the error-feedback schemes carry each worker's
-compression residual into its next round.  Each such quantity (momentum,
-Adam's two moments, a residual) is one ``(rows, D)`` float64 array, a row
-per worker (one row for a global optimizer such as PSGD's).  It is
+worker before they sync, and EF-signSGD carries each worker's compression
+residual into its next round.  Each such quantity (momentum, Adam's two
+moments, a residual) is one ``(rows, D)`` float64 array, a row per worker
+(one row for a global optimizer such as PSGD's).  It is
 allocated on the first step, from the gradient's length, and then updated
 in place one row at a time.  The optimizer keeps no output array: a step
 writes the worker's direction over the gradient it is handed, so the
@@ -124,17 +124,15 @@ class ErrorFeedback:
     """Per-worker error-feedback residuals ``e``, one ``(rows, D)`` array.
 
     :meth:`carry` forms the corrected vector ``p = e + v`` in place and
-    :meth:`settle` leaves ``e <- p - sent``.  With ``zero_start`` a row's
-    first carry computes ``0 + v`` (a ``-0.0`` becomes ``+0.0``), as
-    EF-signSGD's memory does; without it the first carry copies ``v`` as it
-    is, as PowerSGD's first round does.
+    :meth:`settle` leaves ``e <- p - sent``.  The residuals start at zero,
+    so a row's first carry computes ``0 + v`` (a ``-0.0`` becomes
+    ``+0.0``), as EF-signSGD's memory does.
     """
 
-    def __init__(self, rows: int, zero_start: bool = True) -> None:
+    def __init__(self, rows: int) -> None:
         self.rows = rows
         #: The residuals; ``None`` before the first carry.
         self.residual: np.ndarray | None = None
-        self._empty = [not zero_start] * rows
 
     def carry(self, row: int, vector: np.ndarray) -> np.ndarray:
         """``e[row] <- e[row] + vector``; returns ``e[row]``, now ``p``."""
@@ -144,11 +142,7 @@ class ErrorFeedback:
             self._scratch = np.empty(vector.size)
         _check_dimension(self.residual.shape[1], vector)
         corrected = self.residual[row]
-        if self._empty[row]:
-            self._empty[row] = False
-            np.copyto(corrected, vector)
-        else:
-            corrected += vector
+        corrected += vector
         return corrected
 
     def settle(self, row: int, sent: np.ndarray) -> None:

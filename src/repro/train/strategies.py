@@ -8,14 +8,14 @@ A :class:`SyncStrategy` consumes per-worker raw gradients for one round and
 returns the per-worker parameter updates (all equal — every scheme here ends
 in consensus).  Strategies own their optimizer state so the trainer stays
 scheme agnostic.  Every scheme's local base optimizer (identity, momentum
-or Adam; PSGD's global one is a single row) and every error-feedback
-residual (EF-signSGD, PowerSGD) is a :mod:`repro.core.local` object: one
-``(M, D)`` array per quantity, updated in place row by row.  A strategy
-consumes the gradients it is handed: it writes each worker's direction,
-then its message (signs, scaled signs), over that worker's gradient and
-passes those vectors to the collective.  The trainer's ``(M, D)`` gradient
-matrix is thus every scheme's message buffer, and a round allocates no
-``(M, D)`` array of its own (PowerSGD's padded matrix aside).
+or Adam; PSGD's global one is a single row) and EF-signSGD's residual is
+a :mod:`repro.core.local` object: one ``(M, D)`` array per quantity,
+updated in place row by row (PowerSGD keeps its residual zero-padded to
+its matrix shape).  A strategy consumes the gradients it is handed: it
+writes each worker's direction, then its message (signs, scaled signs),
+over that worker's gradient and passes those vectors to the collective.
+The trainer's ``(M, D)`` gradient matrix is thus every scheme's message
+buffer, and a round allocates no ``(M, D)`` array of its own.
 
 Wire accounting notes for the MAR-extended sign baselines (signSGD-MV,
 EF-signSGD, SSDM): following Section 5 ("we extend them to MAR by
@@ -32,6 +32,7 @@ bit-length expansion the paper measures.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,10 +118,12 @@ def _sign_sum_bits(num_workers: int) -> float:
     return float(signed_int_bit_width(max(1, num_workers)))
 
 
-def _allgather_scalars(cluster: Cluster, values: list[float]) -> np.ndarray:
-    """All-gather one float per worker; raises if the topology has none."""
+def _scalar_allgather(cluster: Cluster):
+    """The collective that all-gathers one float per worker, called as
+    ``allgather(cluster, values)``.  A step looks it up before it changes
+    any state, so a topology that registers none raises first."""
     if cluster.num_workers == 1:
-        return np.array(values, dtype=np.float64)
+        return lambda _cluster, values: np.array(values, dtype=np.float64)
     name = cluster.topology.name
     allgather = get_topology(name).allgather_scalars
     if allgather is None:
@@ -128,7 +131,14 @@ def _allgather_scalars(cluster: Cluster, values: list[float]) -> np.ndarray:
             f"topology {name!r} registers no allgather_scalars collective; "
             "EF-signSGD and norm-scaled SSDM need it for per-worker scales"
         )
-    return allgather(cluster, values)
+    return allgather
+
+
+def _matrix_shape(dimension: int) -> tuple[int, int]:
+    """PowerSGD's near-square ``rows x cols`` target for a flat gradient;
+    ``rows · cols >= dimension``, the tail padded with zeros."""
+    rows = max(1, math.isqrt(dimension))
+    return rows, math.ceil(dimension / rows)
 
 
 class SyncStrategy(abc.ABC):
@@ -259,6 +269,7 @@ class EFSignSGDStrategy(SyncStrategy):
     def step(
         self, cluster: Cluster, grads: list[np.ndarray], round_idx: int
     ) -> StepResult:
+        allgather = _scalar_allgather(cluster)
         scales, messages = [], []
         for rank, grad in enumerate(grads):
             direction = self._local.step(rank, grad)
@@ -268,7 +279,7 @@ class EFSignSGDStrategy(SyncStrategy):
             messages.append(direction)
         if cluster.num_workers > 1:
             _signsum_allreduce(cluster, messages)
-        for message, scale in zip(messages, _allgather_scalars(cluster, scales)):
+        for message, scale in zip(messages, allgather(cluster, scales)):
             message *= scale
         update = _mean_rows(messages)
         return StepResult(
@@ -318,6 +329,7 @@ class SSDMStrategy(SyncStrategy):
     def step(
         self, cluster: Cluster, grads: list[np.ndarray], round_idx: int
     ) -> StepResult:
+        allgather = _scalar_allgather(cluster) if self.norm_scaled else None
         norms, messages = [], []
         for rank, grad in enumerate(grads):
             direction = self._local.step(rank, grad)
@@ -329,7 +341,7 @@ class SSDMStrategy(SyncStrategy):
         if cluster.num_workers > 1:
             _signsum_allreduce(cluster, messages)
         if self.norm_scaled:
-            for message, norm in zip(messages, _allgather_scalars(cluster, norms)):
+            for message, norm in zip(messages, allgather(cluster, norms)):
                 message *= norm
         update = self.lr * _mean_rows(messages)
         return StepResult(
@@ -414,6 +426,11 @@ class PowerSGDStrategy(SyncStrategy):
     sequential vectors at a synchronization, which undermines the training
     efficiency under RAR."  The latency term doubles even though the volume
     is small.
+
+    Each worker's error-feedback residual is a row of one ``(M, rows ·
+    cols)`` array whose tail past ``D`` stays zero, so the row reshapes
+    straight into the worker's padded ``rows x cols`` matrix and a round
+    allocates no padded copy.
     """
 
     name = "powersgd"
@@ -435,32 +452,33 @@ class PowerSGDStrategy(SyncStrategy):
         self.num_workers = num_workers
         self.rank = rank
         self._local = LocalOptimizer(num_workers, base_optimizer, momentum=momentum)
-        self._feedback = ErrorFeedback(num_workers, zero_start=False)
+        self._residual: np.ndarray | None = None
         self._q: np.ndarray | None = None
         self._seed = seed
-
-    def _matrix_shape(self, dimension: int) -> tuple[int, int]:
-        import math
-
-        rows = max(1, int(math.isqrt(dimension)))
-        return rows, math.ceil(dimension / rows)
 
     def step(
         self, cluster: Cluster, grads: list[np.ndarray], round_idx: int
     ) -> StepResult:
-        dimension = int(np.asarray(grads[0]).size)
-        rows, cols = self._matrix_shape(dimension)
-        rank = min(self.rank, rows, cols)
-        if self._q is None or self._q.shape != (cols, rank):
-            self._q = np.random.default_rng(self._seed).standard_normal(
-                (cols, rank)
-            )
-        padded = np.zeros((self.num_workers, rows * cols))
+        directions = []
         for worker, grad in enumerate(grads):
             direction = self._local.step(worker, grad)
             direction *= self.lr
-            padded[worker, :dimension] = self._feedback.carry(worker, direction)
-        matrices = [row.reshape(rows, cols) for row in padded]
+            directions.append(direction)
+        dimension = directions[0].size
+        rows, cols = _matrix_shape(dimension)
+        rank = min(self.rank, rows, cols)
+        if self._residual is None:
+            self._q = np.random.default_rng(self._seed).standard_normal(
+                (cols, rank)
+            )
+            self._residual = np.zeros((self.num_workers, rows * cols))
+            # Copied, not added to the zeros, so a -0.0 keeps its sign.
+            for worker, direction in enumerate(directions):
+                self._residual[worker, :dimension] = direction
+        else:
+            for worker, direction in enumerate(directions):
+                self._residual[worker, :dimension] += direction
+        matrices = self._residual.reshape(self.num_workers, rows, cols)
 
         # First sequential pass: all-reduce P = G Q.
         p_locals = [(g @ self._q).reshape(-1) for g in matrices]
@@ -472,10 +490,8 @@ class PowerSGDStrategy(SyncStrategy):
         q_mean = _mean_allreduce(cluster, q_locals)[0]
         self._q = q_mean.reshape(cols, rank)
 
-        decoded_flat = (p_hat @ self._q.T).reshape(-1)[:dimension]
-        for worker in range(self.num_workers):
-            self._feedback.settle(worker, decoded_flat)
-        update = decoded_flat
+        update = (p_hat @ self._q.T).reshape(-1)[:dimension]
+        self._residual[:, :dimension] -= update
         bits = 32.0 * rank * (rows + cols) / dimension
         return StepResult(
             updates=_shared_update(update, self.num_workers),

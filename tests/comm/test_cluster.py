@@ -41,10 +41,11 @@ class TestPayloadNbytes:
         assert payload_nbytes(None) == 0
 
     def test_compression_payload_duck_typing(self):
-        from repro.compression.base import DensePayload
+        from repro.compression.base import ScaledSignPayload
 
-        payload = DensePayload(values=np.zeros(5, dtype=np.float32))
-        assert payload_nbytes(payload) == 20
+        signs = PackedBits.from_signs(np.ones(40))
+        payload = ScaledSignPayload(bits=signs, scale=1.0)
+        assert payload_nbytes(payload) == 5 + 4  # sign bits + one fp32 scale
 
     def test_rejects_unknown(self):
         with pytest.raises(TypeError):

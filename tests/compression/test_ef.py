@@ -43,12 +43,6 @@ class TestEFSign:
         assert np.allclose(residual, compressor.memory, atol=1e-9)
         assert np.abs(residual).max() < 10  # bounded, not growing ~200
 
-    def test_reset_clears_memory(self, rng):
-        compressor = EFSignCompressor()
-        compressor.compress(rng.standard_normal(5))
-        compressor.reset()
-        assert compressor.memory is None
-
     def test_dimension_change_rejected(self, rng):
         compressor = EFSignCompressor()
         compressor.compress(rng.standard_normal(5))

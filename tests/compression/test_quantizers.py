@@ -1,74 +1,9 @@
-"""Tests for QSGD, TernGrad, top-k and PowerSGD baselines."""
+"""Tests for the top-k sparsification baseline."""
 
 import numpy as np
 import pytest
 
-from repro.compression.powersgd import PowerSGDCompressor
-from repro.compression.qsgd import QSGDCompressor
-from repro.compression.terngrad import TernGradCompressor
 from repro.compression.topk import TopKCompressor
-
-
-class TestQSGD:
-    def test_unbiased(self):
-        rng = np.random.default_rng(0)
-        vector = rng.standard_normal(24)
-        compressor = QSGDCompressor(num_levels=4)
-        total = np.zeros(24)
-        trials = 20_000
-        for _ in range(trials):
-            total += compressor.compress(vector, rng=rng).decode()
-        assert np.abs(total / trials - vector).max() < 0.1
-
-    def test_levels_in_range(self, rng):
-        payload = QSGDCompressor(num_levels=4).compress(
-            rng.standard_normal(100), rng=rng
-        )
-        assert payload.levels.min() >= 0
-        assert payload.levels.max() <= 4
-
-    def test_zero_vector(self, rng):
-        payload = QSGDCompressor().compress(np.zeros(10), rng=rng)
-        assert np.allclose(payload.decode(), 0.0)
-
-    def test_requires_rng(self, rng):
-        with pytest.raises(ValueError):
-            QSGDCompressor().compress(rng.standard_normal(4))
-
-    def test_smaller_than_fp32(self, rng):
-        vector = rng.standard_normal(1000)
-        payload = QSGDCompressor(num_levels=4).compress(vector, rng=rng)
-        assert payload.nbytes < 4000
-
-    def test_rejects_bad_levels(self):
-        with pytest.raises(ValueError):
-            QSGDCompressor(num_levels=0)
-
-
-class TestTernGrad:
-    def test_digits_ternary(self, rng):
-        payload = TernGradCompressor().compress(rng.standard_normal(50), rng=rng)
-        assert np.isin(payload.digits, (-1, 0, 1)).all()
-
-    def test_unbiased(self):
-        rng = np.random.default_rng(1)
-        vector = rng.standard_normal(20)
-        compressor = TernGradCompressor()
-        total = np.zeros(20)
-        trials = 20_000
-        for _ in range(trials):
-            total += compressor.compress(vector, rng=rng).decode()
-        assert np.abs(total / trials - vector).max() < 0.1
-
-    def test_max_element_always_kept(self, rng):
-        vector = np.array([0.1, -3.0, 0.2])
-        for _ in range(20):
-            payload = TernGradCompressor().compress(vector, rng=rng)
-            assert payload.digits[1] == -1
-
-    def test_two_bits_per_element(self, rng):
-        payload = TernGradCompressor().compress(rng.standard_normal(100), rng=rng)
-        assert payload.nbytes == 4 + 25
 
 
 class TestTopK:
@@ -93,42 +28,3 @@ class TestTopK:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             TopKCompressor(k=0)
-
-
-class TestPowerSGD:
-    def test_low_rank_approximation_improves_with_rank(self, rng):
-        # A rank-2 matrix should be captured much better by rank 2 than 1.
-        u = rng.standard_normal((32, 2))
-        v = rng.standard_normal((2, 32))
-        vector = (u @ v).reshape(-1)
-
-        def error(rank):
-            compressor = PowerSGDCompressor(rank=rank)
-            decoded = vector
-            for _ in range(4):  # warm-start iterations
-                decoded = compressor.compress(vector).decode()
-            return np.linalg.norm(decoded - vector) / np.linalg.norm(vector)
-
-        assert error(2) < 0.05
-        assert error(2) < error(1)
-
-    def test_wire_size_much_smaller_than_dense(self, rng):
-        vector = rng.standard_normal(4096)
-        payload = PowerSGDCompressor(rank=2).compress(vector)
-        assert payload.nbytes < 4096 * 4 / 8
-
-    def test_dimension_change_resets_state(self, rng):
-        compressor = PowerSGDCompressor(rank=1)
-        compressor.compress(rng.standard_normal(64))
-        decoded = compressor.compress(rng.standard_normal(100)).decode()
-        assert decoded.shape == (100,)
-
-    def test_reset(self, rng):
-        compressor = PowerSGDCompressor(rank=1)
-        compressor.compress(rng.standard_normal(64))
-        compressor.reset()
-        assert compressor.nominal_bits_per_element() == 32.0
-
-    def test_rejects_bad_rank(self):
-        with pytest.raises(ValueError):
-            PowerSGDCompressor(rank=0)

@@ -1,15 +1,10 @@
-"""Tests for sign-family compressors: identity, sign, mean-abs, majority."""
+"""Tests for the sign family: input checks, mean-abs sign, majority vote."""
 
 import numpy as np
 import pytest
 
 from repro.compression.base import as_vector
-from repro.compression.signsgd import (
-    IdentityCompressor,
-    MeanAbsSignCompressor,
-    SignCompressor,
-    majority_vote,
-)
+from repro.compression.signsgd import MeanAbsSignCompressor, majority_vote
 
 
 class TestAsVector:
@@ -28,31 +23,6 @@ class TestAsVector:
     def test_rejects_inf(self):
         with pytest.raises(ValueError):
             as_vector(np.array([np.inf]))
-
-
-class TestIdentity:
-    def test_roundtrip(self, rng):
-        vector = rng.standard_normal(20)
-        payload = IdentityCompressor().compress(vector)
-        assert np.allclose(payload.decode(), vector, atol=1e-6)
-
-    def test_fp32_wire_size(self, rng):
-        payload = IdentityCompressor().compress(rng.standard_normal(10))
-        assert payload.nbytes == 40
-
-
-class TestSign:
-    def test_decodes_to_signs(self, rng):
-        vector = rng.standard_normal(33)
-        payload = SignCompressor().compress(vector)
-        assert np.array_equal(payload.decode(), np.where(vector >= 0, 1.0, -1.0))
-
-    def test_one_bit_per_element(self):
-        payload = SignCompressor().compress(np.zeros(64))
-        assert payload.nbytes == 8
-
-    def test_nominal_bits(self):
-        assert SignCompressor().nominal_bits_per_element() == 1.0
 
 
 class TestMeanAbsSign:

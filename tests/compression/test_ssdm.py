@@ -156,7 +156,3 @@ class TestSSDMCompressor:
     def test_rejects_bad_block_size(self):
         with pytest.raises(ValueError):
             SSDMCompressor(block_size=0)
-
-    def test_nominal_bits(self):
-        assert SSDMCompressor().nominal_bits_per_element() == 1.0
-        assert SSDMCompressor(block_size=32).nominal_bits_per_element() == 2.0

@@ -1,14 +1,21 @@
-"""Smoke tests for the scripts under ``examples/``."""
+"""Smoke tests for the scripts under ``examples/`` and the bench modules.
 
+Every example and every ``benchmarks/bench_*.py`` module must import, so a
+name deleted from the library fails here rather than at a full bench run.
+"""
+
+import importlib
 import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.comm.cluster import Cluster
 from repro.comm.topology import ring_topology
 
-EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+ROOT = Path(__file__).resolve().parents[1]
+EXAMPLES = ROOT / "examples"
 
 
 def _load(name: str):
@@ -16,6 +23,18 @@ def _load(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in EXAMPLES.glob("*.py")))
+def test_example_imports(name):
+    _load(name)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.stem for p in (ROOT / "benchmarks").glob("bench_*.py"))
+)
+def test_benchmark_module_imports(name):
+    importlib.import_module(f"benchmarks.{name}")
 
 
 def test_topk_error_feedback_strategy_steps_on_a_ring():

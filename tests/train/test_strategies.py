@@ -18,7 +18,7 @@ from repro.train.strategies import (
     PSGDStrategy,
     SSDMStrategy,
     SignSGDMajorityStrategy,
-    _allgather_scalars,
+    _scalar_allgather,
 )
 
 M, D = 4, 60
@@ -269,15 +269,15 @@ class TestAllgatherScalars:
     def test_ring_allgather(self):
         cluster = Cluster(ring_topology(5))
         values = [float(i) * 1.5 for i in range(5)]
-        gathered = _allgather_scalars(cluster, values)
+        gathered = _scalar_allgather(cluster)(cluster, values)
         assert np.allclose(gathered, values)
 
     def test_star_allgather_restores_rank_order(self):
         cluster = Cluster(star_topology(4, server=1))
         values = [10.0, 11.0, 12.0, 13.0]
-        gathered = _allgather_scalars(cluster, values)
+        gathered = _scalar_allgather(cluster)(cluster, values)
         assert np.allclose(gathered, values)
 
     def test_single_worker(self):
         cluster = Cluster(ring_topology(1))
-        assert np.allclose(_allgather_scalars(cluster, [3.0]), [3.0])
+        assert np.allclose(_scalar_allgather(cluster)(cluster, [3.0]), [3.0])

@@ -96,6 +96,37 @@ def test_norm_scaled_ssdm_needs_a_scalar_allgather(name):
         assert np.isfinite(strategy.step(cluster, _grads(num), 0).updates[0]).all()
 
 
+#: The schemes that all-gather per-worker scales, with momentum state.
+SCALED = {
+    "ef-signsgd": lambda m: EFSignSGDStrategy(lr=0.1, num_workers=m),
+    "ssdm-norm-scaled": lambda m: SSDMStrategy(
+        lr=0.1, num_workers=m, seed=1, norm_scaled=True
+    ),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(SCALED))
+@pytest.mark.parametrize(
+    "name",
+    [n for n in topology_names() if get_topology(n).allgather_scalars is None],
+)
+def test_missing_allgather_raises_before_any_state_changes(name, scheme):
+    num = SHAPES[name][0]
+    cluster = _cluster(name)
+    grads = np.array(_grads(num))
+    strategy = SCALED[scheme](num)
+    with pytest.raises(ValueError, match=f"{name!r}.*allgather_scalars"):
+        strategy.step(cluster, grads, 0)
+    assert cluster.total_bytes == 0
+    assert np.array_equal(grads, _grads(num))
+    # No optimizer, residual or random state moved: a ring step matches a
+    # fresh strategy's first step byte for byte.
+    ring = get_topology("ring")
+    ours = strategy.step(Cluster(ring.build(num)), grads, 0)
+    fresh = SCALED[scheme](num).step(Cluster(ring.build(num)), _grads(num), 0)
+    assert ours.updates[0].tobytes() == fresh.updates[0].tobytes()
+
+
 @pytest.mark.parametrize("name", topology_names())
 def test_sign_sum_is_exact_and_cheaper_than_fp32(name):
     num = SHAPES[name][0]

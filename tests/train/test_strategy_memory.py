@@ -2,9 +2,12 @@
 
 A strategy writes its messages over the gradient matrix it is handed, so
 after its first round it holds exactly its state: the momentum buffer
-(signSGD, EF-signSGD, SSDM), EF-signSGD's residual, Marsit's compensation.
-PSGD's global optimizer keeps D-vectors only.  A steady round allocates
-less than one (M, D) array on top, Marsit's metrics gauges included.
+(signSGD, EF-signSGD, SSDM, PowerSGD), EF-signSGD's and PowerSGD's
+residuals, Marsit's compensation.  PSGD's global optimizer keeps D-vectors
+only.  A steady round allocates less than one (M, D) array on top,
+Marsit's metrics gauges included.  PowerSGD runs at a padded D (223 x 225
+> 50,000) and a square one (223 x 223), since its residual rows carry the
+padding.
 Measured with tracemalloc, which counts numpy's buffers byte for byte.
 """
 
@@ -20,13 +23,13 @@ from repro.obs import Observability
 from repro.train.strategies import (
     EFSignSGDStrategy,
     MarsitStrategy,
+    PowerSGDStrategy,
     PSGDStrategy,
     SignSGDMajorityStrategy,
     SSDMStrategy,
 )
 
 M, D = 4, 50_000
-MATRIX_BYTES = M * D * 8
 
 #: name -> (factory, (M, D) state arrays held after the first round).
 SCHEMES = {
@@ -46,7 +49,12 @@ SCHEMES = {
         ),
         1,
     ),
+    "powersgd": (lambda: PowerSGDStrategy(lr=0.05, num_workers=M, seed=1), 2),
 }
+SCHEMES["powersgd-square"] = SCHEMES["powersgd"]
+
+#: name -> gradient length, where it is not D.
+DIMENSIONS = {"powersgd-square": 223**2}
 
 TOPOLOGIES = {"ring": {}, "torus": {"rows": 2, "cols": 2}}
 
@@ -77,18 +85,20 @@ def test_scheme_holds_its_state_and_allocates_under_one_matrix(
     scheme, topology, traced
 ):
     make, state_arrays = SCHEMES[scheme]
+    dimension = DIMENSIONS.get(scheme, D)
+    matrix_bytes = M * dimension * 8
     rng = np.random.default_rng(0)
     # A throwaway run fills any module-level cache first.
-    make().step(_cluster(topology), rng.standard_normal((M, D)), 1)
+    make().step(_cluster(topology), rng.standard_normal((M, dimension)), 1)
     cluster = _cluster(topology)
     # The gradient matrices live through every measurement.
-    grads = [rng.standard_normal((M, D)) for _ in range(4)]
+    grads = [rng.standard_normal((M, dimension)) for _ in range(4)]
 
     before = _current()
     strategy = make()
     result = strategy.step(cluster, grads[0], 1)
     del result
-    held = (_current() - before) / MATRIX_BYTES
+    held = (_current() - before) / matrix_bytes
     # Its state arrays, plus a few D-vectors (PSGD's two, EF's scratch).
     assert state_arrays <= held < state_arrays + 0.75, held
 
@@ -96,7 +106,7 @@ def test_scheme_holds_its_state_and_allocates_under_one_matrix(
         start = _current()
         tracemalloc.reset_peak()
         result = strategy.step(cluster, grads[round_idx - 1], round_idx)
-        peak = (tracemalloc.get_traced_memory()[1] - start) / MATRIX_BYTES
+        peak = (tracemalloc.get_traced_memory()[1] - start) / matrix_bytes
         del result
         assert peak < 1.0, (round_idx, peak)
     if scheme == "marsit-k":
