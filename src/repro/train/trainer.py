@@ -21,6 +21,7 @@ Per round the trainer:
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
@@ -156,6 +157,34 @@ def make_cluster(config: TrainConfig, cost_model: CostModel | None = None) -> Cl
     return cluster
 
 
+@functools.cache
+def _malloc_trim():
+    """glibc's ``malloc_trim``, or None where the C library has none."""
+    import ctypes
+
+    try:
+        return ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+
+
+def _release_free_heap() -> None:
+    """Hand the C heap's free pages back to the OS (a no-op off glibc).
+
+    glibc serves a block below its mmap threshold from the heap, and it
+    raises that threshold to the size of each mmap'd block it frees, up to
+    32 MB.  Once one ``(M, D)`` array is freed, every smaller array lives on
+    the heap, and freed heap pages stay resident until the free top exceeds
+    twice the threshold.  How much of an earlier run stays resident then
+    depends on where its blocks happened to land, so the peak resident size
+    of back-to-back runs jumps between modes several MB apart.  A trainer
+    trims before it builds anything, so it carries none of that.
+    """
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
 class DistributedTrainer:
     """Runs one (model, dataset, strategy) combination to completion."""
 
@@ -170,6 +199,7 @@ class DistributedTrainer:
         callbacks: Sequence[TrainerCallback] | None = None,
         observability: Observability | None = None,
     ) -> None:
+        _release_free_heap()
         self.model = model_factory()
         self.train_set = train_set
         self.test_set = test_set

@@ -383,3 +383,69 @@ class TestGradientMatrix:
         DistributedTrainer(factory, train, test, strategy, config).run()
         assert held == [0, 0, 0, 0]
 
+
+
+class TestFreeHeap:
+    """A trainer hands the C heap's free pages back before it builds anything."""
+
+    def test_trims_before_building_the_model(self, tiny_data, monkeypatch):
+        from repro.train import trainer as trainer_module
+
+        calls = []
+        monkeypatch.setattr(
+            trainer_module, "_malloc_trim", lambda: lambda pad: calls.append(pad)
+        )
+
+        def watched_factory():
+            calls.append("model")
+            return factory()
+
+        train, test = tiny_data
+        config = TrainConfig(num_workers=2, rounds=2, batch_size=16, seed=0)
+        strategy = PSGDStrategy(lr=0.05, num_workers=2)
+        DistributedTrainer(watched_factory, train, test, strategy, config).run()
+        assert calls == [0, "model"]
+
+    def test_runs_where_the_c_library_has_no_trim(self, tiny_data, monkeypatch):
+        from repro.train import trainer as trainer_module
+
+        monkeypatch.setattr(trainer_module, "_malloc_trim", lambda: None)
+        train, test = tiny_data
+        config = TrainConfig(num_workers=2, rounds=2, batch_size=16, seed=0)
+        strategy = PSGDStrategy(lr=0.05, num_workers=2)
+        result = DistributedTrainer(factory, train, test, strategy, config).run()
+        assert result.rounds_run == 2
+
+    def test_freed_heap_pages_leave_resident_memory(self):
+        # In a fresh interpreter: freeing a 16 MB array lifts glibc's mmap
+        # threshold, so 1 MB arrays then come from the heap.  All but the
+        # last are freed; the live one above them keeps the heap from
+        # shrinking, so their ~63 MB stay resident until the trim.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.train.trainer import _malloc_trim
+
+        if _malloc_trim() is None or not os.path.exists("/proc/self/statm"):
+            pytest.skip("needs glibc's malloc_trim and /proc")
+        probe = (
+            "import os, numpy as np\n"
+            "from repro.train.trainer import _release_free_heap\n"
+            "def rss():\n"
+            "    with open('/proc/self/statm') as f:\n"
+            "        return int(f.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
+            "big = np.ones(2 << 20); del big\n"
+            "blocks = [np.ones(1 << 17) for _ in range(64)]\n"
+            "del blocks[:-1]\n"
+            "before = rss(); _release_free_heap(); after = rss()\n"
+            "print((before - after) >> 20)\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert int(out.stdout) >= 48, out.stdout
