@@ -18,11 +18,10 @@ times.  Absolute values are model constants; the ordering is the result.
 
 import numpy as np
 
+from repro.allreduce import allreduce_mean, signsum_allreduce
 from repro.allreduce.cascading import cascading_ring_allreduce
 from repro.allreduce.ps import ps_allreduce
-from repro.allreduce.ring import ring_allreduce_sum, signsum_ring_allreduce
 from repro.bench import format_table, save_report
-from repro.comm.bits import signed_int_bit_width
 from repro.comm.cluster import Cluster, SizedPayload
 from repro.comm.timing import Phase
 from repro.comm.topology import ring_topology, star_topology
@@ -67,7 +66,7 @@ def _fp32_ps(vectors):
 def _fp32_rar(vectors):
     cluster = Cluster(ring_topology(M))
     _charge_computation(cluster)
-    ring_allreduce_sum(cluster, vectors)
+    allreduce_mean(cluster, vectors)
     return cluster
 
 
@@ -102,7 +101,7 @@ def _ssdm_mar(vectors, rng):
     cluster = Cluster(ring_topology(M))
     _charge_computation(cluster)
     signs = [np.where(v >= 0, 1.0, -1.0) for v in vectors]
-    signsum_ring_allreduce(cluster, signs)
+    signsum_allreduce(cluster, signs)
     return cluster
 
 

@@ -1,18 +1,19 @@
 """All-reduce algorithms over the simulated cluster, plus the topology registry.
 
 Each topology family writes its hop schedule once, as a
-:class:`~repro.sched.plan.SyncPlan` compiler.  Marsit's one-bit round runs
-the compiled plan; the sum collectives run it with its reduce hops re-typed
-under a wire codec (:mod:`repro.allreduce.codec`): FP32 arrays for the
-full-precision baseline, integer sign sums whose width grows with the
-number of contributors for the MAR-extended sign baselines, and cascading
-compression's decompress-add-recompress.  Ring and torus share the cycle
-phases: a ring is the one-row torus.  The star (parameter server), gossip
-and the scalar all-gathers stay hand-written.
-
-Higher-level collectives: 2D-torus all-reduce, parameter-server emulation,
-tree all-reduce, segmented ring, recursive halving-doubling, cascading
-compression, and gossip averaging.
+:class:`~repro.sched.plan.SyncPlan` compiler: ring, 2D torus, tree and
+recursive halving-doubling.  Ring and torus share the cycle phases: a ring
+is the one-row torus.  Marsit's one-bit round runs the compiled plan.  The
+sum collectives run the same plan with its reduce hops re-typed under a
+wire codec (:mod:`repro.allreduce.codec`), and there is one collective per
+job, whatever the topology: :func:`allreduce_mean` (FP32 sums, the
+full-precision baseline) and :func:`signsum_allreduce` (integer sign sums
+whose width grows with the number of contributors, the MAR-extended sign
+baselines).  Each reads the family from the cluster's topology.  Two
+ring-only variants run the ring's plan: :func:`segmented_ring_allreduce`
+(fixed-size pipeline chunks) and :func:`cascading_ring_allreduce`
+(decompress-add-recompress per hop).  The star (parameter server), gossip
+averaging and the scalar all-gathers stay hand-written.
 
 The :class:`TopologyEntry` registry is the single place a topology plugs in
 its graph builder, its one-bit :class:`~repro.sched.plan.SyncPlan` compiler,
@@ -27,13 +28,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.allreduce.cascading import cascading_ring_allreduce
+from repro.allreduce.codec import allreduce_mean, signsum_allreduce
 from repro.allreduce.gossip import gossip_average_round, gossip_mixing_matrix
-from repro.allreduce.halving_doubling import (
-    compile_halving_doubling,
-    halving_doubling_allreduce_mean,
-    halving_doubling_allreduce_sum,
-    signsum_halving_doubling_allreduce,
-)
+from repro.allreduce.halving_doubling import compile_halving_doubling
 from repro.allreduce.ps import (
     ps_allreduce,
     signsum_star_allreduce,
@@ -45,27 +42,14 @@ from repro.allreduce.ring import (
     SizedPayload,
     compile_ring,
     ring_allgather_scalars,
-    ring_allreduce_mean,
-    ring_allreduce_sum,
-    signsum_ring_allreduce,
     split_segments,
 )
 from repro.allreduce.segmented import (
     compile_segmented_ring,
     segmented_ring_allreduce,
 )
-from repro.allreduce.torus import (
-    compile_torus,
-    signsum_torus_allreduce,
-    torus_allgather_scalars,
-    torus_allreduce_mean,
-    torus_allreduce_sum,
-)
-from repro.allreduce.tree import (
-    compile_tree,
-    signsum_tree_allreduce,
-    tree_allreduce_mean,
-)
+from repro.allreduce.torus import compile_torus, torus_allgather_scalars
+from repro.allreduce.tree import compile_tree
 from repro.comm.topology import (
     Topology,
     halving_doubling_topology,
@@ -79,6 +63,7 @@ __all__ = [
     "PackedLaneGrid",
     "SizedPayload",
     "TopologyEntry",
+    "allreduce_mean",
     "cascading_ring_allreduce",
     "compile_halving_doubling",
     "compile_ring",
@@ -88,28 +73,18 @@ __all__ = [
     "get_topology",
     "gossip_average_round",
     "gossip_mixing_matrix",
-    "halving_doubling_allreduce_mean",
-    "halving_doubling_allreduce_sum",
     "one_bit_topology_names",
     "ps_allreduce",
     "register_topology",
     "ring_allgather_scalars",
-    "ring_allreduce_mean",
-    "ring_allreduce_sum",
     "segmented_ring_allreduce",
-    "signsum_halving_doubling_allreduce",
-    "signsum_ring_allreduce",
+    "signsum_allreduce",
     "signsum_star_allreduce",
-    "signsum_torus_allreduce",
-    "signsum_tree_allreduce",
     "split_segments",
     "star_allgather_scalars",
     "star_allreduce_mean",
     "topology_names",
     "torus_allgather_scalars",
-    "torus_allreduce_mean",
-    "torus_allreduce_sum",
-    "tree_allreduce_mean",
 ]
 
 
@@ -205,8 +180,8 @@ register_topology(
         name="ring",
         build=ring_topology,
         compile_one_bit=compile_ring,
-        mean_allreduce=ring_allreduce_mean,
-        signsum_allreduce=signsum_ring_allreduce,
+        mean_allreduce=allreduce_mean,
+        signsum_allreduce=signsum_allreduce,
         allgather_scalars=ring_allgather_scalars,
         degrade=_degrade_ring,
     )
@@ -216,8 +191,8 @@ register_topology(
         name="torus",
         build=_build_torus,
         compile_one_bit=compile_torus,
-        mean_allreduce=torus_allreduce_mean,
-        signsum_allreduce=signsum_torus_allreduce,
+        mean_allreduce=allreduce_mean,
+        signsum_allreduce=signsum_allreduce,
         allgather_scalars=torus_allgather_scalars,
         # No degrade hook: a torus minus one node is not a torus — survivors
         # reform as a ring.
@@ -237,8 +212,8 @@ register_topology(
         name="tree",
         build=tree_topology,
         compile_one_bit=compile_tree,
-        mean_allreduce=tree_allreduce_mean,
-        signsum_allreduce=signsum_tree_allreduce,
+        mean_allreduce=allreduce_mean,
+        signsum_allreduce=signsum_allreduce,
         degrade=_degrade_tree,
     )
 )
@@ -247,8 +222,8 @@ register_topology(
         name="halving_doubling",
         build=halving_doubling_topology,
         compile_one_bit=compile_halving_doubling,
-        mean_allreduce=halving_doubling_allreduce_mean,
-        signsum_allreduce=signsum_halving_doubling_allreduce,
+        mean_allreduce=allreduce_mean,
+        signsum_allreduce=signsum_allreduce,
         degrade=_degrade_halving_doubling,
     )
 )

@@ -26,6 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.allreduce.codec import allreduce_sum, map_distinct
+from repro.allreduce.ring import require_ring
 from repro.comm.cluster import Cluster
 from repro.comm.timing import Phase
 from repro.compression.base import Compressor, Payload
@@ -86,7 +87,8 @@ def cascading_ring_allreduce(
         raise ValueError("need one vector and one rng per worker")
     if num == 1:
         return [np.asarray(vectors[0], dtype=np.float64).copy()]
-    results = allreduce_sum(cluster, vectors, _Cascade(compressor, rngs), "ring")
+    require_ring(cluster)
+    results = allreduce_sum(cluster, vectors, _Cascade(compressor, rngs))
     if charge_time:
         # The first send's compression, then per reduce hop a decompress +
         # compress that cannot overlap reception, then the final decode.

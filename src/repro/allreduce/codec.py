@@ -9,8 +9,11 @@ MAR-extended sign baselines (signSGD, EF, SSDM): integer sign sums, held in
 the narrowest signed dtype that fits ``-M..M`` and charged
 ``ceil(log2(m + 1)) + 1`` bits per element over ``m`` contributors (Section
 3.1's bit-length expansion), or the exact Elias-gamma size.
-:func:`allreduce_sum` compiles the plan once per (topology, M, D, op) and
-runs it; the FP mean is formed in one place, :func:`mean_of`.
+:func:`allreduce_sum` reads the family from the cluster's topology,
+compiles the plan once per (topology, M, D, op) and runs it.  Every
+compiled topology registers the same two collectives built on it:
+:func:`allreduce_mean` (FP32 sums, the mean formed in one place,
+:func:`mean_of`) and :func:`signsum_allreduce`.
 
 Every worker of a sum all-reduce holds the same aggregate, so results are
 shared: a collective returns one read-only array per distinct output (one
@@ -37,12 +40,13 @@ __all__ = [
     "SIGN_SUM",
     "FloatCodec",
     "SignSumCodec",
+    "allreduce_mean",
     "allreduce_sum",
     "checked_signs",
     "elias_sum_bits",
     "map_distinct",
     "mean_of",
-    "signsum_collective",
+    "signsum_allreduce",
     "sum_plan",
 ]
 
@@ -249,19 +253,13 @@ def allreduce_sum(
     cluster: Cluster,
     vectors: Sequence[np.ndarray],
     codec: Any,
-    family: str,
     segment_elems: int | None = None,
 ) -> list[np.ndarray]:
-    """Per-worker sums of ``vectors`` over ``family``'s schedule under
-    ``codec``: one read-only ``codec.finish`` per distinct output, shared
-    by the ranks that hold it."""
+    """Per-worker sums of ``vectors`` over the cluster topology's schedule
+    under ``codec``: one read-only ``codec.finish`` per distinct output,
+    shared by the ranks that hold it."""
     from repro.sched import get_executor
 
-    if cluster.topology.name != family:
-        raise ValueError(
-            f"the {family} all-reduce requires a {family} topology, "
-            f"got {cluster.topology.name!r}"
-        )
     num = cluster.num_workers
     if len(vectors) != num:
         raise ValueError(f"expected {num} vectors, got {len(vectors)}")
@@ -274,12 +272,26 @@ def allreduce_sum(
     return get_executor("scalar").run_sum(plan, cluster, vectors, codec)
 
 
-def signsum_collective(family: str):
-    """``signsum(cluster, sign_vectors, charge_compression=True)``: the
-    integer sign sum over ``family``'s schedule."""
+def allreduce_mean(
+    cluster: Cluster, vectors: Sequence[np.ndarray]
+) -> list[np.ndarray]:
+    """Per-worker FP means: FP32 sums over the cluster topology's schedule
+    (the paper's non-compressed baseline), times ``1 / M``."""
+    return mean_of(allreduce_sum(cluster, vectors, FloatCodec()))
 
-    def signsum(cluster, sign_vectors, charge_compression=True):
-        signs = checked_signs(cluster, sign_vectors, charge_compression)
-        return allreduce_sum(cluster, signs, SIGN_SUM, family)
 
-    return signsum
+def signsum_allreduce(
+    cluster: Cluster,
+    sign_vectors: list[np.ndarray],
+    charge_compression: bool = True,
+) -> list[np.ndarray]:
+    """Integer sums of ``{-1, +1}`` vectors with bit-length expansion.
+
+    The MAR-extended sign baselines of Section 3.1: a hop carrying a partial
+    sum over ``m`` workers is charged ``ceil(log2(m + 1)) + 1`` bits per
+    element, so hops grow to ``~log2(M)`` bits and never shrink back to one.
+    ``charge_compression`` charges sign extraction to the timeline.  Returns
+    the per-worker ``int64`` sums (all equal).
+    """
+    signs = checked_signs(cluster, sign_vectors, charge_compression)
+    return allreduce_sum(cluster, signs, SIGN_SUM)

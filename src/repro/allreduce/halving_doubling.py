@@ -23,15 +23,6 @@ halving step ``s`` carries sums over ``2^(s+1)`` workers.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.allreduce.codec import (
-    FloatCodec,
-    allreduce_sum,
-    mean_of,
-    signsum_collective,
-)
-from repro.comm.cluster import Cluster
 from repro.sched.plan import (
     Barrier,
     CompileContext,
@@ -48,12 +39,7 @@ from repro.sched.plan import (
     plan_segment_lengths,
 )
 
-__all__ = [
-    "compile_halving_doubling",
-    "halving_doubling_allreduce_mean",
-    "halving_doubling_allreduce_sum",
-    "signsum_halving_doubling_allreduce",
-]
+__all__ = ["compile_halving_doubling"]
 
 
 def _order_of(context_meta, num_workers: int) -> int:
@@ -151,27 +137,3 @@ def compile_halving_doubling(context: CompileContext) -> SyncPlan:
         steps=tuple(steps),
         outputs=(Output(grid="hd", where="halving-doubling gather"),),
     )
-
-
-def halving_doubling_allreduce_sum(
-    cluster: Cluster,
-    vectors: list[np.ndarray],
-    wire_dtype: np.dtype = np.dtype(np.float32),
-) -> list[np.ndarray]:
-    """Full-precision halving-doubling all-reduce; returns per-worker sums."""
-    return allreduce_sum(
-        cluster, vectors, FloatCodec(wire_dtype), "halving_doubling"
-    )
-
-
-def halving_doubling_allreduce_mean(
-    cluster: Cluster,
-    vectors: list[np.ndarray],
-    wire_dtype: np.dtype = np.dtype(np.float32),
-) -> list[np.ndarray]:
-    """Halving-doubling all-reduce returning per-worker means."""
-    return mean_of(halving_doubling_allreduce_sum(cluster, vectors, wire_dtype))
-
-
-signsum_halving_doubling_allreduce = signsum_collective("halving_doubling")
-"""Integer sign sums: halving step ``s`` carries sums over ``2^(s+1)`` workers."""

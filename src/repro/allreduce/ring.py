@@ -22,13 +22,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.allreduce.codec import (
-    FloatCodec,
-    SignSumCodec,
-    allreduce_sum,
-    checked_signs,
-    mean_of,
-)
 from repro.comm.bits import PackedBits, PackedBitsBatch
 from repro.comm.cluster import Cluster, SizedPayload
 from repro.sched.plan import (
@@ -54,10 +47,8 @@ __all__ = [
     "cycle_allgather_scalars",
     "cycle_gather_steps",
     "cycle_reduce_steps",
+    "require_ring",
     "ring_allgather_scalars",
-    "ring_allreduce_mean",
-    "ring_allreduce_sum",
-    "signsum_ring_allreduce",
     "split_segments",
 ]
 
@@ -398,54 +389,17 @@ def cycle_allgather_scalars(
     return np.array([known[0][rank] for rank in range(num)])
 
 
-def ring_allreduce_sum(
-    cluster: Cluster,
-    vectors: list[np.ndarray],
-    wire_dtype: np.dtype = np.dtype(np.float32),
-) -> list[np.ndarray]:
-    """Full-precision ring all-reduce; returns the per-worker sums.
-
-    Floats travel and accumulate as ``wire_dtype`` (FP32 by default, the
-    paper's non-compressed baseline).
-    """
-    return allreduce_sum(cluster, vectors, FloatCodec(wire_dtype), "ring")
-
-
-def ring_allreduce_mean(
-    cluster: Cluster,
-    vectors: list[np.ndarray],
-    wire_dtype: np.dtype = np.dtype(np.float32),
-) -> list[np.ndarray]:
-    """Ring all-reduce returning per-worker means."""
-    return mean_of(ring_allreduce_sum(cluster, vectors, wire_dtype))
+def require_ring(cluster: Cluster) -> None:
+    """Raise unless ``cluster`` runs a ring (the ring-only collectives)."""
+    if cluster.topology.name != "ring":
+        raise ValueError(
+            "the ring all-reduce requires a ring topology, "
+            f"got {cluster.topology.name!r}"
+        )
 
 
 def ring_allgather_scalars(cluster: Cluster, values: list[float]) -> np.ndarray:
     """All-gather one scalar per worker around the ring (``M - 1`` steps)."""
     return cycle_allgather_scalars(
         cluster, values, [[list(range(cluster.num_workers))]]
-    )
-
-
-def signsum_ring_allreduce(
-    cluster: Cluster,
-    sign_vectors: list[np.ndarray],
-    charge_compression: bool = True,
-    elias_coded: bool = False,
-) -> list[np.ndarray]:
-    """Ring all-reduce of ``{-1, +1}`` sign sums with bit-length expansion.
-
-    The SSDM-under-MAR baseline of Section 3.1: a partial sum over ``m``
-    workers is charged ``ceil(log2(m + 1)) + 1`` bits per element, so hops
-    grow to ``~log2(M)`` bits and never shrink back to one.
-    ``charge_compression`` charges sign extraction to the timeline;
-    ``elias_coded`` charges the exact Elias-gamma size instead of the fixed
-    width (:class:`~repro.allreduce.codec.SignSumCodec`).  Returns the
-    per-worker integer sums (all equal).
-    """
-    return allreduce_sum(
-        cluster,
-        checked_signs(cluster, sign_vectors, charge_compression),
-        SignSumCodec(elias_coded),
-        "ring",
     )

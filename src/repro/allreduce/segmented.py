@@ -14,7 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.allreduce.codec import FloatCodec, allreduce_sum
-from repro.allreduce.ring import cycle_gather_steps, cycle_reduce_steps
+from repro.allreduce.ring import (
+    cycle_gather_steps,
+    cycle_reduce_steps,
+    require_ring,
+)
 from repro.comm.cluster import Cluster
 from repro.sched.plan import (
     CompileContext,
@@ -72,11 +76,11 @@ def segmented_ring_allreduce(
     cluster: Cluster,
     vectors: list[np.ndarray],
     segment_elems: int,
-    wire_dtype: np.dtype = np.dtype(np.float32),
 ) -> list[np.ndarray]:
-    """Pipelined ring all-reduce with a fixed segment size.
+    """Pipelined FP32 ring all-reduce with a fixed segment size.
 
     Args:
+        cluster: ring-topology cluster.
         vectors: per-worker vectors (equal dimension).
         segment_elems: elements per pipeline segment; each segment runs a
             full ring all-reduce of its slice.
@@ -86,6 +90,5 @@ def segmented_ring_allreduce(
     """
     if segment_elems < 1:
         raise ValueError("segment_elems must be >= 1")
-    return allreduce_sum(
-        cluster, vectors, FloatCodec(wire_dtype), "ring", segment_elems
-    )
+    require_ring(cluster)
+    return allreduce_sum(cluster, vectors, FloatCodec(), segment_elems)

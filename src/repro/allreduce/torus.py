@@ -18,19 +18,16 @@ is why every baseline communicates faster under TAR in Figure 5.
 :func:`compile_torus` writes the schedule once, from the ring's cycle
 phases; the FP and sign-sum collectives run that plan with its reduce hops
 re-typed under a wire codec (:func:`repro.allreduce.codec.allreduce_sum`).
+Under the sign-sum codec, row rings carry partial sums over ``1..cols``
+workers and column rings over multiples of ``cols``, each hop charged at
+the fixed signed width of its partial-sum range: Section 3.1's expansion,
+under TAR.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.allreduce.codec import (
-    SIGN_SUM,
-    FloatCodec,
-    allreduce_sum,
-    checked_signs,
-    mean_of,
-)
 from repro.allreduce.ring import (
     cycle_allgather_scalars,
     cycle_gather_steps,
@@ -53,10 +50,7 @@ __all__ = [
     "col_cycles",
     "compile_torus",
     "row_cycles",
-    "signsum_torus_allreduce",
     "torus_allgather_scalars",
-    "torus_allreduce_mean",
-    "torus_allreduce_sum",
     "torus_cycles",
 ]
 
@@ -155,44 +149,6 @@ def torus_cycles(cluster: Cluster) -> tuple[list[list[int]], list[list[int]]]:
         raise ValueError("torus_allreduce requires a torus topology")
     rows, cols = meta["rows"], meta["cols"]
     return row_cycles(rows, cols), col_cycles(rows, cols)
-
-
-def torus_allreduce_sum(
-    cluster: Cluster,
-    vectors: list[np.ndarray],
-    wire_dtype: np.dtype = np.dtype(np.float32),
-) -> list[np.ndarray]:
-    """Hierarchical 2D-torus all-reduce; returns per-worker sums."""
-    return allreduce_sum(cluster, vectors, FloatCodec(wire_dtype), "torus")
-
-
-def torus_allreduce_mean(
-    cluster: Cluster,
-    vectors: list[np.ndarray],
-    wire_dtype: np.dtype = np.dtype(np.float32),
-) -> list[np.ndarray]:
-    """2D-torus all-reduce returning per-worker means."""
-    return mean_of(torus_allreduce_sum(cluster, vectors, wire_dtype))
-
-
-def signsum_torus_allreduce(
-    cluster: Cluster,
-    sign_vectors: list[np.ndarray],
-    charge_compression: bool = True,
-) -> list[np.ndarray]:
-    """Integer sign-sum all-reduce on a torus, with bit-length expansion.
-
-    The TAR schedule of :func:`torus_allreduce_sum` under the sign-sum codec:
-    row rings carry partial sums over ``1..cols`` workers, column rings over
-    multiples of ``cols``, each hop charged at the fixed signed width of its
-    partial-sum range — Section 3.1's expansion, under TAR.
-    """
-    return allreduce_sum(
-        cluster,
-        checked_signs(cluster, sign_vectors, charge_compression),
-        SIGN_SUM,
-        "torus",
-    )
 
 
 def torus_allgather_scalars(cluster: Cluster, values: list[float]) -> np.ndarray:

@@ -5,20 +5,11 @@ paradigm Marsit extends to.  Depth-synchronous: all transfers at one tree
 level overlap in a single timing step.  :func:`compile_tree` writes the
 schedule once; the FP mean and the sign sum run it re-typed under a wire
 codec (:func:`repro.allreduce.codec.allreduce_sum`), each upward hop sized
-by the sender's subtree.
+by the sender's subtree: ``2 (M - 1)`` hops per sum.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.allreduce.codec import (
-    FloatCodec,
-    allreduce_sum,
-    mean_of,
-    signsum_collective,
-)
-from repro.comm.cluster import Cluster
 from repro.sched.plan import (
     Barrier,
     CompileContext,
@@ -34,11 +25,7 @@ from repro.sched.plan import (
     Transfer,
 )
 
-__all__ = [
-    "compile_tree",
-    "signsum_tree_allreduce",
-    "tree_allreduce_mean",
-]
+__all__ = ["compile_tree"]
 
 
 def _levels(num_workers: int, arity: int) -> list[list[int]]:
@@ -51,17 +38,6 @@ def _levels(num_workers: int, arity: int) -> list[list[int]]:
     for rank, depth in enumerate(depth_of):
         levels[depth].append(rank)
     return levels
-
-
-signsum_tree_allreduce = signsum_collective("tree")
-"""Integer sign sums up the tree, each hop at its subtree's signed width."""
-
-
-def tree_allreduce_mean(
-    cluster: Cluster, vectors: list[np.ndarray]
-) -> list[np.ndarray]:
-    """Tree all-reduce of the FP32 sum, then the mean (``2 (M - 1)`` hops)."""
-    return mean_of(allreduce_sum(cluster, vectors, FloatCodec(), "tree"))
 
 
 def compile_tree(context: CompileContext) -> SyncPlan:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -384,34 +383,11 @@ class PackedBitsBatch:
         """Pack a ``(lanes, n)`` sign matrix; ``>= 0`` maps to bit 1."""
         return cls.from_bit_matrix(np.asarray(signs) >= 0)
 
-    @classmethod
-    def from_rows(
-        cls, parts: Sequence[PackedBits], width: int | None = None
-    ) -> "PackedBitsBatch":
-        """Stack :class:`PackedBits` rows into one shared-width buffer."""
-        lengths = np.array([part.length for part in parts], dtype=np.int64)
-        needed = int(lengths.max()) if lengths.size else 0
-        min_width = (needed + _WORD_BITS - 1) // _WORD_BITS
-        if width is None:
-            width = min_width
-        elif width < min_width:
-            raise ValueError(f"width {width} cannot hold {needed}-bit lanes")
-        words = np.zeros((len(parts), width), dtype=_WORD_DTYPE)
-        for i, part in enumerate(parts):
-            if not isinstance(part, PackedBits):
-                raise TypeError(f"expected PackedBits, got {type(part)!r}")
-            words[i, : part.words.size] = part.words
-        return cls._trusted(words, lengths)
-
     def row(self, index: int) -> PackedBits:
         """Lane ``index`` as a zero-copy :class:`PackedBits` view."""
         length = int(self.lengths[index])
         num_words = (length + _WORD_BITS - 1) // _WORD_BITS
         return PackedBits(words=self.words[index, :num_words], length=length)
-
-    def rows(self) -> list[PackedBits]:
-        """All lanes as zero-copy :class:`PackedBits` views."""
-        return [self.row(index) for index in range(self.num_lanes)]
 
     # ------------------------------------------------------------------
     # batched word-level ops
@@ -424,11 +400,6 @@ class PackedBitsBatch:
     def width(self) -> int:
         """Shared row width in ``uint64`` words."""
         return self.words.shape[1]
-
-    @property
-    def nbytes_per_lane(self) -> np.ndarray:
-        """Wire bytes per lane: ``ceil(length / 8)``, as for PackedBits."""
-        return (self.lengths + 7) // 8
 
     def __len__(self) -> int:
         return self.num_lanes
@@ -475,14 +446,6 @@ class PackedBitsBatch:
             and np.array_equal(other.lengths, self.lengths)
             and bool(np.array_equal(self.words, other.words))
         )
-
-    def all_lanes_equal(self) -> bool:
-        """True when every lane holds identical bits (consensus check)."""
-        if self.num_lanes <= 1:
-            return True
-        if self.lengths.size and (self.lengths != self.lengths[0]).any():
-            return False
-        return bool((self.words == self.words[0]).all())
 
 
 def _pack_bit_rows(bits: np.ndarray, width: int) -> np.ndarray:

@@ -178,26 +178,12 @@ class Cluster:
         topology: Topology,
         cost_model: CostModel | None = None,
         strict: bool = True,
-        link_speed_factors: dict[tuple[int, int], float] | None = None,
         obs: Observability | None = None,
     ) -> None:
-        """See class docstring.
-
-        ``link_speed_factors`` scales individual links' bandwidth (a factor
-        of 0.5 halves that link's speed) — the straggler-link model.  A
-        synchronous step's makespan is the slowest link's time, so one slow
-        link stalls a whole ring stage.
-        """
         topology.validate()
         self.topology = topology
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.strict = strict
-        self.link_speed_factors = dict(link_speed_factors or {})
-        for (src, dst), factor in self.link_speed_factors.items():
-            if not topology.has_edge(src, dst):
-                raise ValueError(f"speed factor for missing link {src}->{dst}")
-            if factor <= 0:
-                raise ValueError("link speed factors must be positive")
         self.workers = [Worker(rank) for rank in range(topology.num_workers)]
         self.links: dict[tuple[int, int], Link] = {
             (u, v): Link(u, v) for u, v in topology.edges
@@ -454,11 +440,6 @@ class Cluster:
         self.topology = topology
         self.workers = [Worker(rank) for rank in range(topology.num_workers)]
         self.links = {(u, v): Link(u, v) for u, v in topology.edges}
-        self.link_speed_factors = {
-            key: factor
-            for key, factor in self.link_speed_factors.items()
-            if topology.has_edge(*key)
-        }
         self._step_bytes = {}
         self._step_messages = 0
 
@@ -522,9 +503,8 @@ class Cluster:
         mailbox.set(sum(worker.pending() for worker in self.workers))
 
     def _link_transfer_time(self, link: tuple[int, int], nbytes: int) -> float:
-        factor = self.link_speed_factors.get(link, 1.0)
         model = self.cost_model
-        return model.latency_s + nbytes / (model.bandwidth_Bps * factor)
+        return model.latency_s + nbytes / model.bandwidth_Bps
 
     def charge(self, phase: Phase, seconds: float) -> None:
         """Charge non-communication time (computation / compression)."""

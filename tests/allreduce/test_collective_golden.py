@@ -71,7 +71,7 @@ def _signsum(cluster, name, num, rng):
 
 def _elias_signsum(cluster, name, num, rng):
     signs = checked_signs(cluster, _signs(rng, num), charge_compression=True)
-    return allreduce_sum(cluster, signs, SignSumCodec(elias_coded=True), name)
+    return allreduce_sum(cluster, signs, SignSumCodec(elias_coded=True))
 
 
 def _segmented(cluster, name, num, rng):

@@ -8,9 +8,9 @@ torus compilers are built from; here they run as a sum plan of their own.
 import numpy as np
 import pytest
 
-from repro.allreduce.codec import FloatCodec
+from repro.allreduce.codec import FloatCodec, allreduce_sum, signsum_allreduce
 from repro.allreduce.ring import cycle_gather_steps, cycle_reduce_steps
-from repro.allreduce.torus import compile_torus, torus_allreduce_sum
+from repro.allreduce.torus import compile_torus
 from repro.comm.cluster import Cluster
 from repro.comm.timing import Phase
 from repro.comm.topology import torus_topology
@@ -109,7 +109,7 @@ class TestParallelRing:
         cluster = Cluster(torus_topology(2, 3))
         vectors = [np.zeros(4)] * 5 + [np.zeros(2)]
         with pytest.raises(ValueError):
-            torus_allreduce_sum(cluster, vectors)
+            allreduce_sum(cluster, vectors, FloatCodec())
 
     def test_empty_cycles_noop(self):
         cluster = Cluster(torus_topology(2, 3))
@@ -142,38 +142,29 @@ class TestTorusScalarAllgather:
 class TestSignsumTorus:
     @pytest.mark.parametrize("rows,cols", [(2, 2), (2, 4), (3, 3)])
     def test_matches_numpy(self, rows, cols, rng):
-        from repro.allreduce.torus import signsum_torus_allreduce
-
         m = rows * cols
         signs = [
             np.where(rng.standard_normal(40) >= 0, 1.0, -1.0) for _ in range(m)
         ]
         cluster = Cluster(torus_topology(rows, cols))
-        results = signsum_torus_allreduce(cluster, signs)
+        results = signsum_allreduce(cluster, signs)
         expected = np.sum(signs, axis=0).astype(np.int64)
         for result in results:
             assert np.array_equal(result, expected)
         cluster.assert_drained()
 
     def test_expansion_cheaper_than_fp32(self, rng):
-        from repro.allreduce.torus import (
-            signsum_torus_allreduce,
-            torus_allreduce_sum,
-        )
-
         m, d = 8, 800
         signs = [
             np.where(rng.standard_normal(d) >= 0, 1.0, -1.0) for _ in range(m)
         ]
         sign_cluster = Cluster(torus_topology(2, 4))
-        signsum_torus_allreduce(sign_cluster, signs, charge_compression=False)
+        signsum_allreduce(sign_cluster, signs, charge_compression=False)
         fp_cluster = Cluster(torus_topology(2, 4))
-        torus_allreduce_sum(fp_cluster, signs)
+        allreduce_sum(fp_cluster, signs, FloatCodec())
         assert sign_cluster.total_bytes < fp_cluster.total_bytes
 
     def test_rejects_non_signs(self, rng):
-        from repro.allreduce.torus import signsum_torus_allreduce
-
         cluster = Cluster(torus_topology(2, 2))
         with pytest.raises(ValueError):
-            signsum_torus_allreduce(cluster, [np.array([0.5, 1.0])] * 4)
+            signsum_allreduce(cluster, [np.array([0.5, 1.0])] * 4)

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.allreduce import get_topology
+from repro.allreduce.codec import FloatCodec, allreduce_mean, allreduce_sum
 from repro.allreduce.ps import ps_allreduce
-from repro.allreduce.ring import ring_allreduce_sum
 from repro.allreduce.segmented import segmented_ring_allreduce
 from repro.comm.cluster import Cluster
 from repro.comm.timing import Phase
@@ -55,7 +54,7 @@ class TestPSAllreduce:
         )
         assert ps_cluster.total_bytes == 2 * m * d * 4
         ring_cluster = Cluster(ring_topology(m))
-        ring_allreduce_sum(ring_cluster, [np.asarray(v) for v in vectors32])
+        allreduce_sum(ring_cluster, [np.asarray(v) for v in vectors32], FloatCodec())
         assert ring_cluster.total_bytes == 2 * (m - 1) * d * 4
         assert ps_cluster.total_bytes > ring_cluster.total_bytes
 
@@ -77,16 +76,12 @@ class TestPSAllreduce:
             ps_allreduce(cluster, [rng.standard_normal(3)] * 3, aggregate=sum)
 
 
-def tree_allreduce_mean(cluster, vectors):
-    return get_topology("tree").mean_allreduce(cluster, vectors)
-
-
 class TestTreeAllreduce:
     @pytest.mark.parametrize("m", [1, 2, 3, 7, 10])
     def test_sum(self, m, rng):
         vectors = [rng.standard_normal(8) for _ in range(m)]
         cluster = Cluster(tree_topology(m, arity=2))
-        results = tree_allreduce_mean(cluster, vectors)
+        results = allreduce_mean(cluster, vectors)
         expected = np.mean(vectors, axis=0)
         for result in results:
             assert np.allclose(result, expected, atol=1e-6)
@@ -96,14 +91,14 @@ class TestTreeAllreduce:
         m = 6
         vectors = [rng.standard_normal(3) for _ in range(m)]
         cluster = Cluster(tree_topology(m, arity=5))
-        results = tree_allreduce_mean(cluster, vectors)
+        results = allreduce_mean(cluster, vectors)
         assert np.allclose(results[0], np.mean(vectors, axis=0), atol=1e-6)
 
     def test_mean_puts_fp32_on_the_wire(self, rng):
         m, d = 7, 10
         vectors = [rng.standard_normal(d) for _ in range(m)]
         cluster = Cluster(tree_topology(m, arity=2))
-        results = tree_allreduce_mean(cluster, vectors)
+        results = allreduce_mean(cluster, vectors)
         assert cluster.total_bytes == 2 * (m - 1) * 4 * d
         expected = np.sum(
             [v.astype(np.float32) for v in vectors], axis=0, dtype=np.float64
@@ -112,12 +107,6 @@ class TestTreeAllreduce:
             assert result.dtype == np.float64
             assert np.allclose(result, expected, atol=1e-6)
         cluster.assert_drained()
-
-    def test_requires_tree(self, rng):
-        with pytest.raises(ValueError):
-            tree_allreduce_mean(
-                Cluster(ring_topology(3)), [rng.standard_normal(2)] * 3
-            )
 
 
 class TestSegmentedRing:
@@ -142,7 +131,7 @@ class TestSegmentedRing:
         seg_cluster = Cluster(ring_topology(m))
         segmented_ring_allreduce(seg_cluster, vectors, segment_elems=16)
         ring_cluster = Cluster(ring_topology(m))
-        ring_allreduce_sum(ring_cluster, vectors)
+        allreduce_sum(ring_cluster, vectors, FloatCodec())
         assert seg_cluster.total_bytes == ring_cluster.total_bytes
 
     def test_rejects_bad_segment(self, rng):

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.allreduce.ring import (
-    ring_allreduce_mean,
-    ring_allreduce_sum,
-    signsum_ring_allreduce,
-    split_segments,
+from repro.allreduce.codec import (
+    FloatCodec,
+    allreduce_mean,
+    allreduce_sum,
+    signsum_allreduce,
 )
+from repro.allreduce.ring import split_segments
 from repro.comm.bits import signed_int_bit_width
 from repro.comm.cluster import Cluster
 from repro.comm.topology import ring_topology
@@ -18,6 +19,10 @@ from repro.comm.topology import ring_topology
 
 def make_cluster(m):
     return Cluster(ring_topology(m))
+
+
+def fp32_sum(cluster, vectors):
+    return allreduce_sum(cluster, vectors, FloatCodec())
 
 
 class TestSplitSegments:
@@ -51,7 +56,7 @@ class TestRingAllreduce:
     def test_sum_matches_numpy(self, m, d, rng):
         vectors = [rng.standard_normal(d) for _ in range(m)]
         cluster = make_cluster(m)
-        results = ring_allreduce_sum(cluster, vectors)
+        results = fp32_sum(cluster, vectors)
         expected = np.sum(vectors, axis=0)
         for result in results:
             assert np.allclose(result, expected, atol=1e-4)
@@ -59,34 +64,34 @@ class TestRingAllreduce:
 
     def test_all_workers_bitwise_identical(self, rng):
         vectors = [rng.standard_normal(20) for _ in range(4)]
-        results = ring_allreduce_sum(make_cluster(4), vectors)
+        results = fp32_sum(make_cluster(4), vectors)
         for result in results[1:]:
             assert np.array_equal(result, results[0])
 
     def test_mean(self, rng):
         vectors = [rng.standard_normal(12) for _ in range(3)]
-        results = ring_allreduce_mean(make_cluster(3), vectors)
+        results = allreduce_mean(make_cluster(3), vectors)
         assert np.allclose(results[0], np.mean(vectors, axis=0), atol=1e-5)
 
     def test_single_worker_identity(self, rng):
         vector = rng.standard_normal(7)
-        results = ring_allreduce_sum(make_cluster(1), [vector])
+        results = fp32_sum(make_cluster(1), [vector])
         assert np.allclose(results[0], vector)
 
     def test_traffic_volume(self, rng):
         # FP32 ring: total bytes = 2 (M-1) * D * 4 summed over all workers.
         m, d = 4, 40
         cluster = make_cluster(m)
-        ring_allreduce_sum(cluster, [rng.standard_normal(d) for _ in range(m)])
+        fp32_sum(cluster, [rng.standard_normal(d) for _ in range(m)])
         assert cluster.total_bytes == 2 * (m - 1) * d * 4
 
     def test_rejects_wrong_vector_count(self, rng):
         with pytest.raises(ValueError):
-            ring_allreduce_sum(make_cluster(3), [rng.standard_normal(4)] * 2)
+            fp32_sum(make_cluster(3), [rng.standard_normal(4)] * 2)
 
     def test_dimension_smaller_than_workers(self, rng):
         vectors = [rng.standard_normal(2) for _ in range(5)]
-        results = ring_allreduce_sum(make_cluster(5), vectors)
+        results = fp32_sum(make_cluster(5), vectors)
         assert np.allclose(results[0], np.sum(vectors, axis=0), atol=1e-5)
 
     @given(
@@ -98,7 +103,7 @@ class TestRingAllreduce:
     def test_sum_property(self, m, d, seed):
         rng = np.random.default_rng(seed)
         vectors = [rng.standard_normal(d) for _ in range(m)]
-        results = ring_allreduce_sum(make_cluster(m), vectors)
+        results = fp32_sum(make_cluster(m), vectors)
         assert np.allclose(results[0], np.sum(vectors, axis=0), atol=1e-3)
 
 
@@ -107,14 +112,14 @@ class TestSignSumAllreduce:
         m, d = 5, 33
         signs = [np.where(rng.standard_normal(d) >= 0, 1.0, -1.0) for _ in range(m)]
         cluster = make_cluster(m)
-        results = signsum_ring_allreduce(cluster, signs)
+        results = signsum_allreduce(cluster, signs)
         expected = np.sum(signs, axis=0).astype(np.int64)
         for result in results:
             assert np.array_equal(result, expected)
 
     def test_rejects_non_sign_input(self, rng):
         with pytest.raises(ValueError):
-            signsum_ring_allreduce(make_cluster(2), [np.array([1.0, 0.5])] * 2)
+            signsum_allreduce(make_cluster(2), [np.array([1.0, 0.5])] * 2)
 
     def test_bit_expansion_traffic(self, rng):
         # Reduce-phase hop s carries width(s+2) bits/elem; the gather phase
@@ -122,7 +127,7 @@ class TestSignSumAllreduce:
         m, d = 4, 80
         signs = [np.where(rng.standard_normal(d) >= 0, 1.0, -1.0) for _ in range(m)]
         cluster = make_cluster(m)
-        signsum_ring_allreduce(cluster, signs, charge_compression=False)
+        signsum_allreduce(cluster, signs, charge_compression=False)
         seg = d // m
         # Reduce step s (0-indexed) forwards partial sums over s+1 workers;
         # the gather phase circulates full sums over all m workers.
@@ -137,12 +142,12 @@ class TestSignSumAllreduce:
         m, d = 8, 800
         signs = [np.where(rng.standard_normal(d) >= 0, 1.0, -1.0) for _ in range(m)]
         sign_cluster = make_cluster(m)
-        signsum_ring_allreduce(sign_cluster, signs, charge_compression=False)
+        signsum_allreduce(sign_cluster, signs, charge_compression=False)
         fp_cluster = make_cluster(m)
-        ring_allreduce_sum(fp_cluster, signs)
+        fp32_sum(fp_cluster, signs)
         one_bit_total = 2 * (m - 1) * (d // m // 8) * m  # 1 bit/elem ring
         assert one_bit_total < sign_cluster.total_bytes < fp_cluster.total_bytes
 
     def test_single_worker(self):
-        result = signsum_ring_allreduce(make_cluster(1), [np.array([1.0, -1.0])])
+        result = signsum_allreduce(make_cluster(1), [np.array([1.0, -1.0])])
         assert np.array_equal(result[0], [1, -1])

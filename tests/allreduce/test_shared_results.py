@@ -105,7 +105,7 @@ class TestSignSumDtype:
         runs = []
         for codec in (SignSumCodec(elias_coded), Wide(elias_coded)):
             cluster = Cluster(get_topology("tree").build(num, arity=3))
-            out = allreduce_sum(cluster, vectors, codec, "tree")
+            out = allreduce_sum(cluster, vectors, codec)
             links = {key: link.bytes_sent for key, link in cluster.links.items()}
             runs.append((out[0].tobytes(), cluster.total_bytes, links))
         assert runs[0] == runs[1]

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.allreduce.ring import ring_allreduce_sum
-from repro.allreduce.torus import torus_allreduce_mean, torus_allreduce_sum
+from repro.allreduce.codec import FloatCodec, allreduce_mean, allreduce_sum
 from repro.comm.cluster import Cluster
 from repro.comm.topology import ring_topology, torus_topology
+
+
+def fp32_sum(cluster, vectors):
+    return allreduce_sum(cluster, vectors, FloatCodec())
 
 
 class TestTorusAllreduce:
@@ -15,7 +18,7 @@ class TestTorusAllreduce:
         m = rows * cols
         vectors = [rng.standard_normal(d) for _ in range(m)]
         cluster = Cluster(torus_topology(rows, cols))
-        results = torus_allreduce_sum(cluster, vectors)
+        results = fp32_sum(cluster, vectors)
         expected = np.sum(vectors, axis=0)
         for result in results:
             assert np.allclose(result, expected, atol=1e-4)
@@ -24,19 +27,19 @@ class TestTorusAllreduce:
     def test_mean(self, rng):
         vectors = [rng.standard_normal(12) for _ in range(4)]
         cluster = Cluster(torus_topology(2, 2))
-        results = torus_allreduce_mean(cluster, vectors)
+        results = allreduce_mean(cluster, vectors)
         assert np.allclose(results[2], np.mean(vectors, axis=0), atol=1e-5)
 
     def test_degenerate_single_row(self, rng):
         vectors = [rng.standard_normal(10) for _ in range(4)]
         cluster = Cluster(torus_topology(1, 4))
-        results = torus_allreduce_sum(cluster, vectors)
+        results = fp32_sum(cluster, vectors)
         assert np.allclose(results[0], np.sum(vectors, axis=0), atol=1e-4)
 
     def test_degenerate_single_column(self, rng):
         vectors = [rng.standard_normal(10) for _ in range(4)]
         cluster = Cluster(torus_topology(4, 1))
-        results = torus_allreduce_sum(cluster, vectors)
+        results = fp32_sum(cluster, vectors)
         assert np.allclose(results[0], np.sum(vectors, axis=0), atol=1e-4)
 
     def test_allreduce_optimal_traffic(self, rng):
@@ -45,9 +48,9 @@ class TestTorusAllreduce:
         d = 240
         vectors = [rng.standard_normal(d) for _ in range(9)]
         torus_cluster = Cluster(torus_topology(3, 3))
-        torus_allreduce_sum(torus_cluster, vectors)
+        fp32_sum(torus_cluster, vectors)
         ring_cluster = Cluster(ring_topology(9))
-        ring_allreduce_sum(ring_cluster, vectors)
+        fp32_sum(ring_cluster, vectors)
         assert torus_cluster.total_bytes == ring_cluster.total_bytes
 
     def test_fewer_steps_than_flat_ring(self, rng):
@@ -55,9 +58,9 @@ class TestTorusAllreduce:
         d = 90
         vectors = [rng.standard_normal(d) for _ in range(9)]
         torus_cluster = Cluster(torus_topology(3, 3))
-        torus_allreduce_sum(torus_cluster, vectors)
+        fp32_sum(torus_cluster, vectors)
         ring_cluster = Cluster(ring_topology(9))
-        ring_allreduce_sum(ring_cluster, vectors)
+        fp32_sum(ring_cluster, vectors)
         # Step count is visible through the latency contribution: each step
         # adds one latency to the communication phase.
         from repro.comm.timing import Phase
@@ -66,18 +69,13 @@ class TestTorusAllreduce:
         ring_comm = ring_cluster.timeline.seconds[Phase.COMMUNICATION]
         assert torus_comm < ring_comm
 
-    def test_requires_torus_topology(self, rng):
-        cluster = Cluster(ring_topology(4))
-        with pytest.raises(ValueError):
-            torus_allreduce_sum(cluster, [rng.standard_normal(4)] * 4)
-
     def test_rejects_mismatched_dimensions(self, rng):
         cluster = Cluster(torus_topology(2, 2))
         vectors = [rng.standard_normal(4)] * 3 + [rng.standard_normal(5)]
         with pytest.raises(ValueError):
-            torus_allreduce_sum(cluster, vectors)
+            fp32_sum(cluster, vectors)
 
     def test_rejects_wrong_count(self, rng):
         cluster = Cluster(torus_topology(2, 2))
         with pytest.raises(ValueError):
-            torus_allreduce_sum(cluster, [rng.standard_normal(4)] * 3)
+            fp32_sum(cluster, [rng.standard_normal(4)] * 3)

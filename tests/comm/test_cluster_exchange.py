@@ -13,6 +13,7 @@ import pytest
 from repro.comm.cluster import Cluster, SizedPayload, Worker
 from repro.comm.timing import Phase
 from repro.comm.topology import ring_topology
+from repro.faults import FaultInjector, FaultPlan, Straggler
 
 
 def ring_step_transfers(size: int, nbytes: int) -> list[tuple[int, int, int]]:
@@ -66,11 +67,15 @@ class TestExchangeAccounting:
         assert cluster.total_bytes == 37
 
     def test_makespan_is_slowest_link(self):
-        cluster = Cluster(
-            ring_topology(3), link_speed_factors={(2, 0): 0.5}
+        cluster = Cluster(ring_topology(3))
+        injector = FaultInjector(
+            FaultPlan(events=(Straggler(worker=2, factor=2.0),))
         )
+        cluster.attach_faults(injector)
+        injector.begin_round(0)
         elapsed = cluster.exchange(ring_step_transfers(3, 1000))
-        assert elapsed == cluster._link_transfer_time((2, 0), 1000)
+        # Links 1->2 and 2->0 touch the straggler; the step waits for them.
+        assert elapsed == 2.0 * cluster._link_transfer_time((2, 0), 1000)
         assert cluster.timeline.seconds[Phase.COMMUNICATION] == elapsed
 
     def test_empty_exchange_is_free(self):

@@ -56,17 +56,6 @@ class TestConstruction:
         assert np.array_equal(batch.row(0).to_bits(), [1, 0, 1])
         assert np.array_equal(batch.row(1).to_bits(), [0, 1, 0])
 
-    def test_from_rows_stacks_ragged_packed_bits(self):
-        parts = [
-            PackedBits.from_bits(random_bit_matrix(1, n, n + 40)[0])
-            for n in (3, 64, 129)
-        ]
-        batch = PackedBitsBatch.from_rows(parts)
-        assert batch.width == 3
-        for lane, part in enumerate(parts):
-            assert batch.row(lane).equals(part)
-        assert_padding_zero(batch)
-
     def test_row_view_is_zero_copy(self):
         batch = PackedBitsBatch.from_bit_matrix(random_bit_matrix(2, 100, 0))
         assert batch.row(1).words.base is not None
@@ -126,13 +115,6 @@ class TestOperators:
         batch = PackedBitsBatch.from_bit_matrix(bits)
         assert np.array_equal(batch.popcounts(), bits.sum(axis=1))
 
-    def test_nbytes_per_lane_is_wire_sizing(self):
-        lengths = np.array([0, 1, 8, 9, 64])
-        batch = PackedBitsBatch.from_bit_matrix(
-            np.zeros((5, 64), dtype=np.uint8), lengths=lengths
-        )
-        assert np.array_equal(batch.nbytes_per_lane, [0, 1, 1, 2, 8])
-
     def test_incompatible_operands_raise(self):
         a = PackedBitsBatch.from_bit_matrix(random_bit_matrix(2, 10, 0))
         b = PackedBitsBatch.from_bit_matrix(random_bit_matrix(3, 10, 1))
@@ -143,22 +125,6 @@ class TestOperators:
 
 
 class TestConsensus:
-    def test_all_lanes_equal(self):
-        row = random_bit_matrix(1, 100, 4)
-        same = PackedBitsBatch.from_bit_matrix(np.repeat(row, 4, axis=0))
-        assert same.all_lanes_equal()
-        differing = np.repeat(row, 4, axis=0)
-        differing[2, 50] ^= 1
-        assert not PackedBitsBatch.from_bit_matrix(differing).all_lanes_equal()
-
-    def test_single_and_empty_batches_are_consensus(self):
-        assert PackedBitsBatch.from_bit_matrix(
-            random_bit_matrix(1, 10, 5)
-        ).all_lanes_equal()
-        assert PackedBitsBatch.from_bit_matrix(
-            np.zeros((0, 10), dtype=np.uint8)
-        ).all_lanes_equal()
-
     def test_equals_is_exact(self):
         bits = random_bit_matrix(3, 65, 6)
         a = PackedBitsBatch.from_bit_matrix(bits)

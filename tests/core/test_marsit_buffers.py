@@ -284,9 +284,9 @@ class TestBufferSemantics:
             reports.append((report, sync.state.compensation.copy()))
         assert np.array_equal(matrix, np.stack(rows))
         assert np.array_equal(rows[0], matrix[0])
-        (from_matrix, comp_matrix), (from_rows, comp_rows) = reports
+        (from_matrix, comp_matrix), (from_row_list, comp_rows) = reports
         assert from_matrix.global_updates[0].tobytes() == (
-            from_rows.global_updates[0].tobytes()
+            from_row_list.global_updates[0].tobytes()
         )
         assert comp_matrix.tobytes() == comp_rows.tobytes()
 

@@ -126,17 +126,26 @@ class TestSegmentedRingMarsit:
 
 class TestEliasSignSum:
     def test_elias_saves_bytes_and_matches(self, rng):
-        from repro.allreduce import signsum_ring_allreduce
+        from repro.allreduce.codec import (
+            SignSumCodec,
+            allreduce_sum,
+            checked_signs,
+            signsum_allreduce,
+        )
 
         m, d = 8, 4000
         signs = [
             np.where(rng.standard_normal(d) >= 0, 1.0, -1.0) for _ in range(m)
         ]
         fixed = Cluster(ring_topology(m))
-        r_fixed = signsum_ring_allreduce(fixed, [s.copy() for s in signs])
+        r_fixed = signsum_allreduce(fixed, [s.copy() for s in signs])
         coded = Cluster(ring_topology(m))
-        r_coded = signsum_ring_allreduce(
-            coded, [s.copy() for s in signs], elias_coded=True
+        r_coded = allreduce_sum(
+            coded,
+            checked_signs(
+                coded, [s.copy() for s in signs], charge_compression=True
+            ),
+            SignSumCodec(elias_coded=True),
         )
         assert np.array_equal(r_fixed[0], r_coded[0])
         assert coded.total_bytes < fixed.total_bytes

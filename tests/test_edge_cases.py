@@ -62,12 +62,12 @@ class TestEmptyAndDegenerate:
         assert report.global_updates[0].shape == (1,)
 
     def test_ring_allreduce_dimension_zero(self):
-        from repro.allreduce.ring import ring_allreduce_sum
+        from repro.allreduce.codec import FloatCodec, allreduce_sum
         from repro.comm.cluster import Cluster
         from repro.comm.topology import ring_topology
 
-        results = ring_allreduce_sum(
-            Cluster(ring_topology(3)), [np.zeros(0) for _ in range(3)]
+        results = allreduce_sum(
+            Cluster(ring_topology(3)), [np.zeros(0) for _ in range(3)], FloatCodec()
         )
         assert results[0].size == 0
 

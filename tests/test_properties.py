@@ -1,12 +1,10 @@
 """Property-based tests (hypothesis) on cross-module invariants."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.allreduce.ring import ring_allreduce_mean
-from repro.allreduce.torus import torus_allreduce_sum
+from repro.allreduce.codec import FloatCodec, allreduce_mean, allreduce_sum
 from repro.comm.cluster import Cluster
 from repro.comm.topology import ring_topology, torus_topology
 from repro.compression.ef import EFSignCompressor
@@ -71,9 +69,9 @@ class TestCollectiveProperties:
     def test_ring_mean_is_permutation_invariant(self, m, d, seed):
         rng = np.random.default_rng(seed)
         vectors = [rng.standard_normal(d) for _ in range(m)]
-        mean_a = ring_allreduce_mean(Cluster(ring_topology(m)), vectors)[0]
+        mean_a = allreduce_mean(Cluster(ring_topology(m)), vectors)[0]
         perm = list(reversed(vectors))
-        mean_b = ring_allreduce_mean(Cluster(ring_topology(m)), perm)[0]
+        mean_b = allreduce_mean(Cluster(ring_topology(m)), perm)[0]
         assert np.allclose(mean_a, mean_b, atol=1e-5)
 
     @given(
@@ -86,7 +84,9 @@ class TestCollectiveProperties:
         m = rows * cols
         rng = np.random.default_rng(seed)
         vectors = [rng.standard_normal(12) for _ in range(m)]
-        result = torus_allreduce_sum(Cluster(torus_topology(rows, cols)), vectors)
+        result = allreduce_sum(
+            Cluster(torus_topology(rows, cols)), vectors, FloatCodec()
+        )
         assert np.allclose(result[0], np.sum(vectors, axis=0), atol=1e-4)
 
 
